@@ -1,12 +1,18 @@
 // Micro-benchmarks (google-benchmark): the algorithmic kernels — greedy
-// scheduling, max-flow routing, set cover, sector partitioning.
+// scheduling, max-flow routing, the ack set cover, sector partitioning,
+// interference probing.
 #include <benchmark/benchmark.h>
+
+#include <cmath>
+#include <numeric>
 
 #include "core/ack_collection.hpp"
 #include "core/greedy_scheduler.hpp"
 #include "core/sectors.hpp"
 #include "flow/min_max_load.hpp"
 #include "net/deployment.hpp"
+#include "radio/channel.hpp"
+#include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
 using namespace mhp;
@@ -75,17 +81,77 @@ BENCHMARK(BM_MaxFlowAlgos)
     ->Args({100, 0})
     ->Args({100, 1});
 
+/// One cluster at the Fig. 7(a) sensor density (about 1600 m² a sensor),
+/// demand 3 per sensor so the balanced plan rotates over several unit
+/// paths per sensor.
+struct BigCluster {
+  Deployment dep;
+  ClusterTopology topo;
+  RelayPlan plan;
+
+  explicit BigCluster(std::size_t n)
+      : dep(deploy(n)),
+        topo(disc_topology(dep, 80.0)),
+        plan(RelayPlan::balanced(topo, std::vector<std::int64_t>(n, 3))) {}
+
+  static Deployment deploy(std::size_t n) {
+    Rng rng(4);
+    return deploy_connected_uniform_square(
+        n, 40.0 * std::sqrt(static_cast<double>(n)), 80.0, rng);
+  }
+};
+
 void BM_AckCover(benchmark::State& state) {
+  // The per-cycle §V-F step of a rotating single-cluster run: pick the
+  // ack cover among the sensors' data paths of the cycle.
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto topo = Scenario::make(n, 4);
-  const RelayPlan plan =
-      RelayPlan::balanced(topo, std::vector<std::int64_t>(n, 1));
+  const BigCluster c(n);
+  std::vector<NodeId> members(n);
+  std::iota(members.begin(), members.end(), NodeId{0});
+  constexpr std::uint64_t kCycles = 8;
+  std::vector<std::vector<std::vector<NodeId>>> rotated(kCycles);
+  for (std::uint64_t cycle = 0; cycle < kCycles; ++cycle)
+    for (NodeId s = 0; s < n; ++s)
+      rotated[cycle].push_back(c.plan.path_for_cycle(s, cycle).hops);
+  std::uint64_t cycle = 0;
   for (auto _ : state) {
-    const auto ack = plan_ack_collection(topo, plan, 0);
+    const auto ack = plan_ack_cover(members, rotated[cycle++ % kCycles]);
     benchmark::DoNotOptimize(ack.total_hops);
   }
+  const auto first = plan_ack_cover(members, rotated[0]);
+  state.counters["ack_paths_cycle0"] =
+      static_cast<double>(first.poll_paths.size());
 }
-BENCHMARK(BM_AckCover)->Arg(30)->Arg(100);
+BENCHMARK(BM_AckCover)
+    ->Arg(100)
+    ->Arg(500)
+    ->Arg(2000)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_MeasuredOracleBuild(benchmark::State& state) {
+  // §V-E probing at M=2 against the SINR channel: every pair of the
+  // transmissions the rotating plan uses (u is about 2000 at n = 1800).
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const BigCluster c(n);
+  Simulator sim;
+  const TwoRayGround prop;
+  std::vector<double> powers(n + 1, RadioParams::kSensorTxPowerW);
+  powers[n] = RadioParams::kHeadTxPowerW;
+  const Channel channel(sim, prop, RadioParams{}, c.dep.positions, powers);
+  std::vector<std::vector<NodeId>> paths;
+  for (NodeId s = 0; s < n; ++s)
+    for (const auto& p : c.plan.paths(s)) paths.push_back(p.hops);
+  const auto universe = transmissions_of_paths(paths);
+  const ChannelOracle truth(channel, 2);
+  for (auto _ : state) {
+    const MeasuredOracle oracle(truth, universe, 2);
+    benchmark::DoNotOptimize(oracle.probes());
+  }
+  state.counters["universe"] = static_cast<double>(universe.size());
+  state.counters["probes"] =
+      static_cast<double>(MeasuredOracle::probe_count(universe.size(), 2));
+}
+BENCHMARK(BM_MeasuredOracleBuild)->Arg(1800)->Unit(benchmark::kMillisecond);
 
 void BM_SectorPartition(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -186,7 +186,9 @@ int main(int argc, char** argv) {
       "serve_load: %zu client(s) x %zu submission(s), queue capacity %zu\n",
       clients, submissions, queue_cap);
 
-  const auto t0 = Clock::now();
+  // The recorder's clock starts with the load, so the report's
+  // run.wall_seconds spans it (plus the server's drain below).
+  obs::RunRecorder recorder;
   std::vector<std::thread> threads;
   std::vector<ClientTally> tallies(clients);
   for (std::size_t c = 0; c < clients; ++c)
@@ -194,7 +196,7 @@ int main(int argc, char** argv) {
       tallies[c] = run_client(socket_path, static_cast<int>(c), submissions);
     });
   for (std::thread& t : threads) t.join();
-  const double wall_s = ms_since(t0) / 1000.0;
+  const double wall_s = recorder.wall_seconds();
 
   server.request_stop();
   server_thread.join();
@@ -216,7 +218,6 @@ int main(int argc, char** argv) {
   const double throughput =
       wall_s > 0.0 ? static_cast<double>(total.points_ok) / wall_s : 0.0;
 
-  obs::RunRecorder recorder;
   recorder.add_events(total.points_ok);
 
   Table table({"clients", "submissions", "admitted", "rejected_full",

@@ -1,7 +1,6 @@
 #include "core/ack_collection.hpp"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 
 #include "util/assertx.hpp"
@@ -55,9 +54,15 @@ std::vector<NodeId> all_sensors(const ClusterTopology& topo) {
 
 AckPlan plan_ack_cover(const std::vector<NodeId>& targets,
                        const std::vector<std::vector<NodeId>>& candidates) {
-  // Element ids: position of each sensor in `targets`.
-  std::map<NodeId, std::size_t> elem_of;
-  for (std::size_t i = 0; i < targets.size(); ++i) elem_of[targets[i]] = i;
+  // Element ids: position of each sensor in `targets` (the last one when
+  // a sensor is listed twice), indexed by node id.
+  constexpr std::size_t kNotTarget = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> elem_of;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    if (targets[i] >= elem_of.size())
+      elem_of.resize(static_cast<std::size_t>(targets[i]) + 1, kNotTarget);
+    elem_of[targets[i]] = i;
+  }
 
   std::vector<WeightedSubset> subsets;
   subsets.reserve(candidates.size());
@@ -65,8 +70,8 @@ AckPlan plan_ack_cover(const std::vector<NodeId>& targets,
     WeightedSubset sub;
     sub.cost = static_cast<double>(path.size() - 1);  // hop count
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      auto it = elem_of.find(path[i]);
-      if (it != elem_of.end()) sub.elements.push_back(it->second);
+      if (path[i] < elem_of.size() && elem_of[path[i]] != kNotTarget)
+        sub.elements.push_back(elem_of[path[i]]);
     }
     subsets.push_back(std::move(sub));
   }

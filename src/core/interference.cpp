@@ -71,44 +71,97 @@ bool ExplicitOracle::compatible_impl(const TxGroup& group) const {
 }
 
 bool ChannelOracle::compatible_impl(const TxGroup& group) const {
-  std::vector<Channel::TxRx> txs;
-  txs.reserve(group.size());
-  for (const Tx& t : group) txs.push_back({t.from, t.to});
-  const auto outcome = channel_.concurrent_outcome(txs);
-  return std::all_of(outcome.begin(), outcome.end(),
-                     [](bool ok) { return ok; });
+  // Channel::concurrent_outcome inlined without its scratch vectors: the
+  // same range checks, and per receiver the same half-duplex, sensitivity
+  // and SINR tests with the interference summed in the same order.  The
+  // group is compatible iff every receiver decodes, so the first failing
+  // one settles it.
+  const std::size_t nodes = channel_.num_nodes();
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    MHP_REQUIRE(group[i].from < nodes && group[i].to < nodes,
+                "node out of range");
+    MHP_REQUIRE(group[i].from != group[i].to, "self transmission");
+    for (std::size_t j = i + 1; j < group.size(); ++j)
+      MHP_REQUIRE(group[i].from != group[j].from, "duplicate sender");
+  }
+  const RadioParams& params = channel_.params();
+  for (const Tx& t : group) {
+    for (const Tx& other : group)
+      if (other.from == t.to) return false;  // half-duplex
+    const double signal = channel_.rx_power_w(t.from, t.to);
+    if (signal < params.sensitivity_w) return false;
+    double interference = 0.0;
+    for (const Tx& other : group)
+      if (&other != &t) interference += channel_.rx_power_w(other.from, t.to);
+    if (!(signal / (params.noise_w + interference) >= params.sinr_threshold))
+      return false;
+  }
+  return true;
 }
+
+namespace {
+
+/// C(n, k), with exact intermediate divisibility.
+std::uint64_t binomial(std::uint64_t n, std::size_t k) {
+  if (k > n) return 0;
+  std::uint64_t c = 1;
+  for (std::size_t i = 0; i < k; ++i) c = c * (n - i) / (i + 1);
+  return c;
+}
+
+}  // namespace
 
 MeasuredOracle::MeasuredOracle(const CompatibilityOracle& truth,
                                std::span<const Tx> universe, int order)
-    : order_(order) {
+    : order_(order), universe_(normalize(universe)) {
   MHP_REQUIRE(order >= 1, "order must be at least 1");
-  const TxGroup all = normalize(universe);
-  const std::size_t u = all.size();
-  // Enumerate subsets of size 2..order via index combinations.
+  const std::size_t u = universe_.size();
+  // Subsets of size 2..order in lexicographic order of their index
+  // combinations, so each verdict lands at the next rank.  One group
+  // buffer follows the combination as it advances.
   std::vector<std::size_t> idx;
-  auto probe_combinations = [&](auto&& self, std::size_t start,
-                                std::size_t k) -> void {
-    if (idx.size() == k) {
-      TxGroup g;
-      g.reserve(k);
-      for (std::size_t i : idx) g.push_back(all[i]);
+  TxGroup group;
+  for (std::size_t k = 2; k <= static_cast<std::size_t>(order); ++k) {
+    auto& bits = verdicts_.emplace_back();
+    if (k > u) continue;
+    bits.assign((binomial(u, k) + 63) / 64, 0);
+    idx.resize(k);
+    group.resize(k);
+    for (std::size_t i = 0; i < k; ++i) group[i] = universe_[idx[i] = i];
+    for (std::uint64_t rank = 0;; ++rank) {
       ++probes_;
-      if (truth.compatible(g)) compatible_.insert(std::move(g));
-      return;
+      if (truth.compatible(group))
+        bits[rank / 64] |= std::uint64_t{1} << (rank % 64);
+      // Advance the rightmost index that has room, reset those after it.
+      std::size_t i = k;
+      while (i > 0 && idx[i - 1] == u - k + (i - 1)) --i;
+      if (i == 0) break;
+      ++idx[i - 1];
+      for (std::size_t j = i; j < k; ++j) idx[j] = idx[j - 1] + 1;
+      for (std::size_t j = i - 1; j < k; ++j) group[j] = universe_[idx[j]];
     }
-    for (std::size_t i = start; i + (k - idx.size()) <= u; ++i) {
-      idx.push_back(i);
-      self(self, i + 1, k);
-      idx.pop_back();
-    }
-  };
-  for (int k = 2; k <= order; ++k)
-    probe_combinations(probe_combinations, 0, static_cast<std::size_t>(k));
+  }
 }
 
 bool MeasuredOracle::compatible_impl(const TxGroup& group) const {
-  return compatible_.contains(group);
+  // The lexicographic rank of index combination c_0 < ... < c_{k-1} is
+  // C(u,k) - 1 - sum_i C(u-1-c_i, k-i): the sum counts (combinatorial
+  // number system) the combinations that come after it.
+  const std::size_t k = group.size();
+  const std::size_t u = universe_.size();
+  if (k > u) return false;
+  std::uint64_t after = 0;
+  auto at = universe_.begin();
+  for (std::size_t i = 0; i < k; ++i) {
+    // The group is sorted, so each member lies past the previous one.
+    at = std::lower_bound(at, universe_.end(), group[i]);
+    if (at == universe_.end() || *at != group[i]) return false;
+    const auto c = static_cast<std::size_t>(at - universe_.begin());
+    after += binomial(u - 1 - c, k - i);
+    ++at;
+  }
+  const std::uint64_t rank = binomial(u, k) - 1 - after;
+  return (verdicts_[k - 2][rank / 64] >> (rank % 64)) & 1;
 }
 
 bool DiscModelOracle::compatible_impl(const TxGroup& group) const {
@@ -187,15 +240,8 @@ bool CachedOracle::compatible_impl(const TxGroup& group) const {
 std::uint64_t MeasuredOracle::probe_count(std::size_t universe_size,
                                           int order) {
   std::uint64_t total = 0;
-  for (int k = 2; k <= order; ++k) {
-    if (static_cast<std::size_t>(k) > universe_size) break;
-    // C(u, k), computed with exact intermediate divisibility.
-    std::uint64_t c = 1;
-    for (int i = 0; i < k; ++i)
-      c = c * (universe_size - static_cast<std::size_t>(i)) /
-          static_cast<std::uint64_t>(i + 1);
-    total += c;
-  }
+  for (int k = 2; k <= order; ++k)
+    total += binomial(universe_size, static_cast<std::size_t>(k));
   return total;
 }
 

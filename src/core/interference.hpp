@@ -132,7 +132,10 @@ class ChannelOracle : public CompatibilityOracle {
 /// transmissions drawn from a candidate universe (the transmissions the
 /// relaying paths actually use) and memoize the outcomes.  Query cost is a
 /// lookup; probing cost (number of groups tested) is what sectoring
-/// reduces (§IV).
+/// reduces (§IV).  Verdicts are stored as one bit per k-subset of the
+/// sorted universe at the subset's lexicographic rank, C(u,k)/8 bytes per
+/// order k; a query finds its members by binary search and computes the
+/// rank in closed form.
 class MeasuredOracle : public CompatibilityOracle {
  public:
   /// Probes all size-2..M subsets of `universe` against `truth`.
@@ -154,7 +157,10 @@ class MeasuredOracle : public CompatibilityOracle {
  private:
   int order_;
   std::uint64_t probes_ = 0;
-  std::set<TxGroup> compatible_;
+  TxGroup universe_;  // sorted, duplicate-free
+  /// verdicts_[k - 2]: bit r is set iff the k-subset of lexicographic
+  /// rank r is compatible.
+  std::vector<std::vector<std::uint64_t>> verdicts_;
 };
 
 /// Protocol-model (disc) ground truth: a group is compatible iff every
@@ -186,7 +192,7 @@ class DiscModelOracle : public CompatibilityOracle {
 /// Memoizing decorator: caches normalized-group → verdict in a hash map so
 /// repeated queries (the greedy scheduler asks about the same slot groups
 /// every planning pass) cost one hash lookup instead of the inner oracle's
-/// set search or SINR evaluation.  Verdicts are identical to the inner
+/// table lookup or SINR evaluation.  Verdicts are identical to the inner
 /// oracle's by construction — wrapping an oracle never changes behaviour,
 /// only speed.  Not thread-safe; one instance per simulation, like every
 /// other oracle.  The inner oracle must outlive the cache.

@@ -17,36 +17,62 @@ SetCoverResult greedy_set_cover(std::size_t universe,
   SetCoverResult result;
   std::vector<bool> covered(universe, false);
   std::size_t remaining = universe;
-  std::vector<bool> used(subsets.size(), false);
+
+  // Each pick is the subset minimizing (ratio, -fresh, index), where
+  // fresh counts the occurrences of still-uncovered elements and ratio is
+  // cost / fresh: the cheapest covering cost, ties to the larger gain,
+  // then the lower index.  Covering elements only shrinks fresh, so a
+  // subset's key only grows (a cost-0 subset keeps ratio 0 while -fresh
+  // grows).  A heap entry's key is therefore a lower bound of its current
+  // key: refresh the top, and if it still beats the next entry it is the
+  // exact minimum (lazy greedy) — the same pick a full scan would make.
+  struct Entry {
+    double ratio;
+    std::size_t fresh;
+    std::size_t index;
+    bool operator<(const Entry& o) const {
+      if (ratio != o.ratio) return ratio < o.ratio;
+      if (fresh != o.fresh) return fresh > o.fresh;
+      return index < o.index;
+    }
+  };
+  const auto fresh_of = [&](std::size_t i) {
+    std::size_t fresh = 0;
+    for (std::size_t e : subsets[i].elements)
+      if (!covered[e]) ++fresh;
+    return fresh;
+  };
+  const auto entry_of = [&](std::size_t i, std::size_t fresh) {
+    return Entry{subsets[i].cost / static_cast<double>(fresh), fresh, i};
+  };
+  // Min-heap: std heap functions keep the max, so order by "worse than".
+  const auto worse = [](const Entry& a, const Entry& b) { return b < a; };
+  std::vector<Entry> heap;
+  heap.reserve(subsets.size());
+  for (std::size_t i = 0; i < subsets.size(); ++i)
+    if (const std::size_t fresh = fresh_of(i); fresh > 0)
+      heap.push_back(entry_of(i, fresh));
+  std::make_heap(heap.begin(), heap.end(), worse);
 
   while (remaining > 0) {
-    double best_ratio = std::numeric_limits<double>::infinity();
-    std::size_t best = subsets.size();
-    std::size_t best_new = 0;
-    for (std::size_t i = 0; i < subsets.size(); ++i) {
-      if (used[i]) continue;
-      std::size_t fresh = 0;
-      for (std::size_t e : subsets[i].elements)
-        if (!covered[e]) ++fresh;
-      if (fresh == 0) continue;
-      // Covering cost: subset cost per newly covered element.  Zero-cost
-      // subsets are always taken first.
-      const double ratio = subsets[i].cost / static_cast<double>(fresh);
-      if (ratio < best_ratio ||
-          (ratio == best_ratio && fresh > best_new)) {
-        best_ratio = ratio;
-        best = i;
-        best_new = fresh;
-      }
-    }
-    if (best == subsets.size()) {
+    if (heap.empty()) {
       result.covered = false;  // leftovers are uncoverable
       return result;
     }
-    used[best] = true;
-    result.chosen.push_back(best);
-    result.total_cost += subsets[best].cost;
-    for (std::size_t e : subsets[best].elements) {
+    std::pop_heap(heap.begin(), heap.end(), worse);
+    const std::size_t i = heap.back().index;
+    heap.pop_back();
+    const std::size_t fresh = fresh_of(i);
+    if (fresh == 0) continue;  // everything it held is covered
+    const Entry now = entry_of(i, fresh);
+    if (!heap.empty() && heap.front() < now) {
+      heap.push_back(now);  // stale: re-queue under its current key
+      std::push_heap(heap.begin(), heap.end(), worse);
+      continue;
+    }
+    result.chosen.push_back(i);
+    result.total_cost += subsets[i].cost;
+    for (std::size_t e : subsets[i].elements) {
       if (!covered[e]) {
         covered[e] = true;
         --remaining;

@@ -1,7 +1,8 @@
 // Greedy weighted set cover (§V-F uses it to pick acknowledgement paths).
 //
 // Classic ln(n)-approximation: repeatedly take the subset with the lowest
-// covering cost (cost divided by newly covered elements).
+// covering cost (cost divided by newly covered elements).  Evaluated
+// lazily from a heap; the picks are exactly those of a full rescan.
 #pragma once
 
 #include <cstdint>

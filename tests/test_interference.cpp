@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <stdexcept>
+
 #include "core/interference.hpp"
 #include "radio/channel.hpp"
 #include "sim/simulator.hpp"
@@ -157,6 +161,212 @@ TEST_F(OracleChannelTest, ProbesCounterMatchesFormula) {
   const std::vector<Tx> universe = {{2, 1}, {1, 0}, {0, 3}, {1, 3}};
   MeasuredOracle measured(truth, universe, 3);
   EXPECT_EQ(measured.probes(), MeasuredOracle::probe_count(4, 3));
+}
+
+// ---------- MeasuredOracle rank index vs its truth ----------
+
+/// Every subset of `universe` of size 2..order, in any order.
+std::vector<TxGroup> all_groups(const std::vector<Tx>& universe, int order) {
+  std::vector<TxGroup> out;
+  const std::size_t u = universe.size();
+  for (std::size_t a = 0; a < u; ++a)
+    for (std::size_t b = a + 1; b < u; ++b) {
+      out.push_back({universe[a], universe[b]});
+      if (order < 3) continue;
+      for (std::size_t c = b + 1; c < u; ++c)
+        out.push_back({universe[a], universe[b], universe[c]});
+    }
+  return out;
+}
+
+/// Checks a MeasuredOracle over `universe` against `truth` on every
+/// subset of size 2..order, plus groups it must refuse.
+void expect_measured_matches(const CompatibilityOracle& truth,
+                             std::vector<Tx> universe, int order,
+                             Tx outside) {
+  ASSERT_EQ(std::find(universe.begin(), universe.end(), outside),
+            universe.end());
+  // Listed unsorted and with a repeat: the oracle normalizes.
+  universe.push_back(universe.front());
+  const MeasuredOracle measured(truth, universe, order);
+  universe.pop_back();
+  EXPECT_EQ(measured.probes(),
+            MeasuredOracle::probe_count(universe.size(), order));
+  std::size_t compatible = 0, incompatible = 0;
+  for (const TxGroup& g : all_groups(universe, order)) {
+    const bool want = truth.compatible(g);
+    ASSERT_EQ(measured.compatible(g), want);
+    // Listing order does not matter.
+    ASSERT_EQ(measured.compatible(TxGroup(g.rbegin(), g.rend())), want);
+    ++(want ? compatible : incompatible);
+  }
+  EXPECT_GT(compatible, 0u);
+  EXPECT_GT(incompatible, 0u);
+  // A member outside the universe was never probed; a group beyond the
+  // order is never known.
+  for (std::size_t i = 0; i < universe.size(); ++i) {
+    EXPECT_FALSE(measured.compatible(std::vector<Tx>{universe[i], outside}));
+    EXPECT_FALSE(measured.compatible(std::vector<Tx>{outside, universe[i]}));
+  }
+  EXPECT_FALSE(measured.compatible(
+      std::vector<Tx>(universe.begin(), universe.begin() + order + 1)));
+}
+
+/// A cluster-like deployment: `n` sensors in a square, head (id n) in the
+/// middle; transmissions go to one of each sender's nearer nodes, so some
+/// groups decode together and some collide.
+struct ChannelField {
+  explicit ChannelField(std::uint64_t seed, std::size_t n = 40,
+                        double side = 300.0) {
+    Rng rng(seed);
+    for (std::size_t i = 0; i < n; ++i)
+      pos.push_back({rng.uniform(0.0, side), rng.uniform(0.0, side)});
+    pos.push_back({side / 2, side / 2});
+    std::vector<double> pw(n, RadioParams::kSensorTxPowerW);
+    pw.push_back(RadioParams::kHeadTxPowerW);
+    channel = std::make_unique<Channel>(sim, prop, RadioParams{}, pos, pw);
+  }
+  static constexpr double kHop = 120.0;  // longest universe transmission
+  std::vector<Tx> universe(Rng& rng, std::size_t size) const {
+    std::vector<Tx> txs;
+    const auto nodes = static_cast<NodeId>(pos.size());
+    while (txs.size() < size) {
+      const auto from = static_cast<NodeId>(rng.below(nodes));
+      const auto to = static_cast<NodeId>(rng.below(nodes));
+      if (from == to || distance(pos[from], pos[to]) > kHop) continue;
+      const Tx t{from, to};
+      if (std::find(txs.begin(), txs.end(), t) == txs.end()) txs.push_back(t);
+    }
+    return txs;
+  }
+  /// A transmission no universe() draws.
+  Tx too_long() const {
+    for (NodeId a = 0; a < pos.size(); ++a)
+      for (NodeId b = 0; b < pos.size(); ++b)
+        if (distance(pos[a], pos[b]) > kHop) return Tx{a, b};
+    throw std::logic_error("field too small");
+  }
+  Simulator sim;
+  TwoRayGround prop;
+  std::vector<Vec2> pos;
+  std::unique_ptr<Channel> channel;
+};
+
+TEST(MeasuredOracle, RankIndexAnswersLikeChannelTruth) {
+  for (int order : {2, 3}) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      const ChannelField field(100 + seed);
+      Rng rng(seed);
+      const std::size_t u = 30 + rng.below(31);
+      const ChannelOracle truth(*field.channel, order);
+      expect_measured_matches(truth, field.universe(rng, u), order,
+                              field.too_long());
+    }
+  }
+}
+
+TEST(MeasuredOracle, RankIndexAnswersLikeNonMonotoneExplicitTruth) {
+  // Random pairs allowed, then (order 3) triples that are allowed while
+  // one of their pairs is forbidden, and triples forbidden although all
+  // their pairs are allowed: verdicts no monotone shortcut reproduces.
+  for (int order : {2, 3}) {
+    for (std::uint64_t seed : {7u, 8u}) {
+      Rng rng(seed);
+      const std::size_t u = 30 + rng.below(31);
+      std::vector<Tx> universe;
+      for (std::size_t i = 0; i < u; ++i)
+        universe.push_back(Tx{static_cast<NodeId>(2 * i),
+                              static_cast<NodeId>(2 * i + 1)});
+      std::reverse(universe.begin(), universe.end());
+      ExplicitOracle truth(order);
+      for (std::size_t i = 0; i < u; ++i)
+        for (std::size_t j = i + 1; j < u; ++j)
+          if (rng.below(3) != 0) truth.allow_pair(universe[i], universe[j]);
+      for (int g = 0; g < 40; ++g) {
+        const Tx a = universe[rng.below(u)], b = universe[rng.below(u)],
+                 c = universe[rng.below(u)];
+        if (order < 3) {
+          truth.forbid_group(std::vector<Tx>{a, b});
+          continue;
+        }
+        const std::vector<Tx> triple{a, b, c};
+        if (normalize(triple).size() != 3) continue;
+        truth.allow_group(triple);
+        if (g % 2 == 0) truth.forbid_group(std::vector<Tx>{a, b});
+        else truth.forbid_group(triple);
+      }
+      expect_measured_matches(truth, universe, order, Tx{999, 1000});
+    }
+  }
+}
+
+// ---------- ChannelOracle inline SINR vs concurrent_outcome ----------
+
+/// Exposes the verdict for any group with distinct senders, including
+/// half-duplex ones the public query screens out before the SINR test.
+class ExposedChannelOracle : public ChannelOracle {
+ public:
+  using ChannelOracle::ChannelOracle;
+  bool sinr_verdict(const TxGroup& g) const { return compatible_impl(g); }
+};
+
+TEST(ChannelOracle, InlineVerdictEqualsAllOfConcurrentOutcome) {
+  // A sparse field (some links below sensitivity) of 12 sensors plus the
+  // head: random groups of 1..4 distinct senders toward any node, the
+  // head included, so receivers that also send (half-duplex) occur often.
+  const ChannelField field(42, 12, 600.0);
+  const auto nodes = static_cast<NodeId>(field.pos.size());
+  const NodeId head = nodes - 1;
+  const ExposedChannelOracle oracle(*field.channel, 4);
+  Rng rng(43);
+  std::size_t half_duplex = 0, weak = 0, to_head = 0, ok = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::size_t size = 1 + rng.below(4);
+    std::vector<Channel::TxRx> txrx;
+    TxGroup group;
+    while (group.size() < size) {
+      const auto from = static_cast<NodeId>(rng.below(nodes));
+      const auto to = static_cast<NodeId>(rng.below(nodes));
+      if (from == to) continue;
+      if (std::any_of(group.begin(), group.end(),
+                      [&](const Tx& t) { return t.from == from; }))
+        continue;
+      group.push_back(Tx{from, to});
+      txrx.push_back({from, to});
+    }
+    const auto outcome = field.channel->concurrent_outcome(txrx);
+    const bool want = std::all_of(outcome.begin(), outcome.end(),
+                                  [](bool b) { return b; });
+    ASSERT_EQ(oracle.sinr_verdict(group), want) << "trial " << trial;
+    // The public query adds the structural screen in front (and takes
+    // singletons as compatible without asking).
+    if (group.size() >= 2) {
+      ASSERT_EQ(oracle.compatible(group), structurally_valid(group) && want)
+          << "trial " << trial;
+    }
+    for (const Tx& t : group) {
+      if (std::any_of(group.begin(), group.end(),
+                      [&](const Tx& o) { return o.from == t.to; }))
+        ++half_duplex;
+      if (field.channel->rx_power_w(t.from, t.to) <
+          field.channel->params().sensitivity_w)
+        ++weak;
+      if (t.to == head) ++to_head;
+    }
+    if (want) ++ok;
+  }
+  EXPECT_GT(half_duplex, 0u);
+  EXPECT_GT(weak, 0u);
+  EXPECT_GT(to_head, 0u);
+  EXPECT_GT(ok, 0u);
+}
+
+TEST(ChannelOracle, InlineVerdictKeepsTheChannelsRangeChecks) {
+  const ChannelField field(5, 4);
+  const ExposedChannelOracle oracle(*field.channel, 3);
+  EXPECT_THROW(oracle.sinr_verdict({Tx{0, 1}, Tx{2, 99}}), ContractViolation);
+  EXPECT_THROW(oracle.sinr_verdict({Tx{0, 1}, Tx{2, 2}}), ContractViolation);
+  EXPECT_THROW(oracle.sinr_verdict({Tx{0, 1}, Tx{0, 2}}), ContractViolation);
 }
 
 TEST(TransmissionsOfPaths, ExtractsHops) {
