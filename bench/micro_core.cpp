@@ -1,13 +1,17 @@
 // Micro-benchmarks (google-benchmark): the algorithmic kernels — greedy
 // scheduling, max-flow routing, the ack set cover, sector partitioning,
-// interference probing.
+// interference probing and the oracle memo.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <memory>
 #include <numeric>
+#include <optional>
+#include <span>
 
 #include "core/ack_collection.hpp"
 #include "core/greedy_scheduler.hpp"
+#include "core/interference.hpp"
 #include "core/sectors.hpp"
 #include "flow/min_max_load.hpp"
 #include "net/deployment.hpp"
@@ -152,6 +156,87 @@ void BM_MeasuredOracleBuild(benchmark::State& state) {
       static_cast<double>(MeasuredOracle::probe_count(universe.size(), 2));
 }
 BENCHMARK(BM_MeasuredOracleBuild)->Arg(1800)->Unit(benchmark::kMillisecond);
+
+/// Passes every query through to `inner` and keeps it, so a benchmark
+/// can replay the exact group stream the greedy scheduler issues.
+class RecordingOracle : public CompatibilityOracle {
+ public:
+  explicit RecordingOracle(const CompatibilityOracle& inner) : inner_(inner) {}
+
+  int order() const override { return inner_.order(); }
+
+  bool compatible(std::span<const Tx> txs) const override {
+    members_.insert(members_.end(), txs.begin(), txs.end());
+    ends_.push_back(members_.size());
+    return inner_.compatible(txs);
+  }
+
+  std::size_t queries() const { return ends_.size(); }
+  std::span<const Tx> query(std::size_t i) const {
+    const std::size_t begin = i == 0 ? 0 : ends_[i - 1];
+    return {members_.data() + begin, ends_[i] - begin};
+  }
+
+ protected:
+  bool compatible_impl(const TxGroup& group) const override {
+    return inner_.compatible(group);
+  }
+
+ private:
+  const CompatibilityOracle& inner_;
+  mutable std::vector<Tx> members_;
+  mutable std::vector<std::size_t> ends_;
+};
+
+void BM_CachedOracle(benchmark::State& state) {
+  // The memo in front of the two inner oracles the shipped workloads use,
+  // fed the stream one offline greedy cycle asks.  Hit-heavy (arg 0): a
+  // 60-sensor cluster's MeasuredOracle at M=3 behind one long-lived memo,
+  // which answers every repeat of the cycle's groups, as a field of small
+  // clusters does.  Miss-heavy (arg 1): a fresh pair-screening memo per
+  // cycle over the disc oracle of a 2000-sensor deployment, as the
+  // offline production path has.
+  const bool miss_heavy = state.range(0) == 1;
+  const std::size_t n = miss_heavy ? 2000 : 60;
+  const BigCluster c(n);
+  std::vector<std::vector<NodeId>> paths;
+  for (NodeId s = 0; s < n; ++s)
+    paths.push_back(c.plan.path_for_cycle(s, 0).hops);
+  std::unique_ptr<CompatibilityOracle> inner;
+  if (miss_heavy) {
+    inner = std::make_unique<DiscModelOracle>(c.dep.positions, 80.0, 3);
+  } else {
+    Simulator sim;
+    const TwoRayGround prop;
+    std::vector<double> powers(n + 1, RadioParams::kSensorTxPowerW);
+    powers[n] = RadioParams::kHeadTxPowerW;
+    const Channel channel(sim, prop, RadioParams{}, c.dep.positions, powers);
+    std::vector<std::vector<NodeId>> all_paths;
+    for (NodeId s = 0; s < n; ++s)
+      for (const auto& p : c.plan.paths(s)) all_paths.push_back(p.hops);
+    inner = std::make_unique<MeasuredOracle>(
+        ChannelOracle(channel, 3), transmissions_of_paths(all_paths), 3);
+  }
+  const RecordingOracle stream(*inner);
+  run_offline(stream, paths);
+
+  const auto screen = miss_heavy ? CachedOracle::PairScreen::kOn
+                                 : CachedOracle::PairScreen::kOff;
+  std::optional<CachedOracle> cached;
+  cached.emplace(*inner, screen);
+  for (auto _ : state) {
+    if (miss_heavy) cached.emplace(*inner, screen);
+    for (std::size_t q = 0; q < stream.queries(); ++q)
+      benchmark::DoNotOptimize(cached->compatible(stream.query(q)));
+  }
+  state.SetLabel(miss_heavy ? "miss-heavy" : "hit-heavy");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(stream.queries()));
+  state.counters["queries"] = static_cast<double>(stream.queries());
+  state.counters["hit_rate"] = cached->hit_rate();
+  state.counters["entries"] = static_cast<double>(cached->size());
+}
+BENCHMARK(BM_CachedOracle)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_SectorPartition(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -13,7 +13,9 @@
 // budgets (phase ms × 20) plus the tx/sec floor (÷ 20) that CI's
 // perf-smoke job checks future runs against.  The O(n²) reference columns
 // (brute-force topology, cold routing) are only measured up to n = 1000;
-// beyond that they read 0 = skipped.
+// beyond that they read 0 = skipped.  The "run" block records the
+// number of cores the process may use, since every budget and floor is
+// only meaningful beside the machine it was measured on.
 //
 //   --smoke               small points only (n ∈ {50, 200}) for CI
 //   --baseline <path>     after running, compare every measured point's
@@ -23,6 +25,8 @@
 //   --profile-out <path>  record profiler spans across all points and
 //                         write Chrome trace-event JSON here; also fills
 //                         the span_*_ms columns (0 when not profiling)
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -53,6 +57,14 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// CPUs this process may run on (its affinity mask), at least 1.
+int usable_cores() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return std::max(1, CPU_COUNT(&set));
+}
 
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0)
@@ -473,7 +485,10 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.to_ascii().c_str());
   mhp::exp::save_csv("perf_scaling.csv", table);
-  mhp::exp::save_bench_json("perf", table, recorder);
+  obs::Json report = mhp::exp::bench_json("perf", table, recorder);
+  report.find("run")->set("cores", obs::Json(usable_cores()));
+  if (obs::save_json("BENCH_perf.json", report))
+    std::printf("(bench report saved to BENCH_perf.json)\n");
 
   if (!baseline_path.empty()) {
     bool ok = true;

@@ -1,6 +1,7 @@
 #include "core/interference.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "util/assertx.hpp"
 
@@ -175,12 +176,74 @@ bool DiscModelOracle::compatible_impl(const TxGroup& group) const {
   return true;
 }
 
+namespace {
+
+/// Hash of a normalized group: each member folded in as one 64-bit word,
+/// then a murmur3 finalizer so the low bits the table masks with are
+/// well mixed.
+std::uint64_t group_hash(std::span<const Tx> g) {
+  std::uint64_t h = g.size();
+  for (const Tx& t : g) {
+    h ^= (std::uint64_t{t.from} << 32) | t.to;
+    h *= 0x9e3779b97f4a7c15ull;
+    h ^= h >> 29;
+  }
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
+}
+
+}  // namespace
+
+std::size_t CachedOracle::find_slot(std::span<const Tx> key,
+                                    std::uint64_t hash) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot& s = slots_[i];
+    if (s.length == 0) return i;
+    if (s.hash == hash && s.length == key.size() &&
+        std::equal(key.begin(), key.end(), pool_.begin() + s.offset))
+      return i;
+  }
+}
+
+void CachedOracle::remember(std::span<const Tx> key, std::uint64_t hash,
+                            bool verdict) const {
+  if (2 * (size_ + 1) > slots_.size()) {
+    // Double the table; stored hashes re-place every entry without
+    // touching the key pool.
+    std::vector<Slot> old(2 * slots_.size());
+    old.swap(slots_);
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot& s : old) {
+      if (s.length == 0) continue;
+      std::size_t i = s.hash & mask;
+      while (slots_[i].length != 0) i = (i + 1) & mask;
+      slots_[i] = s;
+    }
+  }
+  Slot& s = slots_[find_slot(key, hash)];
+  if (s.length != 0) return;
+  // Offsets and lengths are stored in 32 and 31 bits.
+  MHP_REQUIRE(pool_.size() + key.size() < (std::size_t{1} << 31),
+              "oracle memo key pool full");
+  s.hash = hash;
+  s.offset = static_cast<std::uint32_t>(pool_.size());
+  s.length = static_cast<std::uint32_t>(key.size());
+  s.verdict = verdict;
+  pool_.insert(pool_.end(), key.begin(), key.end());
+  ++size_;
+}
+
 bool CachedOracle::compatible(std::span<const Tx> txs) const {
   // Mirror the base class's trivial-group handling so cached and uncached
   // answers agree on every input; only non-trivial groups hit the memo.
   // The scheduler asks about a group per hop per candidate per slot, so
-  // normalization runs in a reusable scratch buffer: the memo key is
-  // copied out only on a miss.
+  // normalization runs in a reusable scratch buffer: the key is copied
+  // into the pool only on a miss.
   TxGroup& g = norm_scratch_;
   g.assign(txs.begin(), txs.end());
   std::sort(g.begin(), g.end());
@@ -191,44 +254,39 @@ bool CachedOracle::compatible(std::span<const Tx> txs) const {
     // A pair already known incompatible dooms every group containing it
     // (monotone oracles only; see the header).  `g` is sorted/unique, so
     // each {g[i], g[j]} with i<j is itself a normalized group.
-    pair_scratch_.resize(2);
-    for (std::size_t i = 0; i + 1 < g.size(); ++i) {
-      pair_scratch_[0] = g[i];
+    for (std::size_t i = 0; i + 1 < g.size(); ++i)
       for (std::size_t j = i + 1; j < g.size(); ++j) {
-        pair_scratch_[1] = g[j];
-        const auto it = cache_.find(pair_scratch_);
-        if (it != cache_.end() && !it->second) {
+        const Tx pair[2] = {g[i], g[j]};
+        const Slot& s = slots_[find_slot(pair, group_hash(pair))];
+        if (s.length != 0 && !s.verdict) {
           ++hits_;
           ++screened_;
           if (hit_counter_) hit_counter_->add();
           return false;
         }
       }
-    }
   }
-  if (const auto it = cache_.find(g); it != cache_.end()) {
+  const std::uint64_t hash = group_hash(g);
+  if (const Slot& s = slots_[find_slot(g, hash)]; s.length != 0) {
     ++hits_;
     if (hit_counter_) hit_counter_->add();
-    return it->second;
+    return s.verdict;
   }
   ++misses_;
   if (miss_counter_) miss_counter_->add();
   const bool ok = inner_.compatible(g);
-  cache_.emplace(g, ok);
+  remember(g, hash, ok);
   if (screen_ == PairScreen::kOn && ok && g.size() > 2) {
     // Subset closure (monotone oracles only, like the screen): a
     // compatible group proves every pair inside it compatible, so seed
     // those pairs now — the scheduler's first planning pass asks about
     // pairs before it grows them into triples, and this turns such
     // queries into hits without an inner-oracle probe.
-    pair_scratch_.resize(2);
-    for (std::size_t i = 0; i + 1 < g.size(); ++i) {
-      pair_scratch_[0] = g[i];
+    for (std::size_t i = 0; i + 1 < g.size(); ++i)
       for (std::size_t j = i + 1; j < g.size(); ++j) {
-        pair_scratch_[1] = g[j];
-        cache_.try_emplace(pair_scratch_, true);
+        const Tx pair[2] = {g[i], g[j]};
+        remember(pair, group_hash(pair), true);
       }
-    }
   }
   return ok;
 }

@@ -13,7 +13,6 @@
 #include <map>
 #include <set>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "metrics/registry.hpp"
@@ -35,23 +34,6 @@ struct Tx {
 /// Canonical key for a transmission group (sorted, duplicate-free).
 using TxGroup = std::vector<Tx>;
 TxGroup normalize(std::span<const Tx> txs);
-
-/// FNV-1a over the group's endpoint ids — groups are normalized, so equal
-/// sets hash equally.  Key type for the CachedOracle's memo table.
-struct TxGroupHash {
-  std::size_t operator()(const TxGroup& g) const {
-    std::uint64_t h = 14695981039346656037ull;
-    const auto mix = [&h](std::uint64_t v) {
-      h ^= v;
-      h *= 1099511628211ull;
-    };
-    for (const Tx& t : g) {
-      mix(static_cast<std::uint64_t>(t.from));
-      mix(static_cast<std::uint64_t>(t.to));
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
 
 /// Structural feasibility every oracle enforces before its own answer:
 /// distinct senders, no node both sending and receiving (half-duplex),
@@ -189,13 +171,19 @@ class DiscModelOracle : public CompatibilityOracle {
   int order_;
 };
 
-/// Memoizing decorator: caches normalized-group → verdict in a hash map so
-/// repeated queries (the greedy scheduler asks about the same slot groups
-/// every planning pass) cost one hash lookup instead of the inner oracle's
-/// table lookup or SINR evaluation.  Verdicts are identical to the inner
+/// Memoizing decorator: caches normalized-group → verdict so repeated
+/// queries (the greedy scheduler asks about the same slot groups every
+/// planning pass) cost one hash lookup instead of the inner oracle's table
+/// lookup or SINR evaluation.  Verdicts are identical to the inner
 /// oracle's by construction — wrapping an oracle never changes behaviour,
 /// only speed.  Not thread-safe; one instance per simulation, like every
 /// other oracle.  The inner oracle must outlive the cache.
+///
+/// The memo is one open-addressing table (power-of-two capacity, linear
+/// probing, load at most 1/2).  A slot stores the key's 64-bit hash, its
+/// offset and length in a shared pool where all keys sit back to back,
+/// and the verdict, so no memoized group costs a heap allocation of its
+/// own.
 class CachedOracle : public CompatibilityOracle {
  public:
   /// Opt-in pair screening and subset closure: before consulting the
@@ -239,18 +227,34 @@ class CachedOracle : public CompatibilityOracle {
                       : static_cast<double>(hits_) /
                             static_cast<double>(total);
   }
-  std::size_t size() const { return cache_.size(); }
+  std::size_t size() const { return size_; }
 
  protected:
   /// Unreached (compatible() is fully overridden); delegates for safety.
   bool compatible_impl(const TxGroup& group) const override;
 
  private:
+  /// One memo entry; `length` 0 marks an empty slot (keys have at least
+  /// two members).
+  struct Slot {
+    std::uint64_t hash = 0;
+    std::uint32_t offset = 0;  // first member's index in pool_
+    std::uint32_t length : 31 = 0;
+    std::uint32_t verdict : 1 = 0;
+  };
+
+  /// The slot holding `key`, or the empty slot where it belongs.
+  std::size_t find_slot(std::span<const Tx> key, std::uint64_t hash) const;
+  /// Memoizes key → verdict unless the key is already present.
+  void remember(std::span<const Tx> key, std::uint64_t hash,
+                bool verdict) const;
+
   const CompatibilityOracle& inner_;
   PairScreen screen_ = PairScreen::kOff;
-  mutable std::unordered_map<TxGroup, bool, TxGroupHash> cache_;
+  mutable std::vector<Slot> slots_ = std::vector<Slot>(16);
+  mutable std::vector<Tx> pool_;
+  mutable std::size_t size_ = 0;
   mutable TxGroup norm_scratch_;
-  mutable TxGroup pair_scratch_;
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;
   mutable std::uint64_t screened_ = 0;

@@ -104,19 +104,27 @@ Socket listen_unix(const std::string& path, int backlog) {
 }
 
 std::optional<std::string> LineReader::next() {
-  for (;;) {
-    const std::size_t nl = buf_.find('\n');
-    if (nl != std::string::npos) {
+  while (!too_long_) {
+    const std::size_t nl = buf_.find('\n', scanned_);
+    if (nl != std::string::npos && nl <= max_line_) {
       std::string line = buf_.substr(0, nl);
       buf_.erase(0, nl + 1);
+      scanned_ = 0;
       return line;
     }
+    if (nl != std::string::npos || buf_.size() > max_line_) {
+      too_long_ = true;
+      break;
+    }
+    scanned_ = buf_.size();
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return std::nullopt;  // EOF or reset; partial tail dropped
     buf_.append(chunk, static_cast<std::size_t>(n));
   }
+  std::string().swap(buf_);
+  return std::nullopt;
 }
 
 }  // namespace mhp::serve

@@ -17,6 +17,8 @@
 // request/response turns with streamed results.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -60,17 +62,28 @@ Socket connect_unix(const std::string& path);
 /// unlinked first; a live listener on the same path is an error.
 Socket listen_unix(const std::string& path, int backlog = 64);
 
+/// Longest request line the server reads (without its '\n').  A client
+/// that sends more gets a bad_request frame and the connection closes, so
+/// no peer can make the daemon buffer without limit.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{4} << 20;
+
 /// Buffered line reader over a socket: next() returns the next
 /// newline-terminated line (without the '\n'), or nullopt on EOF /
-/// connection reset.
+/// connection reset, or once a line runs past `max_line` bytes — then
+/// too_long() is true and the reader returns nothing more.
 class LineReader {
  public:
-  explicit LineReader(int fd) : fd_(fd) {}
+  explicit LineReader(int fd, std::size_t max_line = SIZE_MAX)
+      : fd_(fd), max_line_(max_line) {}
   std::optional<std::string> next();
+  bool too_long() const { return too_long_; }
 
  private:
   int fd_;
+  std::size_t max_line_;
   std::string buf_;
+  std::size_t scanned_ = 0;  // prefix of buf_ known to hold no '\n'
+  bool too_long_ = false;
 };
 
 }  // namespace mhp::serve

@@ -220,7 +220,7 @@ void Server::run() {
 }
 
 void Server::handle_connection(const std::shared_ptr<Connection>& conn) {
-  LineReader reader(conn->sock.fd());
+  LineReader reader(conn->sock.fd(), kMaxRequestLineBytes);
   while (auto line = reader.next()) {
     if (line->empty()) continue;
     Json request;
@@ -239,6 +239,11 @@ void Server::handle_connection(const std::shared_ptr<Connection>& conn) {
       break;
     }
   }
+  if (reader.too_long())
+    conn->send(response_base("?", "bad_request")
+                   .set("error", Json("request line longer than " +
+                                      std::to_string(kMaxRequestLineBytes) +
+                                      " bytes")));
   conn->closed.store(true, std::memory_order_relaxed);
   conn->sock.shutdown_both();
 }

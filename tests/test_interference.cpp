@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <stdexcept>
 
@@ -563,6 +564,113 @@ TEST(CachedOracle, PairScreenLiftsHitRateOnGreedyStyleWorkload) {
   }
   EXPECT_GT(screened.screened(), 0u);
   EXPECT_GT(screened.hit_rate(), plain.hit_rate());
+}
+
+// ---------- CachedOracle against a reference memo ----------
+
+/// The memo's contract restated over a std::map: normalize, answer
+/// trivial and oversized groups without counting, screen pairs, look up,
+/// and on a miss ask the inner oracle and close over pairs.
+class ReferenceMemo {
+ public:
+  ReferenceMemo(const CompatibilityOracle& inner, bool screen)
+      : inner_(inner), screen_(screen) {}
+
+  bool compatible(std::span<const Tx> txs) {
+    const TxGroup g = normalize(txs);
+    if (g.size() <= 1) return g.empty() || g[0].from != g[0].to;
+    if (static_cast<int>(g.size()) > inner_.order()) return false;
+    if (screen_ && g.size() > 2)
+      for (std::size_t i = 0; i + 1 < g.size(); ++i)
+        for (std::size_t j = i + 1; j < g.size(); ++j) {
+          const auto it = memo_.find(TxGroup{g[i], g[j]});
+          if (it != memo_.end() && !it->second) {
+            ++hits;
+            ++screened;
+            return false;
+          }
+        }
+    if (const auto it = memo_.find(g); it != memo_.end()) {
+      ++hits;
+      return it->second;
+    }
+    ++misses;
+    const bool ok = inner_.compatible(g);
+    memo_.emplace(g, ok);
+    if (screen_ && ok && g.size() > 2)
+      for (std::size_t i = 0; i + 1 < g.size(); ++i)
+        for (std::size_t j = i + 1; j < g.size(); ++j)
+          memo_.try_emplace(TxGroup{g[i], g[j]}, true);
+    return ok;
+  }
+
+  std::size_t size() const { return memo_.size(); }
+
+  std::uint64_t hits = 0, misses = 0, screened = 0;
+
+ private:
+  const CompatibilityOracle& inner_;
+  bool screen_;
+  std::map<TxGroup, bool> memo_;
+};
+
+TEST(CachedOracle, MatchesReferenceMemoOnRandomStreams) {
+  // Seeded query streams mixing group sizes 0..M+1, duplicate members,
+  // self-loops, permuted replays of earlier groups and greedy-style
+  // growth of an earlier group by one member.  Every query must leave
+  // the verdict and all four tallies equal to the reference's.
+  constexpr NodeId kNodes = 24;
+  for (const int order : {2, 3, 5})
+    for (const bool screen : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "order " << order << " screen " << screen);
+      Rng rng(static_cast<std::uint64_t>(100 * order + screen));
+      std::vector<Vec2> pos;
+      for (NodeId i = 0; i < kNodes; ++i)
+        pos.push_back({rng.uniform(0.0, 300.0), rng.uniform(0.0, 300.0)});
+      const DiscModelOracle truth(pos, 80.0, order);
+      const CachedOracle cached(
+          truth, screen ? CachedOracle::PairScreen::kOn
+                        : CachedOracle::PairScreen::kOff);
+      ReferenceMemo reference(truth, screen);
+
+      const auto random_tx = [&] {
+        const auto from = static_cast<NodeId>(rng.below(kNodes));
+        if (rng.bernoulli(0.05)) return Tx{from, from};  // self-loop
+        return Tx{from, static_cast<NodeId>(
+                            (from + 1 + rng.below(kNodes - 1)) % kNodes)};
+      };
+      std::vector<TxGroup> asked;
+      for (int q = 0; q < 4000; ++q) {
+        TxGroup g;
+        const double shape = rng.uniform();
+        if (!asked.empty() && shape < 0.35) {
+          g = rng.pick(asked);  // replay, members permuted
+          rng.shuffle(g);
+        } else if (!asked.empty() && shape < 0.55) {
+          g = rng.pick(asked);  // grow by one member
+          g.push_back(random_tx());
+        } else {
+          const auto size = rng.below(static_cast<std::uint64_t>(order) + 2);
+          for (std::uint64_t t = 0; t < size; ++t) g.push_back(random_tx());
+        }
+        if (!g.empty() && rng.bernoulli(0.1)) g.push_back(g.front());
+        asked.push_back(g);
+
+        const bool want = reference.compatible(g);
+        ASSERT_EQ(cached.compatible(g), want) << "query " << q;
+        ASSERT_EQ(cached.hits(), reference.hits) << "query " << q;
+        ASSERT_EQ(cached.misses(), reference.misses) << "query " << q;
+        ASSERT_EQ(cached.screened(), reference.screened) << "query " << q;
+        ASSERT_EQ(cached.size(), reference.size()) << "query " << q;
+      }
+      // Far past the initial table, so the memo doubled several times
+      // mid-stream; and both the memo and (where groups of three are
+      // askable) the pair screen actually answered queries.
+      EXPECT_GT(cached.size(), 200u);
+      EXPECT_GT(cached.hits(), 0u);
+      EXPECT_EQ(cached.screened() > 0, screen && order > 2);
+    }
 }
 
 }  // namespace

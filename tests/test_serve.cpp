@@ -2,6 +2,8 @@
 // backpressure, multi-client result isolation, report equivalence with
 // direct runs, drain/shutdown durability and restart resume — all over
 // a real UNIX socket against the real server.
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -469,6 +471,54 @@ TEST(ServeDurability, SameSubmissionTwiceConcurrentlyIsBusyNotDuplicated) {
   gate.release(1);
   JobStream stream = stream_job(client, first.at("job").as_string());
   EXPECT_EQ(stream.done.at("ok").as_int(), 1);
+  ts.shutdown_via(client);
+}
+
+// ---------- request line cap ----------
+
+TEST(ServeRobustness, OversizedRequestLineIsBadRequestAndClosed) {
+  TestServer ts("oversize");
+  {
+    // A line at the cap is read whole: not JSON, so bad_request, and the
+    // connection keeps serving.
+    serve::Socket raw = serve::connect_unix(ts.socket_path());
+    ASSERT_TRUE(raw.send_line(std::string(serve::kMaxRequestLineBytes, ' ')));
+    ASSERT_TRUE(raw.send_line(R"({"op":"status"})"));
+    serve::LineReader reader(raw.fd());
+    const auto rejected = reader.next();
+    ASSERT_TRUE(rejected.has_value());
+    EXPECT_EQ(obs::parse_json(*rejected).at("status").as_string(),
+              "bad_request");
+    const auto status = reader.next();
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(obs::parse_json(*status).at("status").as_string(), "ok");
+  }
+  {
+    // One byte more: the server stops reading, answers bad_request and
+    // closes, so the rest of the send fails instead of blocking.  The
+    // receive timeout turns a server that never closes into a failure
+    // rather than a hang.
+    serve::Socket raw = serve::connect_unix(ts.socket_path());
+    const timeval limit{10, 0};
+    ASSERT_EQ(::setsockopt(raw.fd(), SOL_SOCKET, SO_RCVTIMEO, &limit,
+                           sizeof(limit)),
+              0);
+    raw.send_line(std::string(serve::kMaxRequestLineBytes + 1, ' '));
+    serve::LineReader reader(raw.fd());
+    const auto rejected = reader.next();
+    ASSERT_TRUE(rejected.has_value());
+    const Json frame = obs::parse_json(*rejected);
+    EXPECT_EQ(frame.at("status").as_string(), "bad_request");
+    EXPECT_NE(frame.at("error").as_string().find("request line longer"),
+              std::string::npos);
+    EXPECT_FALSE(reader.next().has_value());
+  }
+  // The daemon itself is unaffected.
+  serve::Client client = ts.connect();
+  EXPECT_EQ(client.request(Json::object().set("op", Json("status")))
+                .at("status")
+                .as_string(),
+            "ok");
   ts.shutdown_via(client);
 }
 
