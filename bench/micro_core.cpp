@@ -16,6 +16,7 @@
 #include "flow/min_max_load.hpp"
 #include "net/deployment.hpp"
 #include "radio/channel.hpp"
+#include "route/routing_engine.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -84,6 +85,33 @@ BENCHMARK(BM_MaxFlowAlgos)
     ->Args({60, 1})
     ->Args({100, 0})
     ->Args({100, 1});
+
+/// One balanced routing solve on a disc field at the offline workloads'
+/// density (1000 m² a sensor, 60 m range, expected degree about 11),
+/// demand 1 per sensor, on a long-lived engine.
+void BM_SolveBalanced(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(5);
+  const ClusterTopology topo = disc_topology(
+      deploy_connected_uniform_square(
+          n, std::sqrt(1000.0 * static_cast<double>(n)), 60.0, rng),
+      60.0);
+  const std::vector<std::int64_t> demand(n, 1);
+  route::RoutingEngine engine;
+  for (auto _ : state) {
+    const auto result = engine.solve_balanced(topo, demand);
+    benchmark::DoNotOptimize(result.max_load);
+  }
+  const route::SolveStats& stats = engine.last_stats();
+  state.counters["probes"] = stats.probes;
+  state.counters["phases"] = static_cast<double>(stats.phases);
+  state.counters["augmentations"] = static_cast<double>(stats.augmentations);
+  state.counters["arc_scans"] = static_cast<double>(stats.arc_scans);
+}
+BENCHMARK(BM_SolveBalanced)
+    ->Arg(2000)
+    ->Arg(20000)
+    ->Unit(benchmark::kMillisecond);
 
 /// One cluster at the Fig. 7(a) sensor density (about 1600 m² a sensor),
 /// demand 3 per sensor so the balanced plan rotates over several unit

@@ -1,24 +1,32 @@
-// Arena-friendly flow network: structure-of-arrays arc storage with a CSR
-// adjacency index, built once per solve and reused across δ-probes.
+// Arena-friendly flow network: structure-of-arrays arc storage laid out
+// in CSR order, built once per solve and reused across δ-probes.
 //
-// Same arc model as flow::FlowNetwork — arc 2k and its residual twin 2k+1
-// are xor-paired — but arcs live in flat arrays and per-node adjacency is
-// a contiguous CSR slice instead of vector<vector<int>>, so repeated
-// solves (δ-searches, replans, campaign sweeps) stop reallocating.  The
-// CSR index lists arcs per node in insertion order, which keeps BFS/DFS
-// visit order — and therefore the solved flow — identical to the
-// adjacency-list network it replaces.
+// add_arc() stages a forward arc and its residual twin; build_csr() then
+// lays the arcs out so that an arc's id IS its slot in the adjacency
+// index: node v's out-arcs are the contiguous id range arcs_out(v), in
+// insertion order.  A max-flow phase that scans a node's arcs therefore
+// reads arc_to() and residual() sequentially instead of chasing an index
+// array.  Because ids follow slots, the twin of an arc comes from a
+// table (twin()) and forward arcs carry a flag (is_forward()).  Each
+// slot also holds its pair's capacity, so the twin's residual is
+// readable from the arc's own slot (twin_residual()).  Callers map
+// add_arc()'s insertion indices to ids once, through the table
+// build_csr() returns.  Per-node insertion order is kept, so
+// BFS/DFS visit order — and therefore the solved flow — is that of the
+// adjacency-list network in src/flow/.
 //
-// The arc *structure* (endpoints + CSR index) is immutable once
+// The arc *structure* (endpoints, twins, node ranges) is immutable once
 // build_csr() freezes it and lives behind a shared handle, so a probe
 // clone — adopt() — shares the structure in O(1) and only copies the
 // per-arc capacity/residual state.  That is what lets the parallel
 // δ-probe scheduler hand each ThreadPool worker its own independently
-// mutable FlowGraph over one huge cluster without duplicating the CSR.
+// mutable FlowGraph over one huge cluster without duplicating the arcs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <ranges>
 #include <span>
 #include <vector>
 
@@ -29,15 +37,33 @@ class FlowGraph {
   using Cap = std::int64_t;
   static constexpr Cap kInfinite = INT64_MAX / 4;
 
+  /// A node's out-arcs (forward and residual, in insertion order): the
+  /// contiguous arc id range [first, last).
+  struct ArcRange {
+    int first = 0;
+    int last = 0;
+
+    std::size_t size() const { return static_cast<std::size_t>(last - first); }
+    int operator[](std::size_t i) const {
+      return first + static_cast<int>(i);
+    }
+    auto begin() const { return std::views::iota(first, last).begin(); }
+    auto end() const { return std::views::iota(first, last).end(); }
+  };
+
   /// Drop all arcs and size the node set; capacity stays allocated.
   void reset(int num_nodes);
 
-  /// Add a directed arc u→v with capacity `cap`; returns the arc id.
-  /// The residual twin is arc id ^ 1.  Only valid before build_csr().
+  /// Stage a directed arc u→v with capacity `cap` plus its residual twin
+  /// v→u; returns the arc's insertion index (0, 1, 2, ...).  Only valid
+  /// before build_csr(), which assigns the arc ids.
   int add_arc(int u, int v, Cap cap);
 
-  /// Freeze the arc set and build the CSR adjacency index.
-  void build_csr();
+  /// Freeze the arc set and lay it out in CSR order.  Returns the id of
+  /// every staged arc: the forward arc add_arc() returned as index k has
+  /// id `ids[k]`.  The span stays valid until the next reset().  Every
+  /// per-arc accessor below needs a frozen graph.
+  std::span<const std::int32_t> build_csr();
 
   /// Become a clone of `base` (which must be frozen by build_csr):
   /// share its immutable arc structure, copy its capacities and current
@@ -50,21 +76,40 @@ class FlowGraph {
   int num_nodes() const { return s_->num_nodes; }
   int num_arcs() const { return static_cast<int>(s_->to.size()); }
 
-  int arc_from(int e) const { return s_->from[static_cast<std::size_t>(e)]; }
   int arc_to(int e) const { return s_->to[static_cast<std::size_t>(e)]; }
-  Cap capacity(int e) const { return cap_init_[static_cast<std::size_t>(e)]; }
+  int arc_from(int e) const { return arc_to(twin(e)); }
+  /// The residual partner of arc e (twin(twin(e)) == e).
+  int twin(int e) const { return s_->twin[static_cast<std::size_t>(e)]; }
+  /// True for arcs add_arc() created, false for their residual twins.
+  bool is_forward(int e) const {
+    return s_->forward[static_cast<std::size_t>(e)] != 0;
+  }
+  Cap capacity(int e) const {
+    return is_forward(e) ? pair_cap_[static_cast<std::size_t>(e)] : 0;
+  }
   Cap residual(int e) const { return cap_[static_cast<std::size_t>(e)]; }
-  /// Net flow pushed over arc e (0..capacity for forward arcs).
-  Cap flow(int e) const {
-    return cap_init_[static_cast<std::size_t>(e)] -
+  /// residual(twin(e)), read from e's own slot: an arc and its twin
+  /// always hold their pair's capacity between them.
+  Cap twin_residual(int e) const {
+    return pair_cap_[static_cast<std::size_t>(e)] -
            cap_[static_cast<std::size_t>(e)];
   }
+  /// Net flow pushed over arc e (0..capacity for forward arcs).
+  Cap flow(int e) const { return capacity(e) - residual(e); }
 
-  /// Arc ids (forward and residual) leaving node v, in insertion order.
-  std::span<const std::int32_t> arcs_out(int v) const {
-    const auto b = static_cast<std::size_t>(s_->csr_begin[v]);
-    const auto e = static_cast<std::size_t>(s_->csr_begin[v + 1]);
-    return {s_->csr_arcs.data() + b, e - b};
+  /// Arcs leaving node v.
+  ArcRange arcs_out(int v) const {
+    return {s_->csr_begin[static_cast<std::size_t>(v)],
+            s_->csr_begin[static_cast<std::size_t>(v) + 1]};
+  }
+
+  /// Cache hint: a scan of node v's out-arcs follows shortly.
+  void prefetch_arcs(int v) const {
+    const auto b = static_cast<std::size_t>(
+        s_->csr_begin[static_cast<std::size_t>(v)]);
+    __builtin_prefetch(s_->to.data() + b);
+    __builtin_prefetch(cap_.data() + b);
+    __builtin_prefetch(pair_cap_.data() + b);
   }
 
   /// Consume `amount` of residual capacity on arc e, crediting the twin.
@@ -75,26 +120,33 @@ class FlowGraph {
   void set_capacity(int e, Cap cap);
 
   /// Zero all flow, restoring residuals to the current capacities.
-  void clear_flow() { cap_ = cap_init_; }
+  void clear_flow();
 
   /// Materialize residuals for the given per-forward-arc flow (fwd[k] is
-  /// the flow on arc 2k).  Requires 0 <= fwd[k] <= capacity(2k).
+  /// the flow on the k-th forward arc in id order).  Requires
+  /// 0 <= fwd[k] <= that arc's capacity.
   void install_flow(std::span<const Cap> fwd);
 
-  /// Snapshot the current per-forward-arc flow into `fwd`.
+  /// Snapshot the current per-forward-arc flow (id order) into `fwd`.
   void save_flow(std::vector<Cap>& fwd) const;
 
  private:
-  /// The frozen arc structure: endpoints and CSR adjacency.  Shared
-  /// between a graph and its adopt() clones; never mutated after
-  /// build_csr(), so concurrent readers need no synchronization.
+  /// The frozen arc structure: heads, twins, forward flags and the
+  /// per-node id ranges.  Shared between a graph and its adopt() clones;
+  /// never mutated after build_csr(), so concurrent readers need no
+  /// synchronization.
   struct Structure {
     int num_nodes = 0;
-    std::vector<std::int32_t> from;
+    // add_arc's staging area, one entry per forward arc.
+    std::vector<std::int32_t> staged_from;
+    std::vector<std::int32_t> staged_to;
+    std::vector<Cap> staged_cap;
+    // The layout, one entry per arc id.
     std::vector<std::int32_t> to;
-    std::vector<std::int32_t> csr_arcs;
+    std::vector<std::int32_t> twin;
+    std::vector<std::uint8_t> forward;
     std::vector<std::int32_t> csr_begin;
-    std::vector<std::int32_t> csr_cursor;  // scratch for build_csr
+    std::vector<std::int32_t> ids;  // staged index → forward arc id
     bool csr_built = false;
   };
 
@@ -104,7 +156,7 @@ class FlowGraph {
 
   std::shared_ptr<Structure> s_ = std::make_shared<Structure>();
   std::vector<Cap> cap_;       // residual capacity
-  std::vector<Cap> cap_init_;  // original capacity
+  std::vector<Cap> pair_cap_;  // capacity of the arc's forward arc
 };
 
 }  // namespace mhp::route

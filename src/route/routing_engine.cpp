@@ -52,13 +52,18 @@ void RoutingEngine::build_network(const ClusterTopology& topo,
   for (NodeId a = 0; a < n; ++a)
     for (NodeId b : topo.sensor_links().neighbors(a))
       g_.add_arc(Layout::output(a), Layout::input(b), FlowGraph::kInfinite);
-  g_.build_csr();
+  // The tables hold add_arc's insertion indices until build_csr assigns
+  // the arc ids.
+  const std::span<const std::int32_t> ids = g_.build_csr();
+  for (auto* table : {&demand_arc_, &capacity_arc_, &sink_arc_})
+    for (std::int32_t& e : *table)
+      if (e >= 0) e = ids[static_cast<std::size_t>(e)];
 }
 
 int RoutingEngine::find_link_arc(NodeId a, NodeId b) const {
   const int target = Layout::input(b);
   for (const int e : g_.arcs_out(Layout::output(a)))
-    if ((e % 2) == 0 && g_.arc_to(e) == target) return e;
+    if (g_.is_forward(e) && g_.arc_to(e) == target) return e;
   return -1;
 }
 
@@ -108,8 +113,23 @@ FlowGraph::Cap RoutingEngine::prime_from_hint(
 
 FlowGraph::Cap RoutingEngine::MaxFlowWork::augment(FlowGraph& g,
                                                    MaxFlowAlgo algo) {
+  phases = 0;
+  augmentations = 0;
+  arc_scans = 0;
   return algo == MaxFlowAlgo::kEdmondsKarp ? augment_edmonds_karp(g)
                                            : augment_dinic(g);
+}
+
+void RoutingEngine::MaxFlowWork::count_span() const {
+  MHP_SPAN_COUNTER("phases", phases);
+  MHP_SPAN_COUNTER("augmentations", augmentations);
+  MHP_SPAN_COUNTER("arc_scans", arc_scans);
+}
+
+void RoutingEngine::MaxFlowWork::add_to(SolveStats& stats) const {
+  stats.phases += phases;
+  stats.augmentations += augmentations;
+  stats.arc_scans += arc_scans;
 }
 
 FlowGraph::Cap RoutingEngine::MaxFlowWork::augment_edmonds_karp(FlowGraph& g) {
@@ -119,6 +139,7 @@ FlowGraph::Cap RoutingEngine::MaxFlowWork::augment_edmonds_karp(FlowGraph& g) {
   auto& pred_arc = level;  // -1 unvisited, -2 source, else arc into node
   for (;;) {
     // BFS for a shortest augmenting path in the residual graph.
+    ++phases;
     pred_arc.assign(static_cast<std::size_t>(g.num_nodes()), -1);
     queue.clear();
     queue.push_back(s);
@@ -126,7 +147,9 @@ FlowGraph::Cap RoutingEngine::MaxFlowWork::augment_edmonds_karp(FlowGraph& g) {
     bool found = false;
     for (std::size_t head = 0; head < queue.size() && !found; ++head) {
       const int v = queue[head];
-      for (const int e : g.arcs_out(v)) {
+      const auto arcs = g.arcs_out(v);
+      arc_scans += static_cast<std::int64_t>(arcs.size());
+      for (const int e : arcs) {
         const int w = g.arc_to(e);
         if (pred_arc[w] == -1 && g.residual(e) > 0) {
           pred_arc[w] = e;
@@ -151,55 +174,100 @@ FlowGraph::Cap RoutingEngine::MaxFlowWork::augment_edmonds_karp(FlowGraph& g) {
       v = g.arc_from(e);
     }
     total += bottleneck;
+    ++augmentations;
   }
 }
 
-bool RoutingEngine::MaxFlowWork::dinic_bfs(FlowGraph& g) {
+bool RoutingEngine::MaxFlowWork::dinic_bfs(const FlowGraph& g) {
+  // Levels are residual distances TO the sink, found by a BFS that walks
+  // arcs backwards: x precedes w when the arc x→w — the twin of the
+  // out-arc w→x — has residual capacity.  The search stops once the
+  // source is labelled: every node the phase can use is closer.  Queued
+  // nodes are scanned in order, so their arc ranges are prefetched a few
+  // dequeues ahead.
+  constexpr std::size_t kPrefetchAhead = 4;
   const int s = Layout::source();
   const int t = Layout::sink();
+  ++phases;
   level.assign(static_cast<std::size_t>(g.num_nodes()), -1);
   queue.clear();
-  level[s] = 0;
-  queue.push_back(s);
+  level[t] = 0;
+  queue.push_back(t);
   for (std::size_t head = 0; head < queue.size(); ++head) {
-    const int v = queue[head];
-    for (const int e : g.arcs_out(v)) {
-      const int w = g.arc_to(e);
-      if (level[w] < 0 && g.residual(e) > 0) {
-        level[w] = level[v] + 1;
-        queue.push_back(w);
+    if (head + kPrefetchAhead < queue.size())
+      g.prefetch_arcs(queue[head + kPrefetchAhead]);
+    const int w = queue[head];
+    const auto arcs = g.arcs_out(w);
+    arc_scans += static_cast<std::int64_t>(arcs.size());
+    for (const int e : arcs) {
+      const int x = g.arc_to(e);
+      if (level[x] < 0 && g.twin_residual(e) > 0) {
+        level[x] = level[w] + 1;
+        if (x == s) return true;
+        queue.push_back(x);
       }
     }
   }
-  return level[t] >= 0;
+  return false;
 }
 
-FlowGraph::Cap RoutingEngine::MaxFlowWork::dinic_dfs(FlowGraph& g, int v,
-                                                     Cap limit) {
-  if (v == Layout::sink()) return limit;
-  const auto arcs = g.arcs_out(v);
-  for (auto& i = iter[static_cast<std::size_t>(v)]; i < arcs.size(); ++i) {
-    const int e = arcs[i];
-    const int w = g.arc_to(e);
-    if (g.residual(e) <= 0 || level[w] != level[v] + 1) continue;
-    const Cap pushed = dinic_dfs(g, w, std::min(limit, g.residual(e)));
-    if (pushed > 0) {
-      g.push(e, pushed);
-      return pushed;
+FlowGraph::Cap RoutingEngine::MaxFlowWork::blocking_flow(FlowGraph& g) {
+  // Depth-first walk from the source over admissible arcs (residual > 0,
+  // one level closer to the sink), with the path kept as an explicit arc
+  // stack.  iter[v] is v's next untried out-arc; a node with none left is
+  // a dead end, and its parent moves past the arc into it.  On every
+  // shortest s–t path node this tries the productive arcs forward-level
+  // Dinic tries there, in the same order, so both push the same paths
+  // (DESIGN.md §11).
+  const int s = Layout::source();
+  const int t = Layout::sink();
+  iter.assign(static_cast<std::size_t>(g.num_nodes()), 0);
+  path.clear();
+  Cap total = 0;
+  int v = s;
+  for (;;) {
+    if (v == t) {
+      Cap bottleneck = FlowGraph::kInfinite;
+      for (const int e : path) bottleneck = std::min(bottleneck, g.residual(e));
+      for (const int e : path) g.push(e, bottleneck);
+      total += bottleneck;
+      ++augmentations;
+      // A restart from the source would walk the same arcs again up to
+      // the first one this push saturated; resume at that arc's tail.
+      std::size_t k = 0;
+      while (g.residual(path[k]) > 0) ++k;
+      v = g.arc_from(path[k]);
+      path.resize(k);
+      continue;
+    }
+    const auto arcs = g.arcs_out(v);
+    const std::int32_t want = level[static_cast<std::size_t>(v)] - 1;
+    auto& i = iter[static_cast<std::size_t>(v)];
+    while (i < arcs.size() &&
+           (g.residual(arcs[i]) <= 0 || level[g.arc_to(arcs[i])] != want))
+      ++i;
+    if (i < arcs.size()) {
+      path.push_back(arcs[i]);
+      v = g.arc_to(arcs[i]);
+    } else if (path.empty()) {
+      return total;  // the source is a dead end: the flow is blocking
+    } else {
+      v = g.arc_from(path.back());
+      path.pop_back();
+      ++iter[static_cast<std::size_t>(v)];
     }
   }
-  return 0;
 }
 
 FlowGraph::Cap RoutingEngine::MaxFlowWork::augment_dinic(FlowGraph& g) {
   Cap total = 0;
   while (dinic_bfs(g)) {
-    iter.assign(static_cast<std::size_t>(g.num_nodes()), 0);
-    for (;;) {
-      const Cap pushed = dinic_dfs(g, Layout::source(), FlowGraph::kInfinite);
-      if (pushed == 0) break;
-      total += pushed;
-    }
+    const Cap pushed = blocking_flow(g);
+    // A labelled source lies on a shortest path to the sink, so a phase
+    // that pushes nothing means the levels and the walk disagree; fail
+    // loudly instead of repeating the phase forever.
+    MHP_ENSURE(pushed > 0, "Dinic phase pushed no flow");
+    total += pushed;
   }
   return total;
 }
@@ -216,7 +284,7 @@ bool RoutingEngine::cancel_one_cycle() {
   };
 
   auto flows = [&](int e) {
-    return (e % 2) == 0 && remaining_[static_cast<std::size_t>(e)] > 0;
+    return g_.is_forward(e) && remaining_[static_cast<std::size_t>(e)] > 0;
   };
 
   for (int root = 0; root < g_.num_nodes(); ++root) {
@@ -276,8 +344,8 @@ void RoutingEngine::decompose(const ClusterTopology& topo,
   // outgoing forward flow, so cancel_cycles never touches s→…→t paths'
   // net balance at the terminals.
   remaining_.assign(static_cast<std::size_t>(g_.num_arcs()), 0);
-  for (int e = 0; e < g_.num_arcs(); e += 2)
-    remaining_[static_cast<std::size_t>(e)] = g_.flow(e);
+  for (int e = 0; e < g_.num_arcs(); ++e)
+    if (g_.is_forward(e)) remaining_[static_cast<std::size_t>(e)] = g_.flow(e);
   cancel_cycles();
 
   // Monotone per-node cursors: remaining_ only decreases during the walk,
@@ -289,7 +357,7 @@ void RoutingEngine::decompose(const ClusterTopology& topo,
     auto& c = cursor_[static_cast<std::size_t>(v)];
     while (c < arcs.size()) {
       const int e = arcs[c];
-      if ((e % 2) == 0 && remaining_[static_cast<std::size_t>(e)] > 0)
+      if (g_.is_forward(e) && remaining_[static_cast<std::size_t>(e)] > 0)
         return e;
       ++c;
     }
@@ -466,6 +534,8 @@ FlowGraph::Cap RoutingEngine::search_serial(std::size_t n, Cap total, Cap lb,
       value = base_value_;
     }
     value += work_.augment(g_, policy_.algo);
+    work_.count_span();
+    work_.add_to(stats_);
     ++stats_.probes;
     ++stats_.rounds;
     if (value >= total) {
@@ -543,6 +613,7 @@ FlowGraph::Cap RoutingEngine::search_parallel(std::size_t n, Cap total, Cap lb,
         slot.g.clear_flow();
       }
       value += slot.work.augment(slot.g, policy_.algo);
+      slot.work.count_span();
       slot.value = value;
       slot.feasible = value >= total;
       MHP_SPAN_COUNTER("slot", static_cast<std::int64_t>(i));
@@ -554,6 +625,7 @@ FlowGraph::Cap RoutingEngine::search_parallel(std::size_t n, Cap total, Cap lb,
     last_inf = -1;
     first_feas = -1;
     for (std::size_t i = 0; i < k; ++i) {
+      slots_[i].work.add_to(stats_);
       if (slots_[i].from_zero) ++stats_.cold_solves;
       if (!slots_[i].feasible)
         last_inf = static_cast<int>(i);
@@ -740,6 +812,7 @@ MinMaxLoadResult RoutingEngine::solve_balanced(
   } else {
     g_.clear_flow();
     const Cap final_value = work_.augment(g_, policy_.algo);
+    work_.add_to(stats_);
     ++stats_.cold_solves;
     MHP_ENSURE(final_value >= total, "final flow lost feasibility");
   }
@@ -749,6 +822,9 @@ MinMaxLoadResult RoutingEngine::solve_balanced(
   MHP_SPAN_COUNTER("probes", stats_.probes);
   MHP_SPAN_COUNTER("cold_solves", stats_.cold_solves);
   MHP_SPAN_COUNTER("hint_units", stats_.hint_units);
+  MHP_SPAN_COUNTER("phases", stats_.phases);
+  MHP_SPAN_COUNTER("augmentations", stats_.augmentations);
+  MHP_SPAN_COUNTER("arc_scans", stats_.arc_scans);
   decompose(topo, demand, result);
   return result;
 }

@@ -80,6 +80,10 @@ struct SolveStats {
   std::int64_t cell_floor = 0;  // per-cell relaxation bound (0 = not run)
   std::int64_t delta_star = 0;  // winning δ (== result.max_load)
   std::int64_t hint_units = 0;  // flow pre-seeded from a warm hint
+  // Max-flow work over every probe and the final solve.
+  std::int64_t phases = 0;         // BFS runs, the last one finding no path
+  std::int64_t augmentations = 0;  // augmenting paths pushed
+  std::int64_t arc_scans = 0;      // out-arcs of every node a BFS dequeued
 };
 
 class RoutingEngine {
@@ -137,18 +141,27 @@ class RoutingEngine {
   /// Max-flow scratch + augmentation over any FlowGraph: augments
   /// whatever flow is installed on g to a maximum flow and returns the
   /// value pushed.  One per probe slot so probes run concurrently.
+  /// The counters describe the latest augment() call.
   struct MaxFlowWork {
-    std::vector<std::int32_t> level;  // Dinic levels / EK pred arcs
+    std::vector<std::int32_t> level;  // Dinic sink distances / EK pred arcs
     std::vector<std::int32_t> queue;
     std::vector<std::uint32_t> iter;
+    std::vector<std::int32_t> path;  // DFS arc stack, source first
+    std::int64_t phases = 0;
+    std::int64_t augmentations = 0;
+    std::int64_t arc_scans = 0;
 
     Cap augment(FlowGraph& g, MaxFlowAlgo algo);
+    /// Attach the latest augment()'s counters to the innermost open
+    /// profiler span.
+    void count_span() const;
+    void add_to(SolveStats& stats) const;
 
    private:
     Cap augment_edmonds_karp(FlowGraph& g);
     Cap augment_dinic(FlowGraph& g);
-    bool dinic_bfs(FlowGraph& g);
-    Cap dinic_dfs(FlowGraph& g, int v, Cap limit);
+    bool dinic_bfs(const FlowGraph& g);
+    Cap blocking_flow(FlowGraph& g);
   };
 
   /// One speculative probe's private state: a FlowGraph clone (shared

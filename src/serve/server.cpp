@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdarg>
 #include <filesystem>
@@ -125,15 +126,7 @@ Server::~Server() {
   // The pool destructor runs every queued task; abort_pending_ makes the
   // unstarted ones cheap no-ops while in-flight points finish and flush.
   pool_.reset();
-  {
-    const std::lock_guard lock(conn_mu_);
-    for (const auto& c : conns_) {
-      c->closed.store(true, std::memory_order_relaxed);
-      c->sock.shutdown_both();
-    }
-  }
-  for (std::thread& t : conn_threads_)
-    if (t.joinable()) t.join();
+  close_connections();
   if (listener_.valid()) {
     listener_.close();
     ::unlink(cfg_.socket_path.c_str());
@@ -173,16 +166,28 @@ void Server::run() {
            cfg_.socket_path.c_str(), cfg_.queue_capacity,
            pool_->worker_count());
 
+  constexpr int kPollMs = 50;
   while (!stop_accept_.load(std::memory_order_relaxed)) {
+    reap_finished();
     pollfd pfd{listener_.fd(), POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 50);
+    const int ready = ::poll(&pfd, 1, kPollMs);
     if (ready <= 0) continue;  // timeout or EINTR: re-check the stop flag
     const int fd = ::accept(listener_.fd(), nullptr, nullptr);
-    if (fd < 0) continue;
+    if (fd < 0) {
+      // Out of descriptors: the pending connection keeps the listener
+      // readable, so retrying at once would spin.  Wait one interval for
+      // finishing connections to give descriptors back.
+      if (errno == EMFILE || errno == ENFILE)
+        std::this_thread::sleep_for(std::chrono::milliseconds(kPollMs));
+      continue;
+    }
     auto conn = std::make_shared<Connection>(Socket(fd));
     const std::lock_guard lock(conn_mu_);
-    conns_.push_back(conn);
-    conn_threads_.emplace_back([this, conn] { handle_connection(conn); });
+    handlers_.push_back({conn, std::thread([this, conn] {
+                           handle_connection(conn);
+                           conn->finished.store(true,
+                                                std::memory_order_release);
+                         })});
   }
 
   // Graceful exit: whatever triggered the stop (shutdown op or signal),
@@ -193,16 +198,7 @@ void Server::run() {
   wait_drained();
   pool_->wait_idle();
 
-  {
-    const std::lock_guard lock(conn_mu_);
-    for (const auto& c : conns_) {
-      c->closed.store(true, std::memory_order_relaxed);
-      c->sock.shutdown_both();
-    }
-  }
-  for (std::thread& t : conn_threads_)
-    if (t.joinable()) t.join();
-  conn_threads_.clear();
+  close_connections();
 
   listener_.close();
   ::unlink(cfg_.socket_path.c_str());
@@ -246,6 +242,29 @@ void Server::handle_connection(const std::shared_ptr<Connection>& conn) {
                                       " bytes")));
   conn->closed.store(true, std::memory_order_relaxed);
   conn->sock.shutdown_both();
+}
+
+void Server::reap_finished() {
+  const std::lock_guard lock(conn_mu_);
+  std::erase_if(handlers_, [](Handler& h) {
+    if (!h.conn->finished.load(std::memory_order_acquire)) return false;
+    h.thread.join();
+    return true;
+  });
+}
+
+void Server::close_connections() {
+  std::vector<Handler> handlers;
+  {
+    const std::lock_guard lock(conn_mu_);
+    for (const Handler& h : handlers_) {
+      h.conn->closed.store(true, std::memory_order_relaxed);
+      h.conn->sock.shutdown_both();
+    }
+    handlers.swap(handlers_);
+  }
+  for (Handler& h : handlers)
+    if (h.thread.joinable()) h.thread.join();
 }
 
 Json Server::handle_request(const std::shared_ptr<Connection>& conn,
@@ -369,21 +388,23 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
       return;
     }
     pending_ += runnable.size();
+    // Fill the job in before publishing it: other connections read jobs_
+    // (busy check, status) as soon as the lock is released.
     job = std::make_shared<Job>();
     job->id = "j" + std::to_string(next_job_id_++);
+    job->name = parsed.name;
+    job->dir = dir;
+    job->total = parsed.points.size();
+    job->client = conn;
+    job->results_out = std::move(results_out);
+    job->manifest_out = std::move(manifest_out);
+    job->skipped = skipped.size();
+    job->done = skipped.size();
+    job->runnable = std::move(runnable);
     jobs_.push_back(job);
     ++stats_.submissions_ok;
     stats_.points_skipped += skipped.size();
   }
-  job->name = parsed.name;
-  job->dir = dir;
-  job->total = parsed.points.size();
-  job->client = conn;
-  job->results_out = std::move(results_out);
-  job->manifest_out = std::move(manifest_out);
-  job->skipped = skipped.size();
-  job->done = skipped.size();
-  job->runnable = std::move(runnable);
 
   conn->send(response_base("submit", "ok")
                  .set("job", Json(job->id))
@@ -553,6 +574,14 @@ void Server::finish_job(const std::shared_ptr<Job>& job) {
                         .set("failed", Json(failed))
                         .set("skipped", Json(skipped))
                         .set("cancelled", Json(cancelled)));
+  {
+    // The job keeps its counters for status; its files and its claim on
+    // the client's socket go.
+    const std::lock_guard lock(job->mu);
+    job->results_out.close();
+    job->manifest_out.close();
+    job->client.reset();
+  }
   log_line("serve: %s done (%zu ok, %zu failed, %zu skipped, %zu cancelled)",
            job->id.c_str(), ok, failed, skipped, cancelled);
 }

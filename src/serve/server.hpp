@@ -100,6 +100,7 @@ class Server {
     Socket sock;
     std::mutex write_mu;
     std::atomic<bool> closed{false};
+    std::atomic<bool> finished{false};  // its handler thread has returned
 
     explicit Connection(Socket s) : sock(std::move(s)) {}
 
@@ -121,7 +122,18 @@ class Server {
     std::atomic<bool> cancel{false};
   };
 
+  /// One accepted connection and the thread serving it.
+  struct Handler {
+    std::shared_ptr<Connection> conn;
+    std::thread thread;
+  };
+
   void handle_connection(const std::shared_ptr<Connection>& conn);
+  /// Join the threads of connections whose handler has returned and drop
+  /// the server's reference, so the socket closes once no job holds it.
+  void reap_finished();
+  /// Shut every connection down and join every handler thread.
+  void close_connections();
   obs::Json handle_request(const std::shared_ptr<Connection>& conn,
                            const obs::Json& request, bool& shutdown_after);
   void handle_submit(const std::shared_ptr<Connection>& conn,
@@ -149,8 +161,7 @@ class Server {
   std::atomic<bool> abort_pending_{false};  // skip queued, unstarted points
 
   std::mutex conn_mu_;
-  std::vector<std::shared_ptr<Connection>> conns_;
-  std::vector<std::thread> conn_threads_;
+  std::vector<Handler> handlers_;
 };
 
 /// FNV-1a 64-bit over `text`, as 16 lowercase hex chars.  Job directory

@@ -4,24 +4,34 @@
 // functions, which are now shims over an engine).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/route_repair.hpp"
 #include "core/routing.hpp"
 #include "exp/fig_common.hpp"
+#include "flow/max_flow.hpp"
 #include "flow/min_max_load.hpp"
 #include "net/deployment.hpp"
+#include "route/flow_graph.hpp"
 #include "route/routing_engine.hpp"
 #include "scenario/run_scenario.hpp"
 #include "scenario/scenario.hpp"
+#include "util/assertx.hpp"
+#include "util/rng.hpp"
 
 namespace mhp {
 namespace {
 
 using route::ClusterRouteJob;
+using route::FlowGraph;
 using route::RoutingEngine;
 using route::SolveKind;
 using route::SolvePolicy;
@@ -240,6 +250,479 @@ TEST(RouteEngineParallel, ScenarioReportByteIdenticalAcrossWorkers) {
   EXPECT_EQ(serial, scenario::run_scenario(s).dump());
   s.route_workers = 0;  // hardware concurrency
   EXPECT_EQ(serial, scenario::run_scenario(s).dump());
+}
+
+// ---------- FlowGraph slot layout ----------
+
+struct StagedArc {
+  int from, to;
+  FlowGraph::Cap cap;
+};
+
+/// Random multigraph with self-loops and parallel arcs, staged in order.
+std::vector<StagedArc> random_arcs(Rng& rng, int nodes, int count) {
+  std::vector<StagedArc> arcs;
+  for (int k = 0; k < count; ++k)
+    arcs.push_back({static_cast<int>(rng.below(nodes)),
+                    static_cast<int>(rng.below(nodes)),
+                    static_cast<FlowGraph::Cap>(rng.below(10))});
+  return arcs;
+}
+
+std::vector<std::int32_t> build(FlowGraph& g, int nodes,
+                                const std::vector<StagedArc>& arcs) {
+  g.reset(nodes);
+  for (std::size_t k = 0; k < arcs.size(); ++k)
+    EXPECT_EQ(g.add_arc(arcs[k].from, arcs[k].to, arcs[k].cap),
+              static_cast<int>(k));
+  const auto ids = g.build_csr();
+  return {ids.begin(), ids.end()};
+}
+
+TEST(FlowGraph, SlotLayoutKeepsTwinsAndInsertionOrder) {
+  Rng rng(11);
+  for (int round = 0; round < 20; ++round) {
+    const int nodes = 1 + static_cast<int>(rng.below(12));
+    const auto arcs = random_arcs(rng, nodes, static_cast<int>(rng.below(40)));
+    FlowGraph g;
+    const std::vector<std::int32_t> ids = build(g, nodes, arcs);
+    ASSERT_EQ(g.num_arcs(), static_cast<int>(2 * arcs.size()));
+
+    // Each staged arc keeps its endpoints and capacity; its twin is the
+    // reversed residual arc, and twin() is an involution.
+    for (std::size_t k = 0; k < arcs.size(); ++k) {
+      const int e = ids[k];
+      EXPECT_TRUE(g.is_forward(e));
+      EXPECT_EQ(g.arc_from(e), arcs[k].from);
+      EXPECT_EQ(g.arc_to(e), arcs[k].to);
+      EXPECT_EQ(g.capacity(e), arcs[k].cap);
+      EXPECT_EQ(g.residual(e), arcs[k].cap);
+      const int r = g.twin(e);
+      EXPECT_FALSE(g.is_forward(r));
+      EXPECT_EQ(g.capacity(r), 0);
+      EXPECT_EQ(g.residual(r), 0);
+    }
+    for (int e = 0; e < g.num_arcs(); ++e) {
+      EXPECT_NE(g.twin(e), e);
+      EXPECT_EQ(g.twin(g.twin(e)), e);
+      EXPECT_EQ(g.arc_from(g.twin(e)), g.arc_to(e));
+      EXPECT_EQ(g.arc_to(g.twin(e)), g.arc_from(e));
+      EXPECT_NE(g.is_forward(e), g.is_forward(g.twin(e)));
+    }
+
+    // Node ranges tile [0, num_arcs) in node order, and each lists the
+    // node's arcs in staging order, a forward arc before its own twin.
+    std::vector<std::vector<int>> expected(static_cast<std::size_t>(nodes));
+    for (std::size_t k = 0; k < arcs.size(); ++k) {
+      expected[static_cast<std::size_t>(arcs[k].from)].push_back(ids[k]);
+      expected[static_cast<std::size_t>(arcs[k].to)].push_back(
+          g.twin(ids[k]));
+    }
+    int next = 0;
+    for (int v = 0; v < nodes; ++v) {
+      const FlowGraph::ArcRange range = g.arcs_out(v);
+      EXPECT_EQ(range.first, next);
+      next = range.last;
+      std::vector<int> listed;
+      for (const int e : range) {
+        EXPECT_EQ(g.arc_from(e), v);
+        listed.push_back(e);
+      }
+      EXPECT_EQ(listed, expected[static_cast<std::size_t>(v)]) << "v=" << v;
+      ASSERT_EQ(range.size(), listed.size());
+      for (std::size_t i = 0; i < range.size(); ++i)
+        EXPECT_EQ(range[i], listed[i]);
+    }
+    EXPECT_EQ(next, g.num_arcs());
+  }
+}
+
+/// Push a random amount along random out-arcs from `v`, stopping at the
+/// first arc without residual capacity.
+void push_random_walk(Rng& rng, FlowGraph& g, int v) {
+  for (int hop = 0; hop < 6; ++hop) {
+    const auto range = g.arcs_out(v);
+    if (range.size() == 0) return;
+    const int e = range[rng.below(range.size())];
+    if (g.residual(e) == 0) return;
+    g.push(e, 1 + static_cast<FlowGraph::Cap>(rng.below(
+                      static_cast<std::uint64_t>(g.residual(e)))));
+    v = g.arc_to(e);
+  }
+}
+
+TEST(FlowGraph, SaveInstallRoundTripsAndRequiresHold) {
+  Rng rng(12);
+  for (int round = 0; round < 20; ++round) {
+    const int nodes = 2 + static_cast<int>(rng.below(10));
+    const auto arcs =
+        random_arcs(rng, nodes, 1 + static_cast<int>(rng.below(40)));
+    FlowGraph g;
+    const std::vector<std::int32_t> ids = build(g, nodes, arcs);
+    for (int w = 0; w < 30; ++w)
+      push_random_walk(rng, g, static_cast<int>(rng.below(nodes)));
+
+    std::vector<FlowGraph::Cap> residual(static_cast<std::size_t>(g.num_arcs()));
+    for (int e = 0; e < g.num_arcs(); ++e) {
+      residual[static_cast<std::size_t>(e)] = g.residual(e);
+      EXPECT_EQ(g.twin_residual(e), g.residual(g.twin(e)));
+      EXPECT_EQ(g.flow(e), -g.flow(g.twin(e)));
+    }
+    std::vector<FlowGraph::Cap> saved;
+    g.save_flow(saved);
+    ASSERT_EQ(saved.size(), arcs.size());
+    // The snapshot lists forward arcs in id order.
+    std::size_t k = 0;
+    for (int e = 0; e < g.num_arcs(); ++e)
+      if (g.is_forward(e)) {
+        EXPECT_EQ(saved[k++], g.flow(e));
+      }
+
+    g.clear_flow();
+    for (int e = 0; e < g.num_arcs(); ++e) EXPECT_EQ(g.flow(e), 0);
+    g.install_flow(saved);
+    for (int e = 0; e < g.num_arcs(); ++e)
+      EXPECT_EQ(g.residual(e), residual[static_cast<std::size_t>(e)]);
+
+    // Raising a capacity keeps the installed flow valid; the twin's
+    // residual still reads from the arc's own slot.
+    const int e0 = ids[0];
+    g.set_capacity(e0, g.capacity(e0) + 5);
+    g.install_flow(saved);
+    EXPECT_EQ(g.residual(e0), g.capacity(e0) - g.flow(e0));
+    EXPECT_EQ(g.twin_residual(e0), g.residual(g.twin(e0)));
+
+    // Contract checks.
+    EXPECT_THROW(g.set_capacity(g.twin(e0), 1), ContractViolation);
+    EXPECT_THROW(g.set_capacity(g.num_arcs(), 1), ContractViolation);
+    EXPECT_THROW(g.set_capacity(e0, -1), ContractViolation);
+    EXPECT_THROW(g.push(e0, g.residual(e0) + 1), ContractViolation);
+    EXPECT_THROW(g.push(-1, 0), ContractViolation);
+    // Overflow the forward arc at snapshot index 0 (the lowest forward id).
+    std::vector<FlowGraph::Cap> too_much = saved;
+    for (int e = 0; e < g.num_arcs(); ++e)
+      if (g.is_forward(e)) {
+        too_much[0] = g.capacity(e) + 1;
+        break;
+      }
+    EXPECT_THROW(g.install_flow(too_much), ContractViolation);
+    too_much.pop_back();
+    EXPECT_THROW(g.install_flow(too_much), ContractViolation);
+  }
+  FlowGraph frozen;
+  frozen.reset(2);
+  frozen.add_arc(0, 1, 1);
+  frozen.build_csr();
+  EXPECT_THROW(frozen.add_arc(0, 1, 1), ContractViolation);
+  EXPECT_THROW(frozen.build_csr(), ContractViolation);
+}
+
+TEST(FlowGraph, AdoptedClonesStayIndependent) {
+  Rng rng(13);
+  const int nodes = 8;
+  const auto arcs = random_arcs(rng, nodes, 30);
+  FlowGraph base;
+  const std::vector<std::int32_t> ids = build(base, nodes, arcs);
+  for (int w = 0; w < 10; ++w)
+    push_random_walk(rng, base, static_cast<int>(rng.below(nodes)));
+  std::vector<FlowGraph::Cap> base_flow;
+  base.save_flow(base_flow);
+
+  FlowGraph a, b;
+  a.adopt(base);
+  b.adopt(base);
+  std::vector<FlowGraph::Cap> got;
+  a.save_flow(got);
+  EXPECT_EQ(got, base_flow);  // clones start from the base's flow
+
+  a.clear_flow();
+  for (int w = 0; w < 20; ++w)
+    push_random_walk(rng, a, static_cast<int>(rng.below(nodes)));
+  b.set_capacity(ids[0], 100);
+  b.clear_flow();
+
+  base.save_flow(got);
+  EXPECT_EQ(got, base_flow);
+  EXPECT_EQ(base.capacity(ids[0]), arcs[0].cap);
+  EXPECT_EQ(a.capacity(ids[0]), arcs[0].cap);
+  b.save_flow(got);
+  EXPECT_EQ(got, std::vector<FlowGraph::Cap>(arcs.size(), 0));
+
+  // Rebuilding the base must not disturb the structure the clones share.
+  base.reset(3);
+  base.add_arc(0, 2, 7);
+  base.build_csr();
+  EXPECT_EQ(base.num_arcs(), 2);
+  ASSERT_EQ(a.num_arcs(), static_cast<int>(2 * arcs.size()));
+  for (std::size_t k = 0; k < arcs.size(); ++k) {
+    EXPECT_EQ(a.arc_from(ids[k]), arcs[k].from);
+    EXPECT_EQ(b.arc_to(ids[k]), arcs[k].to);
+  }
+}
+
+// ---------- differential: engine vs the legacy max-flow stack ----------
+
+/// Min-max-load reference on the legacy adjacency-list FlowNetwork and
+/// mhp::max_flow (forward-level Dinic or Edmonds–Karp): the engine's
+/// §III-A network in the engine's arc order, the smallest feasible δ by
+/// bisection, one from-zero max flow at δ*, and the engine's
+/// decomposition rules (cancel flow cycles, then walk each unit along
+/// the first arc with flow left).
+MinMaxLoadResult legacy_balanced(const ClusterTopology& topo,
+                                 const std::vector<std::int64_t>& demand,
+                                 const std::vector<std::int64_t>& weight,
+                                 MaxFlowAlgo algo) {
+  using Cap = FlowNetwork::Cap;
+  const std::size_t n = topo.num_sensors();
+  MinMaxLoadResult result;
+  result.paths.assign(n, {});
+  result.load.assign(n, 0);
+  const Cap total = std::accumulate(demand.begin(), demand.end(), Cap{0});
+  if (total == 0) {
+    result.feasible = true;
+    return result;
+  }
+  for (NodeId s = 0; s < n; ++s)
+    if (demand[s] > 0 && topo.level(s) == ClusterTopology::kUnreachable)
+      return result;
+
+  const int source = 0;
+  const int sink = 1;
+  const auto input = [](NodeId s) { return 2 + 2 * static_cast<int>(s); };
+  const auto output = [](NodeId s) { return 3 + 2 * static_cast<int>(s); };
+  FlowNetwork net;
+  net.add_nodes(2 + 2 * static_cast<int>(n));
+  std::vector<int> capacity_arc(n);
+  for (NodeId s = 0; s < n; ++s) {
+    if (demand[s] > 0) net.add_arc(source, input(s), demand[s]);
+    capacity_arc[s] = net.add_arc(input(s), output(s), weight[s]);
+    if (topo.head_hears(s))
+      net.add_arc(output(s), sink, FlowNetwork::kInfinite);
+  }
+  for (NodeId a = 0; a < n; ++a)
+    for (NodeId b : topo.sensor_links().neighbors(a))
+      net.add_arc(output(a), input(b), FlowNetwork::kInfinite);
+
+  const auto feasible_at = [&](Cap delta) {
+    for (NodeId s = 0; s < n; ++s)
+      net.set_capacity_and_reset(capacity_arc[s], delta * weight[s]);
+    return max_flow(net, source, sink, algo) == total;
+  };
+  Cap lo = 1;
+  Cap hi = total;
+  while (lo < hi) {
+    const Cap mid = lo + (hi - lo) / 2;
+    if (feasible_at(mid))
+      hi = mid;
+    else
+      lo = mid + 1;
+  }
+  EXPECT_TRUE(feasible_at(hi));  // leaves the from-zero flow at δ*
+  result.feasible = true;
+  result.max_load = hi;
+
+  const int nodes = net.num_nodes();
+  std::vector<Cap> remaining(static_cast<std::size_t>(net.num_arcs()), 0);
+  for (int e = 0; e < net.num_arcs(); e += 2)
+    remaining[static_cast<std::size_t>(e)] = net.flow(e);
+  const auto flows = [&](int e) {
+    return e % 2 == 0 && remaining[static_cast<std::size_t>(e)] > 0;
+  };
+
+  // Cycle cancelling: DFS from each node in id order; the first arc back
+  // into the DFS stack closes a cycle, whose minimum is removed, and the
+  // search starts over.
+  std::vector<int> color(static_cast<std::size_t>(nodes));
+  std::vector<int> entry(static_cast<std::size_t>(nodes));
+  std::function<bool(int)> dfs = [&](int v) {
+    for (const int e : net.arcs_out(v)) {
+      if (!flows(e)) continue;
+      const int w = net.arc_to(e);
+      if (color[static_cast<std::size_t>(w)] == 1) {
+        std::vector<int> cycle{e};
+        for (int u = v; u != w; u = net.arc_from(entry[u]))
+          cycle.push_back(entry[u]);
+        Cap m = FlowNetwork::kInfinite;
+        for (const int ce : cycle)
+          m = std::min(m, remaining[static_cast<std::size_t>(ce)]);
+        for (const int ce : cycle) remaining[static_cast<std::size_t>(ce)] -= m;
+        return true;
+      }
+      if (color[static_cast<std::size_t>(w)] == 0) {
+        color[static_cast<std::size_t>(w)] = 1;
+        entry[static_cast<std::size_t>(w)] = e;
+        if (dfs(w)) return true;
+      }
+    }
+    color[static_cast<std::size_t>(v)] = 2;
+    return false;
+  };
+  for (bool cancelled = true; cancelled;) {
+    cancelled = false;
+    std::fill(color.begin(), color.end(), 0);
+    for (int root = 0; root < nodes && !cancelled; ++root) {
+      if (color[static_cast<std::size_t>(root)] != 0) continue;
+      color[static_cast<std::size_t>(root)] = 1;
+      cancelled = dfs(root);
+    }
+  }
+
+  std::vector<std::size_t> cursor(static_cast<std::size_t>(nodes), 0);
+  for (NodeId s = 0; s < n; ++s) {
+    for (Cap left = demand[s]; left > 0; --left) {
+      std::vector<NodeId> hops{s};
+      for (int v = input(s); v != sink;) {
+        const auto& arcs = net.arcs_out(v);
+        std::size_t& c = cursor[static_cast<std::size_t>(v)];
+        while (c < arcs.size() && !flows(arcs[c])) ++c;
+        if (c == arcs.size()) {
+          ADD_FAILURE() << "legacy decomposition stuck";
+          return result;
+        }
+        const int e = arcs[c];
+        remaining[static_cast<std::size_t>(e)] -= 1;
+        v = net.arc_to(e);
+        if (v >= 2 && v % 2 == 0 && v != input(s))
+          hops.push_back(static_cast<NodeId>((v - 2) / 2));
+      }
+      hops.push_back(topo.head());
+      auto& list = result.paths[s];
+      auto it = std::find_if(list.begin(), list.end(), [&](const UnitPath& p) {
+        return p.hops == hops;
+      });
+      if (it != list.end())
+        it->units += 1;
+      else
+        list.push_back(UnitPath{std::move(hops), 1});
+    }
+  }
+  for (const auto& plist : result.paths)
+    for (const UnitPath& p : plist)
+      for (std::size_t i = 0; i + 1 < p.hops.size(); ++i)
+        result.load[p.hops[i]] += p.units;
+  return result;
+}
+
+struct RandomInstance {
+  ClusterTopology topo;
+  std::vector<std::int64_t> demand;
+  std::vector<std::int64_t> weight;
+};
+
+/// Random cluster: Erdős–Rényi sensor links, a random head-heard set
+/// (possibly empty, so some sensors are unreachable), demand 0..3 and
+/// weight 1..3.  Unless `keep_stranded`, unreachable sensors get zero
+/// demand so the instance stays feasible.
+RandomInstance random_instance(Rng& rng, std::size_t n, bool keep_stranded) {
+  Graph links(n);
+  const double p = rng.uniform(0.03, 0.4);
+  for (NodeId a = 0; a < n; ++a)
+    for (NodeId b = a + 1; b < n; ++b)
+      if (rng.uniform() < p) links.add_edge(a, b);
+  std::vector<bool> hears(n);
+  const double q = rng.uniform(0.0, 0.5);
+  for (NodeId s = 0; s < n; ++s) hears[s] = rng.uniform() < q;
+  RandomInstance inst{ClusterTopology(std::move(links), std::move(hears)),
+                      std::vector<std::int64_t>(n),
+                      std::vector<std::int64_t>(n)};
+  for (NodeId s = 0; s < n; ++s) {
+    inst.demand[s] = static_cast<std::int64_t>(rng.below(4));
+    inst.weight[s] = 1 + static_cast<std::int64_t>(rng.below(3));
+    if (!keep_stranded &&
+        inst.topo.level(s) == ClusterTopology::kUnreachable)
+      inst.demand[s] = 0;
+  }
+  return inst;
+}
+
+/// The same sensors after a fault: each link survives with probability
+/// 0.8, the head loses a few sensors and some demands change.
+RandomInstance perturbed(Rng& rng, const RandomInstance& base) {
+  const std::size_t n = base.topo.num_sensors();
+  Graph links(n);
+  for (NodeId a = 0; a < n; ++a)
+    for (NodeId b : base.topo.sensor_links().neighbors(a))
+      if (a < b && rng.uniform() < 0.8) links.add_edge(a, b);
+  std::vector<bool> hears(n);
+  for (NodeId s = 0; s < n; ++s)
+    hears[s] = base.topo.head_hears(s) && rng.uniform() < 0.9;
+  RandomInstance inst{ClusterTopology(std::move(links), std::move(hears)),
+                      base.demand, base.weight};
+  for (NodeId s = 0; s < n; ++s) {
+    if (rng.uniform() < 0.2)
+      inst.demand[s] = static_cast<std::int64_t>(rng.below(4));
+    if (inst.topo.level(s) == ClusterTopology::kUnreachable)
+      inst.demand[s] = 0;
+  }
+  return inst;
+}
+
+TEST(RouteEngine, MatchesLegacyMaxFlowOnRandomTopologies) {
+  struct Config {
+    MaxFlowAlgo algo;
+    bool warm;
+    std::size_t workers;
+  };
+  const std::vector<Config> configs = {
+      {MaxFlowAlgo::kDinic, true, 1},       {MaxFlowAlgo::kDinic, true, 4},
+      {MaxFlowAlgo::kDinic, false, 1},      {MaxFlowAlgo::kDinic, false, 4},
+      {MaxFlowAlgo::kEdmondsKarp, true, 1}, {MaxFlowAlgo::kEdmondsKarp, true, 4},
+  };
+  // One long-lived engine per configuration: reuse across solves is part
+  // of what is under test.
+  std::vector<std::unique_ptr<RoutingEngine>> engines;
+  for (const Config& c : configs)
+    engines.push_back(std::make_unique<RoutingEngine>(
+        SolvePolicy{c.algo, c.warm, c.workers}));
+
+  Rng rng(20261017);
+  int feasible = 0, infeasible = 0, stranded = 0, hinted = 0, multi_path = 0;
+  for (int round = 0; round < 240; ++round) {
+    const std::size_t n = 1 + rng.below(40);
+    const RandomInstance inst = random_instance(rng, n, round % 4 == 0);
+    const RandomInstance after = perturbed(rng, inst);
+    for (NodeId s = 0; s < n; ++s)
+      if (inst.topo.level(s) == ClusterTopology::kUnreachable) {
+        ++stranded;
+        break;
+      }
+
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      const Config& cfg = configs[c];
+      RoutingEngine& engine = *engines[c];
+      const std::string where = "round=" + std::to_string(round) +
+                                " config=" + std::to_string(c);
+      const MinMaxLoadResult reference =
+          legacy_balanced(inst.topo, inst.demand, inst.weight, cfg.algo);
+      const MinMaxLoadResult got =
+          engine.solve_balanced(inst.topo, inst.demand, inst.weight);
+      ASSERT_EQ(fingerprint(got), fingerprint(reference)) << where;
+      if (c == 0) {
+        (got.feasible ? feasible : infeasible) += 1;
+        for (const auto& plist : got.paths)
+          if (plist.size() > 1) {
+            ++multi_path;
+            break;
+          }
+      }
+
+      // Warm-hinted replan after the fault, seeded with this solution.
+      engine.set_warm_hint(&got.paths);
+      const MinMaxLoadResult replan =
+          engine.solve_balanced(after.topo, after.demand, after.weight);
+      if (engine.last_stats().hint_units > 0) ++hinted;
+      ASSERT_EQ(fingerprint(replan),
+                fingerprint(legacy_balanced(after.topo, after.demand,
+                                            after.weight, cfg.algo)))
+          << where << " (replan)";
+    }
+  }
+  // The generator reaches every case the test is meant to cover.
+  EXPECT_GE(feasible, 150);
+  EXPECT_GE(infeasible, 20);
+  EXPECT_GE(stranded, 60);
+  EXPECT_GE(multi_path, 50);
+  EXPECT_GE(hinted, 300);
 }
 
 }  // namespace

@@ -2,11 +2,17 @@
 // backpressure, multi-client result isolation, report equivalence with
 // direct runs, drain/shutdown durability and restart resume — all over
 // a real UNIX socket against the real server.
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <chrono>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <latch>
@@ -519,6 +525,98 @@ TEST(ServeRobustness, OversizedRequestLineIsBadRequestAndClosed) {
                 .at("status")
                 .as_string(),
             "ok");
+  ts.shutdown_via(client);
+}
+
+/// Descriptors this process holds open.
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       fs::directory_iterator("/proc/self/fd"))
+    ++n;
+  return n;
+}
+
+double process_cpu_s() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+const Json kStatus = Json::object().set("op", Json("status"));
+
+TEST(ServeRobustness, ClosedConnectionsGiveTheirDescriptorsBack) {
+  TestServer ts("fdreap");
+  {
+    serve::Client first = ts.connect();  // settle one-time allocations
+    ASSERT_EQ(first.request(kStatus).at("status").as_string(), "ok");
+  }
+  const std::size_t before = open_fds();
+  for (int i = 0; i < 1000; ++i) {
+    serve::Client client = ts.connect();
+    ASSERT_EQ(client.request(kStatus).at("status").as_string(), "ok")
+        << "connection " << i;
+  }
+  // Finished jobs give back their client socket and output files too.
+  for (int i = 0; i < 20; ++i) {
+    serve::Client client = ts.connect();
+    const Json response = client.submit(quick_scenario("fd" + std::to_string(i)));
+    ASSERT_EQ(response.at("status").as_string(), "ok") << "submission " << i;
+    EXPECT_EQ(stream_job(client, response.at("job").as_string())
+                  .done.at("ok")
+                  .as_int(),
+              1);
+  }
+  // The accept loop reaps finished connections at least once per poll
+  // interval; give it a few.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (open_fds() > before + 4 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_LE(open_fds(), before + 4);
+
+  serve::Client client = ts.connect();
+  EXPECT_EQ(client.request(kStatus).at("status").as_string(), "ok");
+  ts.shutdown_via(client);
+}
+
+TEST(ServeRobustness, AcceptBacksOffWhenOutOfDescriptors) {
+  TestServer ts("emfile");
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  // Leave exactly one descriptor free: cap the numbers just above the
+  // highest one in use and fill every free number below the cap.  The
+  // client's socket takes the free one, so the server's accept() of that
+  // connection fails with EMFILE while the listener stays readable.
+  int highest = 0;
+  for (const auto& entry : fs::directory_iterator("/proc/self/fd"))
+    highest = std::max(highest, std::stoi(entry.path().filename().string()));
+  rlimit tight = saved;
+  tight.rlim_cur = static_cast<rlim_t>(highest) + 2;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
+  std::vector<int> fillers;
+  for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;) fillers.push_back(fd);
+  EXPECT_EQ(errno, EMFILE);
+  ASSERT_FALSE(fillers.empty());
+  ::close(fillers.back());
+  fillers.pop_back();
+  double spent = 0;
+  {
+    serve::Socket raw = serve::connect_unix(ts.socket_path());
+    ASSERT_TRUE(raw.valid());
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const double t0 = process_cpu_s();
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    spent = process_cpu_s() - t0;
+  }
+  for (const int fd : fillers) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  // A loop that retried accept() at once would burn a core for the
+  // whole half second.
+  EXPECT_LT(spent, 0.15);
+
+  serve::Client client = ts.connect();
+  EXPECT_EQ(client.request(kStatus).at("status").as_string(), "ok");
   ts.shutdown_via(client);
 }
 
