@@ -10,8 +10,8 @@
 #include "core/greedy_scheduler.hpp"
 #include "core/optimal_scheduler.hpp"
 #include "core/reductions.hpp"
-#include "flow/min_max_load.hpp"
 #include "net/deployment.hpp"
+#include "route/routing_engine.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "exp/bench_json.hpp"
@@ -37,8 +37,8 @@ void run_random_clusters(Row& row, int order, std::uint64_t salt) {
     const Deployment dep =
         deploy_connected_uniform_square(n, 150.0, 60.0, rng);
     const ClusterTopology topo = disc_topology(dep, 60.0);
-    const auto routing =
-        solve_min_max_load(topo, std::vector<std::int64_t>(n, 1));
+    const auto routing = route::RoutingEngine().solve_balanced(
+        topo, std::vector<std::int64_t>(n, 1));
     if (!routing.feasible) continue;
 
     ExplicitOracle oracle(order);

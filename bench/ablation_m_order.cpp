@@ -8,8 +8,8 @@
 #include "core/greedy_scheduler.hpp"
 #include "core/interference.hpp"
 #include "exp/fig_common.hpp"
-#include "flow/min_max_load.hpp"
 #include "radio/channel.hpp"
+#include "route/routing_engine.hpp"
 #include "sim/simulator.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
       Channel channel(sim, prop, RadioParams{}, dep.positions, powers);
       const auto topo = topology_from_predicate(
           30, [&](NodeId a, NodeId b) { return channel.link_ok(a, b); });
-      const auto routing =
-          solve_min_max_load(topo, std::vector<std::int64_t>(30, 1));
+      const auto routing = route::RoutingEngine().solve_balanced(
+          topo, std::vector<std::int64_t>(30, 1));
       if (!routing.feasible) continue;
 
       std::vector<std::vector<NodeId>> paths;

@@ -7,8 +7,8 @@
 
 #include "core/greedy_scheduler.hpp"
 #include "core/interference.hpp"
-#include "flow/min_max_load.hpp"
 #include "net/deployment.hpp"
+#include "route/routing_engine.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
       const Deployment dep =
           deploy_connected_uniform_square(n, 200.0, 60.0, rng);
       const ClusterTopology topo = disc_topology(dep, 60.0);
-      const auto routing =
-          solve_min_max_load(topo, std::vector<std::int64_t>(n, 1));
+      const auto routing = route::RoutingEngine().solve_balanced(
+          topo, std::vector<std::int64_t>(n, 1));
       if (!routing.feasible) continue;
 
       ExplicitOracle oracle(3);

@@ -5,8 +5,8 @@
 #include <cstdio>
 #include <vector>
 
-#include "flow/min_max_load.hpp"
 #include "net/deployment.hpp"
+#include "route/routing_engine.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
           deploy_connected_uniform_square(n, 200.0, 60.0, rng);
       const ClusterTopology topo = disc_topology(dep, 60.0);
       const std::vector<std::int64_t> demand(n, 1);
-      const auto flow = solve_min_max_load(topo, demand);
-      const auto hops = solve_shortest_path_routing(topo, demand);
+      const auto flow = route::RoutingEngine().solve_balanced(topo, demand);
+      const auto hops = route::RoutingEngine().solve_shortest(topo, demand);
       if (!flow.feasible || !hops.feasible) continue;
       balanced.add(static_cast<double>(flow.max_load));
       shortest.add(static_cast<double>(hops.max_load));

@@ -13,7 +13,6 @@
 #include "core/greedy_scheduler.hpp"
 #include "core/interference.hpp"
 #include "core/sectors.hpp"
-#include "flow/min_max_load.hpp"
 #include "net/deployment.hpp"
 #include "radio/channel.hpp"
 #include "route/routing_engine.hpp"
@@ -30,8 +29,8 @@ struct Scenario {
   ExplicitOracle oracle{3};
 
   explicit Scenario(std::size_t n, std::uint64_t seed) : topo(make(n, seed)) {
-    const auto routing =
-        solve_min_max_load(topo, std::vector<std::int64_t>(n, 1));
+    const auto routing = route::RoutingEngine().solve_balanced(
+        topo, std::vector<std::int64_t>(n, 1));
     for (NodeId s = 0; s < n; ++s) paths.push_back(routing.paths[s][0].hops);
     const auto txs = transmissions_of_paths(paths);
     for (std::size_t i = 0; i < txs.size(); ++i)
@@ -63,28 +62,11 @@ void BM_MinMaxLoadRouting(benchmark::State& state) {
   const auto topo = Scenario::make(n, 2);
   const std::vector<std::int64_t> demand(n, 2);
   for (auto _ : state) {
-    const auto result = solve_min_max_load(topo, demand);
+    const auto result = route::RoutingEngine().solve_balanced(topo, demand);
     benchmark::DoNotOptimize(result.max_load);
   }
 }
 BENCHMARK(BM_MinMaxLoadRouting)->Arg(10)->Arg(30)->Arg(60)->Arg(100);
-
-void BM_MaxFlowAlgos(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto topo = Scenario::make(n, 3);
-  const std::vector<std::int64_t> demand(n, 2);
-  const auto algo = state.range(1) == 0 ? MaxFlowAlgo::kEdmondsKarp
-                                        : MaxFlowAlgo::kDinic;
-  for (auto _ : state) {
-    const auto result = solve_min_max_load(topo, demand, {}, algo);
-    benchmark::DoNotOptimize(result.max_load);
-  }
-}
-BENCHMARK(BM_MaxFlowAlgos)
-    ->Args({60, 0})
-    ->Args({60, 1})
-    ->Args({100, 0})
-    ->Args({100, 1});
 
 /// One balanced routing solve on a disc field at the offline workloads'
 /// density (1000 m² a sensor, 60 m range, expected degree about 11),

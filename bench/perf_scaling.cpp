@@ -1,9 +1,8 @@
 // Hot-path scaling trajectory: topology construction (spatial grid vs the
 // O(n²) brute-force reference), min-max-load routing (warm-start
-// RoutingEngine vs a from-zero δ-search, plus the 8-worker speculative
-// δ-probe + cell-floor configuration, checked byte-identical), one full
-// greedy polling cycle, and an event-kernel churn phase over n ∈ {50,
-// 200, 500, 1000, 5000, 20000, 100000} sensors at constant density.
+// RoutingEngine vs a from-zero δ-search), one full greedy polling cycle,
+// and an event-kernel churn phase over n ∈ {50, 200, 500, 1000, 5000,
+// 20000, 100000} sensors at constant density.
 //
 // The polling cycle runs the offline greedy scheduler through a
 // pair-screening CachedOracle over the disc interference model, so the
@@ -33,7 +32,6 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,7 +44,6 @@
 #include "net/deployment.hpp"
 #include "obs/json.hpp"
 #include "obs/profiler.hpp"
-#include "route/cell_grid.hpp"
 #include "route/routing_engine.hpp"
 #include "sim/simulator.hpp"
 #include "util/assertx.hpp"
@@ -75,22 +72,6 @@ struct Point {
   std::size_t sensors;
 };
 
-/// Full-fidelity serialization of a routing result — the parallel-probe
-/// determinism gate compares these byte-for-byte against the serial solve.
-std::string route_fingerprint(const mhp::MinMaxLoadResult& r) {
-  std::ostringstream out;
-  out << r.feasible << ' ' << r.max_load << '\n';
-  for (std::size_t s = 0; s < r.paths.size(); ++s) {
-    out << s << ' ' << r.load[s] << ':';
-    for (const mhp::UnitPath& p : r.paths[s]) {
-      for (mhp::NodeId hop : p.hops) out << ' ' << hop;
-      out << " x" << p.units << ';';
-    }
-    out << '\n';
-  }
-  return out.str();
-}
-
 struct Result {
   double topo_grid_ms = 0.0;
   double topo_brute_ms = 0.0;  // 0 = skipped (n > 1000)
@@ -98,8 +79,6 @@ struct Result {
   double routing_ms = 0.0;       // warm-start engine (production path)
   double routing_cold_ms = 0.0;  // from-zero δ-search; 0 = skipped
   double routing_speedup = 0.0;
-  double routing_par_ms = 0.0;  // 8-worker speculative probes + cell floor
-  double routing_par_speedup = 0.0;  // serial / parallel
   long long polling_slots = 0;
   long long polling_tx = 0;
   double polling_ms = 0.0;
@@ -109,7 +88,6 @@ struct Result {
   double floor_tx_per_sec = 0.0;
   double budget_topo_ms = 0.0;
   double budget_routing_ms = 0.0;
-  double budget_routing_par_ms = 0.0;
   double budget_polling_ms = 0.0;
   double kernel_ms = 0.0;  // event-kernel churn (n polls, cancel-heavy)
   double budget_kernel_ms = 0.0;
@@ -225,7 +203,7 @@ Result run_point(const Point& p) {
   }();
   out.routing_ms = ms_since(t0);
   if (reference) {
-    route::RoutingEngine cold({MaxFlowAlgo::kDinic, /*warm_start=*/false});
+    route::RoutingEngine cold({.warm_start = false});
     t0 = Clock::now();
     const MinMaxLoadResult ref = cold.solve_balanced(topo, demand);
     out.routing_cold_ms = ms_since(t0);
@@ -236,35 +214,6 @@ Result run_point(const Point& p) {
                               : 0.0;
   }
 
-  // Speculative parallel δ-probes + per-cell δ floor (the multi-core
-  // single-cluster path).  The result must be byte-identical to the
-  // serial solve — δ* is schedule-invariant and the decomposed flow
-  // always comes from the one from-zero solve at δ* — so any worker
-  // count only changes the wall clock, never the plan.
-  {
-    route::RoutingEngine par({MaxFlowAlgo::kDinic, /*warm_start=*/true,
-                              /*probe_workers=*/8});
-    par.set_cell_hint(route::grid_cells(
-        std::span(dep.positions.data(), dep.num_sensors())));
-    t0 = Clock::now();
-    const MinMaxLoadResult par_solution = [&] {
-      MHP_SPAN("bench/routing_par");
-      return par.solve_balanced(topo, demand);
-    }();
-    out.routing_par_ms = ms_since(t0);
-    MHP_REQUIRE(route_fingerprint(par_solution) == route_fingerprint(solution),
-                "8-worker routing solve diverged from serial");
-    out.routing_par_speedup = out.routing_par_ms > 0.0
-                                  ? out.routing_ms / out.routing_par_ms
-                                  : 0.0;
-    if (reference) {
-      route::RoutingEngine par4(
-          {MaxFlowAlgo::kDinic, /*warm_start=*/true, /*probe_workers=*/4});
-      MHP_REQUIRE(route_fingerprint(par4.solve_balanced(topo, demand)) ==
-                      route_fingerprint(solution),
-                  "4-worker routing solve diverged from serial");
-    }
-  }
   const RelayPlan plan(topo, std::move(solution));
 
   // One polling cycle: drain every sensor's packet through the greedy
@@ -300,7 +249,6 @@ Result run_point(const Point& p) {
   out.floor_tx_per_sec = out.tx_per_sec / 20.0;
   out.budget_topo_ms = out.topo_grid_ms * 20.0;
   out.budget_routing_ms = out.routing_ms * 20.0;
-  out.budget_routing_par_ms = out.routing_par_ms * 20.0;
   out.budget_polling_ms = out.polling_ms * 20.0;
   out.budget_kernel_ms = out.kernel_ms * 20.0;
   return out;
@@ -314,7 +262,6 @@ struct BaselineGates {
   double floor_tx_per_sec = -1.0;
   double budget_topo_ms = -1.0;
   double budget_routing_ms = -1.0;
-  double budget_routing_par_ms = -1.0;
   double budget_polling_ms = -1.0;
   double budget_kernel_ms = -1.0;
 };
@@ -341,7 +288,6 @@ std::map<long long, BaselineGates> baseline_gates(const std::string& path,
     read("floor_tx_per_sec", g.floor_tx_per_sec);
     read("budget_topo_ms", g.budget_topo_ms);
     read("budget_routing_ms", g.budget_routing_ms);
-    read("budget_routing_par_ms", g.budget_routing_par_ms);
     read("budget_polling_ms", g.budget_polling_ms);
     read("budget_kernel_ms", g.budget_kernel_ms);
     if (n->as_int() == 200 && g.floor_tx_per_sec >= 0.0) found = true;
@@ -439,11 +385,9 @@ int main(int argc, char** argv) {
 
   Table table({"sensors", "topo grid ms", "topo brute ms", "topo_speedup",
                "routing ms", "routing cold ms", "routing_speedup",
-               "routing_par ms", "routing_par_speedup",
                "polling_slots", "polling tx", "polling ms", "tx_per_sec",
                "cache_hit_rate", "screened", "floor_tx_per_sec",
-               "budget_topo_ms", "budget_routing_ms",
-               "budget_routing_par_ms", "budget_polling_ms",
+               "budget_topo_ms", "budget_routing_ms", "budget_polling_ms",
                "span_topo_ms", "span_routing_ms", "span_polling_ms",
                "kernel ms", "budget_kernel_ms", "span_kernel_ms"});
   table.set_precision(1, 3);
@@ -452,33 +396,28 @@ int main(int argc, char** argv) {
   table.set_precision(4, 2);
   table.set_precision(5, 2);
   table.set_precision(6, 2);
-  table.set_precision(7, 2);
-  table.set_precision(8, 2);
-  table.set_precision(11, 2);
-  table.set_precision(12, 0);
-  table.set_precision(13, 3);
-  table.set_precision(15, 0);
+  table.set_precision(9, 2);
+  table.set_precision(10, 0);
+  table.set_precision(11, 3);
+  table.set_precision(13, 0);
+  table.set_precision(14, 1);
+  table.set_precision(15, 1);
   table.set_precision(16, 1);
-  table.set_precision(17, 1);
-  table.set_precision(18, 1);
-  table.set_precision(19, 1);
+  table.set_precision(17, 3);
+  table.set_precision(18, 2);
+  table.set_precision(19, 2);
   table.set_precision(20, 3);
-  table.set_precision(21, 2);
-  table.set_precision(22, 2);
-  table.set_precision(23, 3);
-  table.set_precision(24, 1);
-  table.set_precision(25, 3);
+  table.set_precision(21, 1);
+  table.set_precision(22, 3);
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Result& r = results[i];
     table.add_row({static_cast<long long>(points[i].sensors),
                    r.topo_grid_ms, r.topo_brute_ms, r.topo_speedup,
                    r.routing_ms, r.routing_cold_ms, r.routing_speedup,
-                   r.routing_par_ms, r.routing_par_speedup,
                    r.polling_slots, r.polling_tx, r.polling_ms,
                    r.tx_per_sec, r.cache_hit_rate, r.screened,
                    r.floor_tx_per_sec, r.budget_topo_ms,
-                   r.budget_routing_ms, r.budget_routing_par_ms,
-                   r.budget_polling_ms,
+                   r.budget_routing_ms, r.budget_polling_ms,
                    r.span_topo_ms, r.span_routing_ms, r.span_polling_ms,
                    r.kernel_ms, r.budget_kernel_ms, r.span_kernel_ms});
     recorder.add_events(static_cast<std::uint64_t>(r.polling_tx));
@@ -518,7 +457,6 @@ int main(int argc, char** argv) {
       };
       check_budget("topology", r.topo_grid_ms, g.budget_topo_ms);
       check_budget("routing", r.routing_ms, g.budget_routing_ms);
-      check_budget("routing_par", r.routing_par_ms, g.budget_routing_par_ms);
       check_budget("polling", r.polling_ms, g.budget_polling_ms);
       check_budget("kernel", r.kernel_ms, g.budget_kernel_ms);
     }

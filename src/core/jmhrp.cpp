@@ -5,7 +5,7 @@
 #include "core/greedy_scheduler.hpp"
 #include "core/optimal_scheduler.hpp"
 #include "core/routing.hpp"
-#include "flow/min_max_load.hpp"
+#include "route/routing_engine.hpp"
 #include "util/assertx.hpp"
 
 namespace mhp {
@@ -103,8 +103,8 @@ std::optional<JmhrpResult> solve_jmhrp_exact(const ClusterTopology& topo,
   std::vector<std::vector<std::vector<NodeId>>> cands(n);
   // Seed every sensor's candidate list with its flow-routed path so the
   // joint search space is a superset of the decomposition's choice.
-  const auto flow_routing =
-      solve_min_max_load(topo, std::vector<std::int64_t>(n, 1));
+  const auto flow_routing = route::RoutingEngine().solve_balanced(
+      topo, std::vector<std::int64_t>(n, 1));
   std::uint64_t combos = 1;
   for (NodeId s = 0; s < n; ++s) {
     cands[s] = candidate_paths(topo, s, max_paths);
@@ -141,8 +141,8 @@ std::optional<JmhrpResult> solve_jmhrp_decomposed(
     const ClusterTopology& topo, const CompatibilityOracle& oracle,
     JmhrpParams params) {
   const std::size_t n = topo.num_sensors();
-  const auto routing =
-      solve_min_max_load(topo, std::vector<std::int64_t>(n, 1));
+  const auto routing = route::RoutingEngine().solve_balanced(
+      topo, std::vector<std::int64_t>(n, 1));
   if (!routing.feasible) return std::nullopt;
   std::vector<std::vector<NodeId>> paths(n);
   for (NodeId s = 0; s < n; ++s) paths[s] = routing.paths[s][0].hops;

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 
 #include "core/ack_collection.hpp"
 #include "core/route_repair.hpp"
-#include "route/cell_grid.hpp"
 #include "obs/profiler.hpp"
 #include "sim/sampler.hpp"
 #include "util/assertx.hpp"
@@ -47,14 +45,6 @@ PollingSimulation::PollingSimulation(const Deployment& deployment,
     : cfg_(cfg), rates_(std::move(rates_bps)), rt_(cfg.seed, rt_opts) {
   MHP_REQUIRE(rates_.size() == deployment.num_sensors(),
               "one rate per sensor required");
-  // route_workers drives the engine's speculative δ-probe fan-out for the
-  // set-up solve and every replan; the spatial cell hint tightens its δ
-  // floor.  Neither changes the plan — solves are byte-identical for any
-  // worker count.
-  engine_.set_policy({MaxFlowAlgo::kDinic, /*warm_start=*/true,
-                      rt_opts.route_workers});
-  engine_.set_cell_hint(route::grid_cells(
-      std::span(deployment.positions.data(), deployment.num_sensors())));
   setup(deployment);
 }
 

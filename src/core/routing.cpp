@@ -17,18 +17,19 @@ RelayPlan::RelayPlan(const ClusterTopology& topo, MinMaxLoadResult solution)
 
 RelayPlan RelayPlan::balanced(const ClusterTopology& topo,
                               const std::vector<std::int64_t>& demand) {
-  return RelayPlan(topo, solve_min_max_load(topo, demand));
+  return RelayPlan(topo, route::RoutingEngine().solve_balanced(topo, demand));
 }
 
 RelayPlan RelayPlan::balanced_weighted(
     const ClusterTopology& topo, const std::vector<std::int64_t>& demand,
     const std::vector<std::int64_t>& weight) {
-  return RelayPlan(topo, solve_min_max_load(topo, demand, weight));
+  return RelayPlan(topo,
+                   route::RoutingEngine().solve_balanced(topo, demand, weight));
 }
 
 RelayPlan RelayPlan::shortest(const ClusterTopology& topo,
                               const std::vector<std::int64_t>& demand) {
-  return RelayPlan(topo, solve_shortest_path_routing(topo, demand));
+  return RelayPlan(topo, route::RoutingEngine().solve_shortest(topo, demand));
 }
 
 const UnitPath& RelayPlan::path_for_cycle(NodeId s,

@@ -10,9 +10,9 @@
 #include <map>
 #include <vector>
 
-#include "flow/min_max_load.hpp"
 #include "net/cluster.hpp"
 #include "net/ids.hpp"
+#include "route/routing_engine.hpp"
 
 namespace mhp {
 

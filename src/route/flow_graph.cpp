@@ -4,92 +4,75 @@
 
 namespace mhp::route {
 
-FlowGraph::Structure& FlowGraph::mutable_structure() {
-  // A structure referenced by clones is frozen; building a new problem on
-  // this graph must not mutate it under them.
-  if (s_.use_count() > 1) s_ = std::make_shared<Structure>();
-  return *s_;
-}
-
 void FlowGraph::reset(int num_nodes) {
   MHP_REQUIRE(num_nodes >= 0, "negative node count");
-  Structure& s = mutable_structure();
-  s.num_nodes = num_nodes;
-  s.staged_from.clear();
-  s.staged_to.clear();
-  s.staged_cap.clear();
-  s.to.clear();
-  s.twin.clear();
-  s.forward.clear();
-  s.csr_built = false;
+  num_nodes_ = num_nodes;
+  staged_from_.clear();
+  staged_to_.clear();
+  staged_cap_.clear();
+  to_.clear();
+  twin_.clear();
+  forward_.clear();
+  csr_built_ = false;
   cap_.clear();
   pair_cap_.clear();
 }
 
 int FlowGraph::add_arc(int u, int v, Cap cap) {
-  Structure& s = *s_;
-  MHP_REQUIRE(u >= 0 && u < s.num_nodes && v >= 0 && v < s.num_nodes,
+  MHP_REQUIRE(u >= 0 && u < num_nodes_ && v >= 0 && v < num_nodes_,
               "arc endpoint out of range");
   MHP_REQUIRE(cap >= 0, "negative capacity");
-  MHP_REQUIRE(!s.csr_built, "arc added after build_csr");
-  s.staged_from.push_back(u);
-  s.staged_to.push_back(v);
-  s.staged_cap.push_back(cap);
-  return static_cast<int>(s.staged_to.size()) - 1;
+  MHP_REQUIRE(!csr_built_, "arc added after build_csr");
+  staged_from_.push_back(u);
+  staged_to_.push_back(v);
+  staged_cap_.push_back(cap);
+  return static_cast<int>(staged_to_.size()) - 1;
 }
 
 std::span<const std::int32_t> FlowGraph::build_csr() {
-  Structure& s = *s_;
-  MHP_REQUIRE(!s.csr_built, "build_csr called twice");
-  const std::size_t pairs = s.staged_to.size();
+  MHP_REQUIRE(!csr_built_, "build_csr called twice");
+  const std::size_t pairs = staged_to_.size();
   const std::size_t m = 2 * pairs;
-  const auto nodes = static_cast<std::size_t>(s.num_nodes);
+  const auto nodes = static_cast<std::size_t>(num_nodes_);
   // Counting sort by tail node.  Walking the staged arcs in order and
   // placing each forward arc before its twin reproduces, per node, the
-  // arc order of src/flow's FlowNetwork (arc 2k forward, 2k+1 its twin),
-  // which the routing engine's results are pinned to.
-  s.csr_begin.assign(nodes + 1, 0);
+  // arc order of an xor-paired adjacency-list network (arc 2k forward,
+  // 2k+1 its twin), which the routing engine's results are pinned to.
+  csr_begin_.assign(nodes + 1, 0);
   for (std::size_t k = 0; k < pairs; ++k) {
-    ++s.csr_begin[static_cast<std::size_t>(s.staged_from[k]) + 1];
-    ++s.csr_begin[static_cast<std::size_t>(s.staged_to[k]) + 1];
+    ++csr_begin_[static_cast<std::size_t>(staged_from_[k]) + 1];
+    ++csr_begin_[static_cast<std::size_t>(staged_to_[k]) + 1];
   }
-  for (std::size_t v = 0; v < nodes; ++v) s.csr_begin[v + 1] += s.csr_begin[v];
-  std::vector<std::int32_t> cursor(s.csr_begin.begin(), s.csr_begin.end());
-  s.to.resize(m);
-  s.twin.resize(m);
-  s.forward.resize(m);
-  s.ids.resize(pairs);
+  for (std::size_t v = 0; v < nodes; ++v) csr_begin_[v + 1] += csr_begin_[v];
+  std::vector<std::int32_t> cursor(csr_begin_.begin(), csr_begin_.end());
+  to_.resize(m);
+  twin_.resize(m);
+  forward_.resize(m);
+  ids_.resize(pairs);
   cap_.resize(m);
   pair_cap_.resize(m);
   for (std::size_t k = 0; k < pairs; ++k) {
-    const std::int32_t u = s.staged_from[k];
-    const std::int32_t v = s.staged_to[k];
-    const Cap c = s.staged_cap[k];
+    const std::int32_t u = staged_from_[k];
+    const std::int32_t v = staged_to_[k];
+    const Cap c = staged_cap_[k];
     const std::int32_t f = cursor[static_cast<std::size_t>(u)]++;
     const std::int32_t r = cursor[static_cast<std::size_t>(v)]++;
     const auto fi = static_cast<std::size_t>(f);
     const auto ri = static_cast<std::size_t>(r);
-    s.to[fi] = v;
-    s.to[ri] = u;
-    s.twin[fi] = r;
-    s.twin[ri] = f;
-    s.forward[fi] = 1;
-    s.forward[ri] = 0;
+    to_[fi] = v;
+    to_[ri] = u;
+    twin_[fi] = r;
+    twin_[ri] = f;
+    forward_[fi] = 1;
+    forward_[ri] = 0;
     cap_[fi] = c;
     cap_[ri] = 0;
     pair_cap_[fi] = c;
     pair_cap_[ri] = c;
-    s.ids[k] = f;
+    ids_[k] = f;
   }
-  s.csr_built = true;
-  return s.ids;
-}
-
-void FlowGraph::adopt(const FlowGraph& base) {
-  MHP_REQUIRE(base.s_->csr_built, "adopt of an unfrozen graph");
-  s_ = base.s_;
-  cap_ = base.cap_;
-  pair_cap_ = base.pair_cap_;
+  csr_built_ = true;
+  return ids_;
 }
 
 void FlowGraph::push(int e, Cap amount) {
@@ -111,7 +94,7 @@ void FlowGraph::set_capacity(int e, Cap cap) {
 void FlowGraph::clear_flow() {
   const std::size_t m = cap_.size();
   for (std::size_t e = 0; e < m; ++e)
-    cap_[e] = s_->forward[e] != 0 ? pair_cap_[e] : 0;
+    cap_[e] = forward_[e] != 0 ? pair_cap_[e] : 0;
 }
 
 void FlowGraph::install_flow(std::span<const Cap> fwd) {
@@ -119,11 +102,11 @@ void FlowGraph::install_flow(std::span<const Cap> fwd) {
   MHP_REQUIRE(fwd.size() * 2 == m, "flow snapshot size mismatch");
   std::size_t k = 0;
   for (std::size_t e = 0; e < m; ++e) {
-    if (s_->forward[e] == 0) continue;
+    if (forward_[e] == 0) continue;
     const Cap f = fwd[k++];
     MHP_REQUIRE(f >= 0 && f <= pair_cap_[e], "installed flow exceeds capacity");
     cap_[e] = pair_cap_[e] - f;
-    cap_[static_cast<std::size_t>(s_->twin[e])] = f;
+    cap_[static_cast<std::size_t>(twin_[e])] = f;
   }
 }
 
@@ -132,7 +115,7 @@ void FlowGraph::save_flow(std::vector<Cap>& fwd) const {
   fwd.resize(m / 2);
   std::size_t k = 0;
   for (std::size_t e = 0; e < m; ++e)
-    if (s_->forward[e] != 0) fwd[k++] = pair_cap_[e] - cap_[e];
+    if (forward_[e] != 0) fwd[k++] = pair_cap_[e] - cap_[e];
 }
 
 }  // namespace mhp::route

@@ -12,20 +12,12 @@
 // readable from the arc's own slot (twin_residual()).  Callers map
 // add_arc()'s insertion indices to ids once, through the table
 // build_csr() returns.  Per-node insertion order is kept, so
-// BFS/DFS visit order — and therefore the solved flow — is that of the
-// adjacency-list network in src/flow/.
-//
-// The arc *structure* (endpoints, twins, node ranges) is immutable once
-// build_csr() freezes it and lives behind a shared handle, so a probe
-// clone — adopt() — shares the structure in O(1) and only copies the
-// per-arc capacity/residual state.  That is what lets the parallel
-// δ-probe scheduler hand each ThreadPool worker its own independently
-// mutable FlowGraph over one huge cluster without duplicating the arcs.
+// BFS/DFS visit order — and therefore the solved flow — is that of an
+// adjacency-list network with the arcs added in the same order.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <ranges>
 #include <span>
 #include <vector>
@@ -65,24 +57,16 @@ class FlowGraph {
   /// per-arc accessor below needs a frozen graph.
   std::span<const std::int32_t> build_csr();
 
-  /// Become a clone of `base` (which must be frozen by build_csr):
-  /// share its immutable arc structure, copy its capacities and current
-  /// flow.  O(arcs) for the capacity state, O(1) for the structure.
-  /// Further set_capacity/push/install_flow calls on the clone never
-  /// affect `base` or sibling clones, so clones are safe to mutate
-  /// concurrently from different threads.
-  void adopt(const FlowGraph& base);
+  int num_nodes() const { return num_nodes_; }
+  int num_arcs() const { return static_cast<int>(to_.size()); }
 
-  int num_nodes() const { return s_->num_nodes; }
-  int num_arcs() const { return static_cast<int>(s_->to.size()); }
-
-  int arc_to(int e) const { return s_->to[static_cast<std::size_t>(e)]; }
+  int arc_to(int e) const { return to_[static_cast<std::size_t>(e)]; }
   int arc_from(int e) const { return arc_to(twin(e)); }
   /// The residual partner of arc e (twin(twin(e)) == e).
-  int twin(int e) const { return s_->twin[static_cast<std::size_t>(e)]; }
+  int twin(int e) const { return twin_[static_cast<std::size_t>(e)]; }
   /// True for arcs add_arc() created, false for their residual twins.
   bool is_forward(int e) const {
-    return s_->forward[static_cast<std::size_t>(e)] != 0;
+    return forward_[static_cast<std::size_t>(e)] != 0;
   }
   Cap capacity(int e) const {
     return is_forward(e) ? pair_cap_[static_cast<std::size_t>(e)] : 0;
@@ -99,15 +83,15 @@ class FlowGraph {
 
   /// Arcs leaving node v.
   ArcRange arcs_out(int v) const {
-    return {s_->csr_begin[static_cast<std::size_t>(v)],
-            s_->csr_begin[static_cast<std::size_t>(v) + 1]};
+    return {csr_begin_[static_cast<std::size_t>(v)],
+            csr_begin_[static_cast<std::size_t>(v) + 1]};
   }
 
   /// Cache hint: a scan of node v's out-arcs follows shortly.
   void prefetch_arcs(int v) const {
-    const auto b = static_cast<std::size_t>(
-        s_->csr_begin[static_cast<std::size_t>(v)]);
-    __builtin_prefetch(s_->to.data() + b);
+    const auto b =
+        static_cast<std::size_t>(csr_begin_[static_cast<std::size_t>(v)]);
+    __builtin_prefetch(to_.data() + b);
     __builtin_prefetch(cap_.data() + b);
     __builtin_prefetch(pair_cap_.data() + b);
   }
@@ -131,30 +115,18 @@ class FlowGraph {
   void save_flow(std::vector<Cap>& fwd) const;
 
  private:
-  /// The frozen arc structure: heads, twins, forward flags and the
-  /// per-node id ranges.  Shared between a graph and its adopt() clones;
-  /// never mutated after build_csr(), so concurrent readers need no
-  /// synchronization.
-  struct Structure {
-    int num_nodes = 0;
-    // add_arc's staging area, one entry per forward arc.
-    std::vector<std::int32_t> staged_from;
-    std::vector<std::int32_t> staged_to;
-    std::vector<Cap> staged_cap;
-    // The layout, one entry per arc id.
-    std::vector<std::int32_t> to;
-    std::vector<std::int32_t> twin;
-    std::vector<std::uint8_t> forward;
-    std::vector<std::int32_t> csr_begin;
-    std::vector<std::int32_t> ids;  // staged index → forward arc id
-    bool csr_built = false;
-  };
-
-  /// Structure this graph may still append arcs to: allocated by
-  /// reset(), or recycled if no clone shares it.
-  Structure& mutable_structure();
-
-  std::shared_ptr<Structure> s_ = std::make_shared<Structure>();
+  int num_nodes_ = 0;
+  // add_arc's staging area, one entry per forward arc.
+  std::vector<std::int32_t> staged_from_;
+  std::vector<std::int32_t> staged_to_;
+  std::vector<Cap> staged_cap_;
+  // The layout, one entry per arc id.
+  std::vector<std::int32_t> to_;
+  std::vector<std::int32_t> twin_;
+  std::vector<std::uint8_t> forward_;
+  std::vector<std::int32_t> csr_begin_;
+  std::vector<std::int32_t> ids_;  // staged index → forward arc id
+  bool csr_built_ = false;
   std::vector<Cap> cap_;       // residual capacity
   std::vector<Cap> pair_cap_;  // capacity of the arc's forward arc
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <thread>
 
 #include "obs/profiler.hpp"
 #include "util/assertx.hpp"
@@ -26,9 +25,6 @@ struct Layout {
 };
 
 }  // namespace
-
-RoutingEngine::RoutingEngine(SolvePolicy policy) : policy_(policy) {}
-RoutingEngine::~RoutingEngine() = default;
 
 void RoutingEngine::build_network(const ClusterTopology& topo,
                                   const std::vector<Cap>& demand,
@@ -111,15 +107,6 @@ FlowGraph::Cap RoutingEngine::prime_from_hint(
   return primed;
 }
 
-FlowGraph::Cap RoutingEngine::MaxFlowWork::augment(FlowGraph& g,
-                                                   MaxFlowAlgo algo) {
-  phases = 0;
-  augmentations = 0;
-  arc_scans = 0;
-  return algo == MaxFlowAlgo::kEdmondsKarp ? augment_edmonds_karp(g)
-                                           : augment_dinic(g);
-}
-
 void RoutingEngine::MaxFlowWork::count_span() const {
   MHP_SPAN_COUNTER("phases", phases);
   MHP_SPAN_COUNTER("augmentations", augmentations);
@@ -132,53 +119,7 @@ void RoutingEngine::MaxFlowWork::add_to(SolveStats& stats) const {
   stats.arc_scans += arc_scans;
 }
 
-FlowGraph::Cap RoutingEngine::MaxFlowWork::augment_edmonds_karp(FlowGraph& g) {
-  const int s = Layout::source();
-  const int t = Layout::sink();
-  Cap total = 0;
-  auto& pred_arc = level;  // -1 unvisited, -2 source, else arc into node
-  for (;;) {
-    // BFS for a shortest augmenting path in the residual graph.
-    ++phases;
-    pred_arc.assign(static_cast<std::size_t>(g.num_nodes()), -1);
-    queue.clear();
-    queue.push_back(s);
-    pred_arc[s] = -2;
-    bool found = false;
-    for (std::size_t head = 0; head < queue.size() && !found; ++head) {
-      const int v = queue[head];
-      const auto arcs = g.arcs_out(v);
-      arc_scans += static_cast<std::int64_t>(arcs.size());
-      for (const int e : arcs) {
-        const int w = g.arc_to(e);
-        if (pred_arc[w] == -1 && g.residual(e) > 0) {
-          pred_arc[w] = e;
-          if (w == t) {
-            found = true;
-            break;
-          }
-          queue.push_back(w);
-        }
-      }
-    }
-    if (!found) return total;
-    Cap bottleneck = FlowGraph::kInfinite;
-    for (int v = t; v != s;) {
-      const int e = pred_arc[v];
-      bottleneck = std::min(bottleneck, g.residual(e));
-      v = g.arc_from(e);
-    }
-    for (int v = t; v != s;) {
-      const int e = pred_arc[v];
-      g.push(e, bottleneck);
-      v = g.arc_from(e);
-    }
-    total += bottleneck;
-    ++augmentations;
-  }
-}
-
-bool RoutingEngine::MaxFlowWork::dinic_bfs(const FlowGraph& g) {
+bool RoutingEngine::MaxFlowWork::bfs(const FlowGraph& g) {
   // Levels are residual distances TO the sink, found by a BFS that walks
   // arcs backwards: x precedes w when the arc x→w — the twin of the
   // out-arc w→x — has residual capacity.  The search stops once the
@@ -259,9 +200,12 @@ FlowGraph::Cap RoutingEngine::MaxFlowWork::blocking_flow(FlowGraph& g) {
   }
 }
 
-FlowGraph::Cap RoutingEngine::MaxFlowWork::augment_dinic(FlowGraph& g) {
+FlowGraph::Cap RoutingEngine::MaxFlowWork::augment(FlowGraph& g) {
+  phases = 0;
+  augmentations = 0;
+  arc_scans = 0;
   Cap total = 0;
-  while (dinic_bfs(g)) {
+  while (bfs(g)) {
     const Cap pushed = blocking_flow(g);
     // A labelled source lies on a shortest path to the sink, so a phase
     // that pushes nothing means the levels and the walk disagree; fail
@@ -435,82 +379,8 @@ FlowGraph::Cap RoutingEngine::analytic_floor(
   return lb;
 }
 
-FlowGraph::Cap RoutingEngine::cell_floor_bound(const ClusterTopology& topo,
-                                               const std::vector<Cap>& demand) {
-  MHP_SPAN("route/cell_floor");
-  const std::size_t n = topo.num_sensors();
-  // Dense-remap the hint's arbitrary cell ids.
-  std::vector<std::int32_t> ids = cell_hint_;
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  const std::size_t num_cells = ids.size();
-  if (num_cells <= 1) return 0;  // one cell = the full problem; no bound
-  std::vector<std::int32_t> dense(n);
-  std::vector<std::int32_t> local(n);
-  std::vector<std::size_t> count(num_cells, 0);
-  for (NodeId s = 0; s < n; ++s) {
-    dense[s] = static_cast<std::int32_t>(
-        std::lower_bound(ids.begin(), ids.end(), cell_hint_[s]) - ids.begin());
-    local[s] = static_cast<std::int32_t>(
-        count[static_cast<std::size_t>(dense[s])]++);
-  }
-
-  // Per-cell relaxation: keep in-cell links only and let any sensor the
-  // head hears OR with an out-of-cell neighbor count as a sink.  A
-  // global solution's unit paths, cut at the first hop leaving the cell,
-  // solve every relaxation at the global δ*, so each relaxation's
-  // optimum — and hence their max — is a lower bound on δ*.
-  std::vector<Graph> graphs;
-  graphs.reserve(num_cells);
-  std::vector<std::vector<bool>> hears(num_cells);
-  for (std::size_t c = 0; c < num_cells; ++c) {
-    graphs.emplace_back(count[c]);
-    hears[c].assign(count[c], false);
-  }
-  for (NodeId a = 0; a < n; ++a) {
-    const auto c = static_cast<std::size_t>(dense[a]);
-    bool boundary = topo.head_hears(a);
-    for (NodeId b : topo.sensor_links().neighbors(a)) {
-      if (dense[b] != dense[a])
-        boundary = true;
-      else if (a < b)
-        graphs[c].add_edge(static_cast<NodeId>(local[a]),
-                           static_cast<NodeId>(local[b]));
-    }
-    if (boundary) hears[c][static_cast<std::size_t>(local[a])] = true;
-  }
-
-  std::vector<ClusterTopology> topos;
-  topos.reserve(num_cells);
-  for (std::size_t c = 0; c < num_cells; ++c)
-    topos.emplace_back(std::move(graphs[c]), std::move(hears[c]));
-  std::vector<ClusterRouteJob> jobs(num_cells);
-  for (std::size_t c = 0; c < num_cells; ++c) {
-    jobs[c].topo = &topos[c];
-    jobs[c].demand.assign(count[c], 0);
-    jobs[c].weight.assign(count[c], 1);
-  }
-  for (NodeId s = 0; s < n; ++s) {
-    ClusterRouteJob& job = jobs[static_cast<std::size_t>(dense[s])];
-    job.demand[static_cast<std::size_t>(local[s])] = demand[s];
-    job.weight[static_cast<std::size_t>(local[s])] = weight_[s];
-  }
-
-  // The worker budget parallelises ACROSS cells; the per-cell engines
-  // stay serial (solve_clusters forces probe_workers = 1 for multi-job
-  // batches), so there is no pool nesting.
-  const auto results = solve_clusters(
-      jobs, policy_.probe_workers,
-      SolvePolicy{policy_.algo, policy_.warm_start, /*probe_workers=*/1});
-  Cap floor = 0;
-  for (const MinMaxLoadResult& r : results)
-    if (r.feasible) floor = std::max(floor, r.max_load);
-  MHP_SPAN_COUNTER("cells", static_cast<std::int64_t>(num_cells));
-  return floor;
-}
-
-FlowGraph::Cap RoutingEngine::search_serial(std::size_t n, Cap total, Cap lb,
-                                            Cap& final_delta) {
+FlowGraph::Cap RoutingEngine::search(std::size_t n, Cap total, Cap lb,
+                                     Cap& final_delta) {
   const bool warm = policy_.warm_start;
 
   // Probe δ and return the max-flow value there.  Warm probes extend the
@@ -533,11 +403,10 @@ FlowGraph::Cap RoutingEngine::search_serial(std::size_t n, Cap total, Cap lb,
       g_.install_flow(base_flow_);
       value = base_value_;
     }
-    value += work_.augment(g_, policy_.algo);
+    value += work_.augment(g_);
     work_.count_span();
     work_.add_to(stats_);
     ++stats_.probes;
-    ++stats_.rounds;
     if (value >= total) {
       if (from_zero) {
         g_.save_flow(final_flow_);
@@ -553,8 +422,8 @@ FlowGraph::Cap RoutingEngine::search_serial(std::size_t n, Cap total, Cap lb,
     return value;
   };
 
-  // Gallop up from the floor with doubling GAPS (the analytic/cell floors
-  // are usually tight, so small first steps beat a doubling-δ ladder),
+  // Gallop up from the floor with doubling GAPS (the analytic floor is
+  // usually tight, so small first steps beat a doubling-δ ladder),
   // clamped at δ = total, which is always feasible once every
   // demand-positive sensor is reachable: no sensor ever relays more than
   // the whole load, and capacity total·w covers that.
@@ -577,154 +446,6 @@ FlowGraph::Cap RoutingEngine::search_serial(std::size_t n, Cap total, Cap lb,
       lo = mid + 1;
   }
   return hi;
-}
-
-FlowGraph::Cap RoutingEngine::search_parallel(std::size_t n, Cap total, Cap lb,
-                                              std::size_t workers,
-                                              Cap& final_delta) {
-  const bool warm = policy_.warm_start;
-  ThreadPool& probe_pool = pool(workers);
-  const std::size_t fan = std::max<std::size_t>(1, probe_pool.worker_count());
-  if (slots_.size() < fan) slots_.resize(fan);
-  for (std::size_t i = 0; i < fan; ++i) slots_[i].g.adopt(g_);
-
-  // One wave of speculative probes over ascending candidates cand[0..k).
-  // Probes only read the shared base flow; slot state is private, so the
-  // wave is race-free, and all bookkeeping happens after the join.
-  std::vector<Cap> cand;
-  cand.reserve(fan);
-  int last_inf = -1;   // largest infeasible candidate this round
-  int first_feas = -1; // smallest feasible candidate this round
-  const auto run_round = [&]() {
-    const std::size_t k = cand.size();
-    for (std::size_t i = 0; i < k; ++i) slots_[i].delta = cand[i];
-    const bool from_base = warm && have_base_;
-    probe_pool.parallel_for(k, [&](std::size_t i) {
-      MHP_SPAN("route/probe");
-      ProbeSlot& slot = slots_[i];
-      for (NodeId s = 0; s < n; ++s)
-        slot.g.set_capacity(capacity_arc_[s], slot.delta * weight_[s]);
-      Cap value = 0;
-      slot.from_zero = !from_base;
-      if (from_base) {
-        slot.g.install_flow(base_flow_);
-        value = base_value_;
-      } else {
-        slot.g.clear_flow();
-      }
-      value += slot.work.augment(slot.g, policy_.algo);
-      slot.work.count_span();
-      slot.value = value;
-      slot.feasible = value >= total;
-      MHP_SPAN_COUNTER("slot", static_cast<std::int64_t>(i));
-      MHP_SPAN_COUNTER("delta", slot.delta);
-      MHP_SPAN_COUNTER("feasible", slot.feasible ? 1 : 0);
-    });
-    ++stats_.rounds;
-    stats_.probes += static_cast<int>(k);
-    last_inf = -1;
-    first_feas = -1;
-    for (std::size_t i = 0; i < k; ++i) {
-      slots_[i].work.add_to(stats_);
-      if (slots_[i].from_zero) ++stats_.cold_solves;
-      if (!slots_[i].feasible)
-        last_inf = static_cast<int>(i);
-      else if (first_feas < 0)
-        first_feas = static_cast<int>(i);
-    }
-    // Feasibility is monotone in δ and candidates ascend, so the round
-    // splits at one point.  The largest infeasible candidate's max flow
-    // is the tightest valid warm base for every later (larger) δ.
-    if (warm && last_inf >= 0) {
-      ProbeSlot& b = slots_[static_cast<std::size_t>(last_inf)];
-      b.g.save_flow(base_flow_);
-      have_base_ = true;
-      base_value_ = b.value;
-    }
-    // A feasible from-zero probe IS the decomposition contract's solve;
-    // keep the smallest-δ one in case its δ wins the search.
-    if (first_feas >= 0) {
-      ProbeSlot& f = slots_[static_cast<std::size_t>(first_feas)];
-      if (f.from_zero && (final_delta == 0 || f.delta < final_delta)) {
-        f.g.save_flow(final_flow_);
-        final_delta = f.delta;
-      }
-    }
-  };
-
-  Cap lo = lb;
-  Cap hi = -1;
-  Cap next = lb;
-  Cap step = 1;
-
-  // Seed probe: with no warm base yet, every probe of the first wave
-  // would run from zero — `fan` full solves where the serial search pays
-  // for one.  A single-candidate round at the floor either ends the
-  // search outright (a tight cell floor often IS δ*) or installs the
-  // base flow all later waves augment from.
-  if (warm && !have_base_) {
-    cand.assign(1, lb);
-    run_round();
-    if (first_feas >= 0) return lb;
-    MHP_ENSURE(lb < total,
-               "min-max-load search diverged: delta=" + std::to_string(lb) +
-                   " infeasible with total demand " + std::to_string(total));
-    lo = lb + 1;
-    next = lo;
-  }
-
-  // Gallop phase: dispatch the next `fan` rungs of the gap-doubling
-  // ladder (clamped at the always-feasible δ = total) as one wave.
-  while (hi < 0) {
-    cand.clear();
-    while (cand.size() < fan) {
-      cand.push_back(next);
-      if (next >= total) break;
-      next = std::min(next + step, total);
-      step *= 2;
-    }
-    run_round();
-    if (last_inf >= 0) {
-      const Cap worst = cand[static_cast<std::size_t>(last_inf)];
-      MHP_ENSURE(worst < total,
-                 "min-max-load search diverged: delta=" + std::to_string(worst) +
-                     " infeasible with total demand " + std::to_string(total));
-      lo = worst + 1;
-    }
-    if (first_feas >= 0) hi = cand[static_cast<std::size_t>(first_feas)];
-  }
-
-  // Multiway bisection: k evenly spaced candidates shrink [lo, hi) by a
-  // factor of k+1 per wave (vs 2 for serial bisection); when the range
-  // is at most `fan`, one wave covers it entirely and the search ends.
-  while (lo < hi) {
-    const Cap range = hi - lo;
-    const auto k = static_cast<std::size_t>(
-        std::min<Cap>(static_cast<Cap>(fan), range));
-    const auto q = range / static_cast<Cap>(k + 1);
-    const auto r = range % static_cast<Cap>(k + 1);
-    cand.clear();
-    Cap prev = -1;
-    for (std::size_t j = 1; j <= k; ++j) {
-      // lo + floor(range·j/(k+1)), factored to dodge int64 overflow.
-      const Cap c = lo + q * static_cast<Cap>(j) +
-                    (r * static_cast<Cap>(j)) / static_cast<Cap>(k + 1);
-      if (c != prev) cand.push_back(c);
-      prev = c;
-    }
-    run_round();
-    if (last_inf >= 0) lo = cand[static_cast<std::size_t>(last_inf)] + 1;
-    if (first_feas >= 0) hi = cand[static_cast<std::size_t>(first_feas)];
-  }
-  return hi;
-}
-
-ThreadPool& RoutingEngine::pool(std::size_t workers) {
-  if (!pool_ || pool_workers_ != workers) {
-    pool_ = std::make_unique<ThreadPool>(workers);
-    pool_workers_ = workers;
-  }
-  return *pool_;
 }
 
 MinMaxLoadResult RoutingEngine::solve_balanced(
@@ -759,14 +480,9 @@ MinMaxLoadResult RoutingEngine::solve_balanced(
     if (demand[s] > 0 && topo.level(s) == ClusterTopology::kUnreachable)
       return result;  // infeasible
 
-  // δ floors (never above δ*, so they only trim the search): analytic
-  // level-cut/demand bounds, tightened by the per-cell relaxation when a
-  // partition hint is set and the cluster is big enough to pay for it.
-  Cap lb = analytic_floor(topo, demand);
-  if (n >= kCellFloorMinSensors && cell_hint_.size() == n) {
-    stats_.cell_floor = cell_floor_bound(topo, demand);
-    lb = std::max(lb, stats_.cell_floor);
-  }
+  // The analytic level-cut/demand floor is never above δ*, so it only
+  // trims the search.
+  const Cap lb = analytic_floor(topo, demand);
   stats_.delta_lower_bound = lb;
 
   build_network(topo, demand, weight_);
@@ -788,30 +504,22 @@ MinMaxLoadResult RoutingEngine::solve_balanced(
     }
   }
 
-  std::size_t workers = policy_.probe_workers;
-  if (workers == 0) {
-    const unsigned hc = std::thread::hardware_concurrency();
-    workers = hc > 0 ? hc : 1;
-  }
   Cap final_delta = 0;
-  const Cap delta_star =
-      workers > 1 ? search_parallel(n, total, lb, workers, final_delta)
-                  : search_serial(n, total, lb, final_delta);
+  const Cap delta_star = search(n, total, lb, final_delta);
   stats_.delta_star = delta_star;
 
   // Decomposition contract: the flow decomposed is always the one
   // from-zero solve at δ*.  When some from-zero probe already ran it
   // (cold searches always have; a warm search only when its very first
-  // probe won), reuse that flow; otherwise run it now.  Either way every
-  // search mode — serial, parallel, warm, cold — decomposes
-  // byte-identical flows.
+  // probe won), reuse that flow; otherwise run it now.  Either way warm
+  // and cold searches decompose byte-identical flows.
   for (NodeId s = 0; s < n; ++s)
     g_.set_capacity(capacity_arc_[s], delta_star * weight_[s]);
   if (final_delta == delta_star) {
     g_.install_flow(final_flow_);
   } else {
     g_.clear_flow();
-    const Cap final_value = work_.augment(g_, policy_.algo);
+    const Cap final_value = work_.augment(g_);
     work_.add_to(stats_);
     ++stats_.cold_solves;
     MHP_ENSURE(final_value >= total, "final flow lost feasibility");
@@ -874,8 +582,10 @@ MinMaxLoadResult RoutingEngine::solve_shortest(
     result.paths[s].push_back(UnitPath{std::move(hops), demand[s]});
   }
   result.feasible = true;
-  result.max_load =
-      *std::max_element(result.load.begin(), result.load.end());
+  // An empty cluster has no loads; its max load is 0, as solve_balanced
+  // reports.
+  if (n > 0)
+    result.max_load = *std::max_element(result.load.begin(), result.load.end());
   return result;
 }
 
@@ -888,39 +598,19 @@ MinMaxLoadResult RoutingEngine::solve(SolveKind kind,
 }
 
 std::vector<MinMaxLoadResult> solve_clusters(
-    std::span<const ClusterRouteJob> jobs, std::size_t workers,
-    SolvePolicy policy) {
+    std::span<const ClusterRouteJob> jobs, std::size_t workers) {
   MHP_SPAN("route/solve_clusters");
   std::vector<MinMaxLoadResult> results(jobs.size());
-  if (jobs.size() == 1) {
-    // A lone cluster has nothing to parallelise across jobs: hand the
-    // whole worker budget to the engine's speculative δ-probe scheduler
-    // instead (results are byte-identical for any worker count).
-    MHP_SPAN("route/cluster");
-    const ClusterRouteJob& job = jobs[0];
-    MHP_REQUIRE(job.topo != nullptr, "cluster route job without topology");
-    SolvePolicy single = policy;
-    single.probe_workers = workers;
-    RoutingEngine engine(single);
-    results[0] = engine.solve(job.kind, *job.topo, job.demand, job.weight);
-    return results;
-  }
-  // Per-worker engines must stay serial: a probe pool per worker would
-  // oversubscribe the machine, and the forced value must not depend on
-  // `workers` (it doesn't change results, but it must not change probe
-  // schedules between the inline and pooled paths either).
-  SolvePolicy per_job = policy;
-  per_job.probe_workers = 1;
   const auto solve_one = [&](std::size_t i) {
     // Top-level span on its worker thread; the pool's join is the
     // quiescent point a later drain() relies on.
     MHP_SPAN("route/cluster");
     const ClusterRouteJob& job = jobs[i];
     MHP_REQUIRE(job.topo != nullptr, "cluster route job without topology");
-    RoutingEngine engine(per_job);
+    RoutingEngine engine;
     results[i] = engine.solve(job.kind, *job.topo, job.demand, job.weight);
   };
-  if (jobs.empty() || workers == 1) {
+  if (jobs.size() <= 1 || workers == 1) {
     for (std::size_t i = 0; i < jobs.size(); ++i) solve_one(i);
     return results;
   }

@@ -1,71 +1,77 @@
 // RoutingEngine: single owner of the min-max-load routing stack — flow
-// network construction, scratch arenas, δ-search policy and flow
-// decomposition (paper §III-A).
+// network construction, scratch arenas, δ-search and flow decomposition
+// (paper §III-A).
 //
-// The engine produces byte-identical results to the legacy free functions
-// (`solve_min_max_load` / `solve_shortest_path_routing`, now thin shims
-// over an engine) while adding:
+// Each sensor i becomes an input node iᵢ and output node oᵢ with an arc
+// iᵢ→oᵢ of capacity δ·wᵢ (wᵢ = relative node capacity, all 1 unless sensor
+// energy levels differ).  Sensor links become uncapacitated oᵢ→iⱼ arcs;
+// first-level sensors get oᵢ→t; a super-source feeds each iᵢ with that
+// sensor's per-cycle packet demand.  The smallest δ whose max-flow equals
+// total demand is the minimized maximum sensor load; decomposing the flow
+// yields each sensor's relaying paths with per-path flow units (used by
+// multiple-path rotation, §V-D).
+//
+// The δ-search is one serial gallop-then-bisect over Dinic max-flow
+// probes, starting at an analytic floor (level cuts and per-sensor demand
+// bounds, never above δ*).  On top of the plain search:
 //   * warm-start δ-probes — each feasibility probe augments the best flow
 //     found at a smaller δ instead of re-solving from zero.  Probes only
 //     answer "is δ feasible?" (the max-flow *value* at a given δ is
 //     unique, the assignment is not); the path decomposition always comes
 //     from one final from-zero solve at δ*, which is exactly the flow the
 //     cold search decomposed.  That is the determinism contract.
-//   * speculative parallel δ-probes — with policy.probe_workers > 1 the
-//     δ-search dispatches several candidate δ feasibility probes
-//     concurrently on a util::ThreadPool, each on its own FlowGraph
-//     clone (shared frozen structure, private capacities/flow).  Probes
-//     still only answer feasibility, and feasibility at a given δ is a
-//     pure predicate (the max-flow value is unique no matter which base
-//     flow or thread computed it), so δ* — and hence the decomposed
-//     plan — is byte-identical for any worker count.
-//   * per-cell δ floor — given a cell partition hint (set_cell_hint),
-//     large solves first solve the per-cell relaxations (in-cell links
-//     only; any sensor with an out-of-cell neighbor counts as
-//     head-heard) through the solve_clusters batch machinery.  Each
-//     relaxation's optimum is a valid lower bound on δ* (restrict a
-//     global solution's unit paths to their in-cell prefixes and they
-//     solve the relaxation at the same δ), so their max only trims the
-//     search range — it can never change the result.
 //   * warm hints — a surviving RelayPlan can seed the first probe of a
 //     post-fault replan with its still-valid unit paths.  Hints only
 //     pre-load flow for feasibility probes, so they never change results.
-//   * reusable arenas — the CSR graph, BFS/DFS scratch, probe slots and
-//     flow snapshots persist across solves on the same engine.
+//   * reusable arenas — the CSR graph, BFS/DFS scratch and flow snapshots
+//     persist across solves on the same engine.
 //
 // Engines are cheap to construct and NOT thread-safe; for parallel
-// per-cluster routing use solve_clusters(), which gives each worker its
-// own engine and writes results into per-cluster slots (deterministic for
-// any worker count because each solve is a pure function of its job).
-// A single-job solve_clusters call instead hands its whole worker budget
-// to that one engine's probe scheduler — the single-huge-cluster case.
+// per-cluster routing use solve_clusters(), which gives each job its own
+// engine and writes results into per-cluster slots (deterministic for any
+// worker count because each solve is a pure function of its job).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "flow/min_max_load.hpp"
 #include "net/cluster.hpp"
 #include "net/ids.hpp"
 #include "route/flow_graph.hpp"
 
 namespace mhp {
-class ThreadPool;
-}
+
+/// One relaying path: hops[0] is the originating sensor, subsequent hops
+/// are relays, hops.back() is the cluster head.  `units` is the flow the
+/// path carries (packets per cycle routed this way).
+struct UnitPath {
+  std::vector<NodeId> hops;
+  std::int64_t units = 0;
+
+  std::size_t hop_count() const { return hops.size() - 1; }
+};
+
+struct MinMaxLoadResult {
+  bool feasible = false;
+  /// δ*: the minimized maximum sensor load (packets sent per cycle,
+  /// own + relayed), scaled by node weight where weights differ.
+  std::int64_t max_load = 0;
+  /// paths[s]: the relaying paths carrying sensor s's demand (empty for
+  /// zero-demand sensors).
+  std::vector<std::vector<UnitPath>> paths;
+  /// load[s]: packets sensor s transmits per cycle (own + relayed).
+  std::vector<std::int64_t> load;
+};
+
+}  // namespace mhp
 
 namespace mhp::route {
 
 struct SolvePolicy {
-  MaxFlowAlgo algo = MaxFlowAlgo::kDinic;
   /// Reuse flow between δ-probes (results are identical either way; cold
   /// mode exists for equivalence tests and perf comparisons).
   bool warm_start = true;
-  /// Concurrent speculative δ-probes per search round (0 = hardware
-  /// concurrency, 1 = the serial search).  Results are byte-identical
-  /// for any value; >1 trades redundant probe work for wall time.
-  std::size_t probe_workers = 1;
 };
 
 enum class SolveKind { kBalancedMaxFlow, kShortestPath };
@@ -73,11 +79,9 @@ enum class SolveKind { kBalancedMaxFlow, kShortestPath };
 /// Counters from the most recent solve_balanced (zeroed for trivially
 /// feasible/infeasible instances and for solve_shortest).
 struct SolveStats {
-  int probes = 0;       // δ feasibility probes run (incl. speculative)
-  int rounds = 0;       // sequential probe waves (== probes when serial)
+  int probes = 0;       // δ feasibility probes run
   int cold_solves = 0;  // from-zero max-flow runs (probes + the final one)
   std::int64_t delta_lower_bound = 0;  // δ floor the search began at
-  std::int64_t cell_floor = 0;  // per-cell relaxation bound (0 = not run)
   std::int64_t delta_star = 0;  // winning δ (== result.max_load)
   std::int64_t hint_units = 0;  // flow pre-seeded from a warm hint
   // Max-flow work over every probe and the final solve.
@@ -88,21 +92,19 @@ struct SolveStats {
 
 class RoutingEngine {
  public:
-  explicit RoutingEngine(SolvePolicy policy = {});
-  ~RoutingEngine();
+  explicit RoutingEngine(SolvePolicy policy = {}) : policy_(policy) {}
   RoutingEngine(RoutingEngine&&) = delete;
 
-  void set_policy(SolvePolicy policy) { policy_ = policy; }
-  const SolvePolicy& policy() const { return policy_; }
-
-  /// Min-max-load routing (binary search over δ with max-flow probes).
-  /// Same contract as the legacy mhp::solve_min_max_load.
+  /// Min-max-load routing (search over δ with max-flow probes).
+  /// `demand[s]` >= 0 packets per duty cycle.  `weight[s]` (optional,
+  /// default all-1) scales sensor s's capacity: sensors with more energy
+  /// may carry proportionally more load.
   MinMaxLoadResult solve_balanced(const ClusterTopology& topo,
                                   const std::vector<std::int64_t>& demand,
                                   const std::vector<std::int64_t>& weight = {});
 
-  /// BFS shortest-path baseline; same contract as the legacy
-  /// mhp::solve_shortest_path_routing.
+  /// Baseline for the routing ablation: BFS shortest-path (min hop)
+  /// routing, parents chosen arbitrarily (lowest id).  Same result shape.
   MinMaxLoadResult solve_shortest(const ClusterTopology& topo,
                                   const std::vector<std::int64_t>& demand);
 
@@ -118,32 +120,16 @@ class RoutingEngine {
     hint_ = hint;
   }
 
-  /// Cell partition hint for the per-cell δ floor: cells[s] is sensor
-  /// s's cell id (any values; route::grid_cells produces a spatial
-  /// one).  Persistent across solves; applied when the hint matches the
-  /// solve's sensor count and the cluster is large enough to pay for the
-  /// batch of cell solves.  Pass {} to clear.  Never changes results —
-  /// the floor is a proven lower bound on δ*, so it only trims probes.
-  void set_cell_hint(std::vector<std::int32_t> cells) {
-    cell_hint_ = std::move(cells);
-  }
-  const std::vector<std::int32_t>& cell_hint() const { return cell_hint_; }
-
   const SolveStats& last_stats() const { return stats_; }
-
-  /// Smallest cluster the per-cell floor runs for (below it, the batch
-  /// of cell solves costs more than the probes it could save).
-  static constexpr std::size_t kCellFloorMinSensors = 512;
 
  private:
   using Cap = FlowGraph::Cap;
 
-  /// Max-flow scratch + augmentation over any FlowGraph: augments
-  /// whatever flow is installed on g to a maximum flow and returns the
-  /// value pushed.  One per probe slot so probes run concurrently.
-  /// The counters describe the latest augment() call.
+  /// Dinic max-flow scratch: augments whatever flow is installed on g to
+  /// a maximum flow and returns the value pushed.  The counters describe
+  /// the latest augment() call.
   struct MaxFlowWork {
-    std::vector<std::int32_t> level;  // Dinic sink distances / EK pred arcs
+    std::vector<std::int32_t> level;  // residual distances to the sink
     std::vector<std::int32_t> queue;
     std::vector<std::uint32_t> iter;
     std::vector<std::int32_t> path;  // DFS arc stack, source first
@@ -151,28 +137,15 @@ class RoutingEngine {
     std::int64_t augmentations = 0;
     std::int64_t arc_scans = 0;
 
-    Cap augment(FlowGraph& g, MaxFlowAlgo algo);
+    Cap augment(FlowGraph& g);
     /// Attach the latest augment()'s counters to the innermost open
     /// profiler span.
     void count_span() const;
     void add_to(SolveStats& stats) const;
 
    private:
-    Cap augment_edmonds_karp(FlowGraph& g);
-    Cap augment_dinic(FlowGraph& g);
-    bool dinic_bfs(const FlowGraph& g);
+    bool bfs(const FlowGraph& g);
     Cap blocking_flow(FlowGraph& g);
-  };
-
-  /// One speculative probe's private state: a FlowGraph clone (shared
-  /// structure, private capacities) plus its own max-flow scratch.
-  struct ProbeSlot {
-    FlowGraph g;
-    MaxFlowWork work;
-    Cap delta = 0;
-    Cap value = 0;
-    bool feasible = false;
-    bool from_zero = false;
   };
 
   void build_network(const ClusterTopology& topo, const std::vector<Cap>& demand,
@@ -185,18 +158,10 @@ class RoutingEngine {
   /// demand bounds.  Never above δ*.
   Cap analytic_floor(const ClusterTopology& topo,
                      const std::vector<Cap>& demand) const;
-  /// Per-cell relaxation floor (see class comment); 0 when skipped.
-  Cap cell_floor_bound(const ClusterTopology& topo,
-                       const std::vector<Cap>& demand);
 
-  /// δ-search back ends.  Both return δ* and leave `final_flow_` /
-  /// `final_delta` set when some from-zero probe already solved δ*.
-  Cap search_serial(std::size_t n, Cap total, Cap lb, Cap& final_delta);
-  Cap search_parallel(std::size_t n, Cap total, Cap lb, std::size_t workers,
-                      Cap& final_delta);
-
-  /// The probe pool, created lazily at the policy's worker count.
-  ThreadPool& pool(std::size_t workers);
+  /// The δ-search.  Returns δ* and leaves `final_flow_` / `final_delta`
+  /// set when some from-zero probe already solved δ*.
+  Cap search(std::size_t n, Cap total, Cap lb, Cap& final_delta);
 
   void decompose(const ClusterTopology& topo, const std::vector<Cap>& demand,
                  MinMaxLoadResult& result);
@@ -206,7 +171,6 @@ class RoutingEngine {
   SolvePolicy policy_;
   SolveStats stats_;
   const std::vector<std::vector<UnitPath>>* hint_ = nullptr;
-  std::vector<std::int32_t> cell_hint_;
 
   FlowGraph g_;
   std::vector<std::int32_t> demand_arc_;    // per sensor (-1 if demand 0)
@@ -223,10 +187,7 @@ class RoutingEngine {
   bool have_base_ = false;
   Cap base_value_ = 0;
 
-  MaxFlowWork work_;                // the serial path's max-flow scratch
-  std::vector<ProbeSlot> slots_;    // parallel probe arenas (persistent)
-  std::unique_ptr<ThreadPool> pool_;
-  std::size_t pool_workers_ = 0;
+  MaxFlowWork work_;
 
   // Decomposition scratch.
   std::vector<Cap> remaining_;
@@ -244,13 +205,9 @@ struct ClusterRouteJob {
 };
 
 /// Solve every job on `workers` threads (0 = hardware concurrency, 1 =
-/// inline) and return results in job order.  Each worker runs its own
-/// engine, so results are identical for any worker count.  A single job
-/// hands the whole worker budget to that engine's speculative δ-probe
-/// scheduler instead (the single-huge-cluster case) — still
-/// byte-identical for any worker count.
+/// inline) and return results in job order.  Each job runs on its own
+/// engine, so results are identical for any worker count.
 std::vector<MinMaxLoadResult> solve_clusters(
-    std::span<const ClusterRouteJob> jobs, std::size_t workers = 1,
-    SolvePolicy policy = {});
+    std::span<const ClusterRouteJob> jobs, std::size_t workers = 1);
 
 }  // namespace mhp::route

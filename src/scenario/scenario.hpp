@@ -118,9 +118,8 @@ struct Scenario {
   /// "runtime" section (SimRuntime substrate knobs expressible in JSON).
   std::size_t trace_max_entries = Trace::kDefaultMaxEntries;
   /// Worker threads for routing solves (0 = all cores): per-cluster
-  /// fan-out on the multi_cluster stack, speculative parallel δ-probes
-  /// inside the single-cluster solve on the polling stack.  Reports are
-  /// byte-identical for any value.
+  /// fan-out on the multi_cluster stack; the polling stack routes its one
+  /// cluster serially.  Reports are byte-identical for any value.
   std::size_t route_workers = 1;
   /// Record hierarchical profiler spans for this run; the report
   /// envelope gains a "profile" summary and run_scenario's trace sink

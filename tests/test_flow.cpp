@@ -4,16 +4,18 @@
 #include <map>
 #include <numeric>
 
-#include "util/assertx.hpp"
-#include "flow/max_flow.hpp"
-#include "flow/min_max_load.hpp"
 #include "net/deployment.hpp"
+#include "reference_flow.hpp"
+#include "route/routing_engine.hpp"
+#include "util/assertx.hpp"
 #include "util/rng.hpp"
 
 namespace mhp {
 namespace {
 
-// ---------- FlowNetwork ----------
+using reference::FlowNetwork;
+
+// ---------- the reference FlowNetwork ----------
 
 TEST(FlowNetwork, ArcBookkeeping) {
   FlowNetwork net;
@@ -38,7 +40,7 @@ TEST(FlowNetwork, PushBeyondResidualThrows) {
   EXPECT_THROW(net.push(e, 2), ContractViolation);
 }
 
-// ---------- Max flow ----------
+// ---------- the reference max flow ----------
 
 /// The classic CLRS example network with max flow 23.
 FlowNetwork clrs_network() {
@@ -58,9 +60,9 @@ FlowNetwork clrs_network() {
 
 TEST(MaxFlow, ClrsExampleBothAlgorithms) {
   auto a = clrs_network();
-  EXPECT_EQ(max_flow(a, 0, 5, MaxFlowAlgo::kEdmondsKarp), 23);
+  EXPECT_EQ(reference::edmonds_karp(a, 0, 5), 23);
   auto b = clrs_network();
-  EXPECT_EQ(max_flow(b, 0, 5, MaxFlowAlgo::kDinic), 23);
+  EXPECT_EQ(reference::max_flow(b, 0, 5), 23);
 }
 
 TEST(MaxFlow, DisconnectedIsZero) {
@@ -68,7 +70,7 @@ TEST(MaxFlow, DisconnectedIsZero) {
   net.add_nodes(4);
   net.add_arc(0, 1, 10);
   net.add_arc(2, 3, 10);
-  EXPECT_EQ(max_flow(net, 0, 3), 0);
+  EXPECT_EQ(reference::max_flow(net, 0, 3), 0);
 }
 
 TEST(MaxFlow, ParallelArcsAdd) {
@@ -76,7 +78,7 @@ TEST(MaxFlow, ParallelArcsAdd) {
   net.add_nodes(2);
   net.add_arc(0, 1, 3);
   net.add_arc(0, 1, 4);
-  EXPECT_EQ(max_flow(net, 0, 1), 7);
+  EXPECT_EQ(reference::max_flow(net, 0, 1), 7);
 }
 
 /// Check capacity limits and conservation of the flow left on the network.
@@ -121,8 +123,8 @@ TEST_P(RandomMaxFlow, AlgorithmsAgreeAndFlowsAreValid) {
   b.add_nodes(n);
   for (const auto& [u, v, c] : spec) b.add_arc(u, v, c);
 
-  const auto fa = max_flow(a, 0, n - 1, MaxFlowAlgo::kEdmondsKarp);
-  const auto fb = max_flow(b, 0, n - 1, MaxFlowAlgo::kDinic);
+  const auto fa = reference::edmonds_karp(a, 0, n - 1);
+  const auto fb = reference::max_flow(b, 0, n - 1);
   EXPECT_EQ(fa, fb);
   expect_valid_flow(a, 0, n - 1, fa);
   expect_valid_flow(b, 0, n - 1, fb);
@@ -130,13 +132,19 @@ TEST_P(RandomMaxFlow, AlgorithmsAgreeAndFlowsAreValid) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomMaxFlow, ::testing::Range(0, 25));
 
-// ---------- Min-max load ----------
+// ---------- Min-max load (RoutingEngine) ----------
+
+MinMaxLoadResult solve_balanced(const ClusterTopology& topo,
+                                const std::vector<std::int64_t>& demand,
+                                const std::vector<std::int64_t>& weight = {}) {
+  return route::RoutingEngine().solve_balanced(topo, demand, weight);
+}
 
 /// Star: every sensor hears the head directly → max load = own demand.
 TEST(MinMaxLoad, SingleHopStar) {
   Graph g(4);
   ClusterTopology topo(std::move(g), {true, true, true, true});
-  const auto r = solve_min_max_load(topo, {3, 1, 2, 1});
+  const auto r = solve_balanced(topo, {3, 1, 2, 1});
   ASSERT_TRUE(r.feasible);
   EXPECT_EQ(r.max_load, 3);
   EXPECT_EQ(r.load, (std::vector<std::int64_t>{3, 1, 2, 1}));
@@ -152,7 +160,7 @@ TEST(MinMaxLoad, ChainAccumulates) {
   g.add_edge(0, 1);
   g.add_edge(1, 2);
   ClusterTopology topo(std::move(g), {true, false, false});
-  const auto r = solve_min_max_load(topo, {1, 1, 1});
+  const auto r = solve_balanced(topo, {1, 1, 1});
   ASSERT_TRUE(r.feasible);
   EXPECT_EQ(r.max_load, 3);  // sensor 0 relays everything
   EXPECT_EQ(r.load[0], 3);
@@ -165,7 +173,7 @@ TEST(MinMaxLoad, DiamondBalances) {
   g.add_edge(2, 0);
   g.add_edge(2, 1);
   ClusterTopology topo(std::move(g), {true, true, false});
-  const auto r = solve_min_max_load(topo, {1, 1, 2});
+  const auto r = solve_balanced(topo, {1, 1, 2});
   ASSERT_TRUE(r.feasible);
   // Sensor 2's two packets split across both gateways: each gateway
   // carries its own packet plus one relayed — max load 2 instead of 3.
@@ -184,14 +192,14 @@ TEST(MinMaxLoad, DiamondBalances) {
 TEST(MinMaxLoad, InfeasibleWhenDisconnected) {
   Graph g(2);
   ClusterTopology topo(std::move(g), {true, false});
-  const auto r = solve_min_max_load(topo, {1, 1});
+  const auto r = solve_balanced(topo, {1, 1});
   EXPECT_FALSE(r.feasible);
 }
 
 TEST(MinMaxLoad, ZeroDemandTriviallyFeasible) {
   Graph g(2);
   ClusterTopology topo(std::move(g), {true, false});
-  const auto r = solve_min_max_load(topo, {0, 0});
+  const auto r = solve_balanced(topo, {0, 0});
   EXPECT_TRUE(r.feasible);
   EXPECT_EQ(r.max_load, 0);
 }
@@ -202,7 +210,7 @@ TEST(MinMaxLoad, WeightsShiftLoadToStrongSensors) {
   g.add_edge(2, 0);
   g.add_edge(2, 1);
   ClusterTopology topo(std::move(g), {true, true, false});
-  const auto r = solve_min_max_load(topo, {1, 1, 4}, {2, 1, 2});
+  const auto r = solve_balanced(topo, {1, 1, 4}, {2, 1, 2});
   ASSERT_TRUE(r.feasible);
   // δ* such that 2δ (node 0) + 1δ (node 1) handles its own + 4 relayed.
   EXPECT_GE(r.load[0], r.load[1]);
@@ -249,11 +257,11 @@ TEST_P(RandomMinMaxLoad, PathsValidAndNeverWorseThanShortestPath) {
   std::vector<std::int64_t> demand(n);
   for (auto& d : demand) d = static_cast<std::int64_t>(rng.below(4));
 
-  const auto balanced = solve_min_max_load(topo, demand);
+  const auto balanced = solve_balanced(topo, demand);
   ASSERT_TRUE(balanced.feasible);
   expect_valid_paths(topo, demand, balanced);
 
-  const auto shortest = solve_shortest_path_routing(topo, demand);
+  const auto shortest = route::RoutingEngine().solve_shortest(topo, demand);
   ASSERT_TRUE(shortest.feasible);
   expect_valid_paths(topo, demand, shortest);
 
@@ -261,17 +269,6 @@ TEST_P(RandomMinMaxLoad, PathsValidAndNeverWorseThanShortestPath) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomMinMaxLoad, ::testing::Range(0, 20));
-
-TEST(MinMaxLoad, EdmondsKarpAgreesWithDinic) {
-  Rng rng(77);
-  const Deployment dep = deploy_connected_uniform_square(12, 150.0, 60.0, rng);
-  const ClusterTopology topo = disc_topology(dep, 60.0);
-  std::vector<std::int64_t> demand(12, 2);
-  const auto a = solve_min_max_load(topo, demand, {},
-                                    MaxFlowAlgo::kEdmondsKarp);
-  const auto b = solve_min_max_load(topo, demand, {}, MaxFlowAlgo::kDinic);
-  EXPECT_EQ(a.max_load, b.max_load);
-}
 
 }  // namespace
 }  // namespace mhp

@@ -9,8 +9,8 @@
 #include "core/greedy_scheduler.hpp"
 #include "core/polling_simulation.hpp"
 #include "core/routing.hpp"
-#include "flow/min_max_load.hpp"
 #include "net/deployment.hpp"
+#include "route/routing_engine.hpp"
 #include "sim/event_queue.hpp"
 #include "util/rng.hpp"
 
@@ -107,8 +107,8 @@ TEST(GreedyLoss, EveryExecutedSlotIsCompatible) {
   Rng rng(77);
   const Deployment dep = deploy_connected_uniform_square(10, 150.0, 60.0, rng);
   const ClusterTopology topo = disc_topology(dep, 60.0);
-  const auto routing =
-      solve_min_max_load(topo, std::vector<std::int64_t>(10, 1));
+  const auto routing = route::RoutingEngine().solve_balanced(
+      topo, std::vector<std::int64_t>(10, 1));
   ASSERT_TRUE(routing.feasible);
   ExplicitOracle oracle(3);
   std::vector<std::vector<NodeId>> paths;

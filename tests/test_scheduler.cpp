@@ -5,11 +5,11 @@
 #include <numeric>
 
 #include "core/greedy_scheduler.hpp"
-#include "flow/min_max_load.hpp"
 #include "core/optimal_scheduler.hpp"
 #include "core/reductions.hpp"
 #include "core/schedule.hpp"
 #include "net/deployment.hpp"
+#include "route/routing_engine.hpp"
 #include "util/assertx.hpp"
 #include "util/rng.hpp"
 
@@ -230,7 +230,7 @@ TEST_P(GreedyOnRandomClusters, ValidAndWithinBounds) {
       deploy_connected_uniform_square(n, 150.0, 60.0, rng);
   const ClusterTopology topo = disc_topology(dep, 60.0);
   std::vector<std::int64_t> demand(n, 1);
-  const auto routing = solve_min_max_load(topo, demand);
+  const auto routing = route::RoutingEngine().solve_balanced(topo, demand);
   ASSERT_TRUE(routing.feasible);
 
   // An oracle that admits everything structurally valid up to order 3

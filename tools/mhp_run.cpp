@@ -161,8 +161,8 @@ int run_one(const std::string& path, const std::string& out,
             std::optional<std::size_t> workers,
             const std::string& profile_out, const std::string& samples_out) {
   scenario::Scenario s = scenario::parse_scenario_text(read_file(path));
-  // --workers on a single run overrides the scenario's routing worker
-  // count (reports are byte-identical for any value).
+  // --workers on a single run overrides the scenario's per-cluster
+  // routing thread count (reports are byte-identical for any value).
   if (workers.has_value()) s.route_workers = *workers;
 
   scenario::RunScenarioOptions opts;
@@ -371,8 +371,8 @@ int main(int argc, char** argv) {
       .option("--samples-out", "FILE",
               "write sim-time metric samples (JSONL) here")
       .option("--workers", "N",
-              "campaign worker threads, or routing workers for a single "
-              "run (0 = all cores)")
+              "campaign worker threads, or per-cluster routing threads "
+              "for a multi_cluster run (0 = all cores)")
       .positional("file", 0, 64);
   flags.parse(argc, argv);
 
