@@ -56,8 +56,7 @@ int main(int argc, char** argv) {
       for (NodeId s = 0; s < n; ++s)
         all_paths.push_back(plan.paths(s)[0].hops);
       whole_s.add(static_cast<double>(
-          run_interference_probing(channel, all_paths, 3)
-              .cost.probe_slots));
+          interference_probing_cost(all_paths, 3).probe_slots));
 
       SectorPartitioner sp(disc.topology);
       const auto part = sp.partition(plan, demand);
@@ -68,8 +67,7 @@ int main(int argc, char** argv) {
         for (NodeId s : sec.sensors)
           sector_paths.push_back(part.tree_path(s, disc.topology.head()));
         sect_slots += static_cast<double>(
-            run_interference_probing(channel, sector_paths, 3)
-                .cost.probe_slots);
+            interference_probing_cost(sector_paths, 3).probe_slots);
       }
       sect_s.add(sect_slots);
     }

@@ -113,6 +113,41 @@ struct BigCluster {
     return deploy_connected_uniform_square(
         n, 40.0 * std::sqrt(static_cast<double>(n)), 80.0, rng);
   }
+
+  /// Every sensor's data path of cycle 0: one offline greedy cycle.
+  std::vector<std::vector<NodeId>> cycle_paths() const {
+    std::vector<std::vector<NodeId>> paths;
+    for (NodeId s = 0; s < dep.num_sensors(); ++s)
+      paths.push_back(plan.path_for_cycle(s, 0).hops);
+    return paths;
+  }
+
+  /// The transmissions of every unit path of the plan: the universe the
+  /// head probes.
+  std::vector<Tx> universe() const {
+    std::vector<std::vector<NodeId>> paths;
+    for (NodeId s = 0; s < dep.num_sensors(); ++s)
+      for (const auto& p : plan.paths(s)) paths.push_back(p.hops);
+    return transmissions_of_paths(paths);
+  }
+};
+
+/// The SINR channel over a deployment, sensors at sensor power and the
+/// head (the last node) at head power.
+struct SinrField {
+  Simulator sim;
+  TwoRayGround prop;
+  Channel channel;
+
+  explicit SinrField(const Deployment& dep)
+      : channel(sim, prop, RadioParams{}, dep.positions,
+                powers(dep.num_sensors())) {}
+
+  static std::vector<double> powers(std::size_t n) {
+    std::vector<double> p(n + 1, RadioParams::kSensorTxPowerW);
+    p[n] = RadioParams::kHeadTxPowerW;
+    return p;
+  }
 };
 
 void BM_AckCover(benchmark::State& state) {
@@ -141,31 +176,6 @@ BENCHMARK(BM_AckCover)
     ->Arg(500)
     ->Arg(2000)
     ->Unit(benchmark::kMillisecond);
-
-void BM_MeasuredOracleBuild(benchmark::State& state) {
-  // §V-E probing at M=2 against the SINR channel: every pair of the
-  // transmissions the rotating plan uses (u is about 2000 at n = 1800).
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const BigCluster c(n);
-  Simulator sim;
-  const TwoRayGround prop;
-  std::vector<double> powers(n + 1, RadioParams::kSensorTxPowerW);
-  powers[n] = RadioParams::kHeadTxPowerW;
-  const Channel channel(sim, prop, RadioParams{}, c.dep.positions, powers);
-  std::vector<std::vector<NodeId>> paths;
-  for (NodeId s = 0; s < n; ++s)
-    for (const auto& p : c.plan.paths(s)) paths.push_back(p.hops);
-  const auto universe = transmissions_of_paths(paths);
-  const ChannelOracle truth(channel, 2);
-  for (auto _ : state) {
-    const MeasuredOracle oracle(truth, universe, 2);
-    benchmark::DoNotOptimize(oracle.probes());
-  }
-  state.counters["universe"] = static_cast<double>(universe.size());
-  state.counters["probes"] =
-      static_cast<double>(MeasuredOracle::probe_count(universe.size(), 2));
-}
-BENCHMARK(BM_MeasuredOracleBuild)->Arg(1800)->Unit(benchmark::kMillisecond);
 
 /// Passes every query through to `inner` and keeps it, so a benchmark
 /// can replay the exact group stream the greedy scheduler issues.
@@ -209,23 +219,18 @@ void BM_CachedOracle(benchmark::State& state) {
   const bool miss_heavy = state.range(0) == 1;
   const std::size_t n = miss_heavy ? 2000 : 60;
   const BigCluster c(n);
-  std::vector<std::vector<NodeId>> paths;
-  for (NodeId s = 0; s < n; ++s)
-    paths.push_back(c.plan.path_for_cycle(s, 0).hops);
+  const auto paths = c.cycle_paths();
+  // The measured oracle asks its truth on every memo miss, so the field
+  // and the truth outlive `inner`.
+  std::optional<SinrField> field;
+  std::optional<ChannelOracle> truth;
   std::unique_ptr<CompatibilityOracle> inner;
   if (miss_heavy) {
     inner = std::make_unique<DiscModelOracle>(c.dep.positions, 80.0, 3);
   } else {
-    Simulator sim;
-    const TwoRayGround prop;
-    std::vector<double> powers(n + 1, RadioParams::kSensorTxPowerW);
-    powers[n] = RadioParams::kHeadTxPowerW;
-    const Channel channel(sim, prop, RadioParams{}, c.dep.positions, powers);
-    std::vector<std::vector<NodeId>> all_paths;
-    for (NodeId s = 0; s < n; ++s)
-      for (const auto& p : c.plan.paths(s)) all_paths.push_back(p.hops);
-    inner = std::make_unique<MeasuredOracle>(
-        ChannelOracle(channel, 3), transmissions_of_paths(all_paths), 3);
+    field.emplace(c.dep);
+    truth.emplace(field->channel, 3);
+    inner = std::make_unique<MeasuredOracle>(*truth, c.universe(), 3);
   }
   const RecordingOracle stream(*inner);
   run_offline(stream, paths);
@@ -247,6 +252,32 @@ void BM_CachedOracle(benchmark::State& state) {
   state.counters["entries"] = static_cast<double>(cached->size());
 }
 BENCHMARK(BM_CachedOracle)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_MeasuredOracleQuery(benchmark::State& state) {
+  // §V-E knowledge at M=2 over the SINR channel (u is about 2000 at
+  // n = 1800): one offline greedy cycle's query stream replayed through a
+  // fresh pair-screening memo, as a cluster's first planning pass asks
+  // it.  Every memo miss is one SINR test of the truth.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const BigCluster c(n);
+  const SinrField field(c.dep);
+  const ChannelOracle truth(field.channel, 2);
+  const auto universe = c.universe();
+  const MeasuredOracle oracle(truth, universe, 2);
+  const RecordingOracle stream(oracle);
+  run_offline(stream, c.cycle_paths());
+  std::optional<CachedOracle> cached;
+  for (auto _ : state) {
+    cached.emplace(oracle, CachedOracle::PairScreen::kOn);
+    for (std::size_t q = 0; q < stream.queries(); ++q)
+      benchmark::DoNotOptimize(cached->compatible(stream.query(q)));
+  }
+  state.counters["universe"] = static_cast<double>(universe.size());
+  state.counters["probes"] = static_cast<double>(oracle.probes());
+  state.counters["queries"] = static_cast<double>(stream.queries());
+  state.counters["misses"] = static_cast<double>(cached->misses());
+}
+BENCHMARK(BM_MeasuredOracleQuery)->Arg(1800)->Unit(benchmark::kMillisecond);
 
 void BM_SectorPartition(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

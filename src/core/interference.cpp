@@ -114,55 +114,21 @@ std::uint64_t binomial(std::uint64_t n, std::size_t k) {
 
 MeasuredOracle::MeasuredOracle(const CompatibilityOracle& truth,
                                std::span<const Tx> universe, int order)
-    : order_(order), universe_(normalize(universe)) {
+    : truth_(truth), order_(order), universe_(normalize(universe)) {
   MHP_REQUIRE(order >= 1, "order must be at least 1");
-  const std::size_t u = universe_.size();
-  // Subsets of size 2..order in lexicographic order of their index
-  // combinations, so each verdict lands at the next rank.  One group
-  // buffer follows the combination as it advances.
-  std::vector<std::size_t> idx;
-  TxGroup group;
-  for (std::size_t k = 2; k <= static_cast<std::size_t>(order); ++k) {
-    auto& bits = verdicts_.emplace_back();
-    if (k > u) continue;
-    bits.assign((binomial(u, k) + 63) / 64, 0);
-    idx.resize(k);
-    group.resize(k);
-    for (std::size_t i = 0; i < k; ++i) group[i] = universe_[idx[i] = i];
-    for (std::uint64_t rank = 0;; ++rank) {
-      ++probes_;
-      if (truth.compatible(group))
-        bits[rank / 64] |= std::uint64_t{1} << (rank % 64);
-      // Advance the rightmost index that has room, reset those after it.
-      std::size_t i = k;
-      while (i > 0 && idx[i - 1] == u - k + (i - 1)) --i;
-      if (i == 0) break;
-      ++idx[i - 1];
-      for (std::size_t j = i; j < k; ++j) idx[j] = idx[j - 1] + 1;
-      for (std::size_t j = i - 1; j < k; ++j) group[j] = universe_[idx[j]];
-    }
-  }
 }
 
 bool MeasuredOracle::compatible_impl(const TxGroup& group) const {
-  // The lexicographic rank of index combination c_0 < ... < c_{k-1} is
-  // C(u,k) - 1 - sum_i C(u-1-c_i, k-i): the sum counts (combinatorial
-  // number system) the combinations that come after it.
-  const std::size_t k = group.size();
-  const std::size_t u = universe_.size();
-  if (k > u) return false;
-  std::uint64_t after = 0;
+  // A member outside the universe (so also any group larger than it)
+  // was never probed.
   auto at = universe_.begin();
-  for (std::size_t i = 0; i < k; ++i) {
+  for (const Tx& t : group) {
     // The group is sorted, so each member lies past the previous one.
-    at = std::lower_bound(at, universe_.end(), group[i]);
-    if (at == universe_.end() || *at != group[i]) return false;
-    const auto c = static_cast<std::size_t>(at - universe_.begin());
-    after += binomial(u - 1 - c, k - i);
+    at = std::lower_bound(at, universe_.end(), t);
+    if (at == universe_.end() || *at != t) return false;
     ++at;
   }
-  const std::uint64_t rank = binomial(u, k) - 1 - after;
-  return (verdicts_[k - 2][rank / 64] >> (rank % 64)) & 1;
+  return truth_.compatible(group);
 }
 
 bool DiscModelOracle::compatible_impl(const TxGroup& group) const {

@@ -110,24 +110,36 @@ class ChannelOracle : public CompatibilityOracle {
   int order_;
 };
 
-/// The head's measured knowledge (§V-E): probe every group of at most M
+/// The head's measured knowledge (§V-E): the groups of at most M
 /// transmissions drawn from a candidate universe (the transmissions the
-/// relaying paths actually use) and memoize the outcomes.  Query cost is a
-/// lookup; probing cost (number of groups tested) is what sectoring
-/// reduces (§IV).  Verdicts are stored as one bit per k-subset of the
-/// sorted universe at the subset's lexicographic rank, C(u,k)/8 bytes per
-/// order k; a query finds its members by binary search and computes the
-/// rank in closed form.
+/// relaying paths actually use) are what the head probes, and probing
+/// cost (the number of such groups, probes()) is what sectoring reduces
+/// (§IV).  The oracle charges that cost in closed form and asks `truth`
+/// only for the groups the scheduler actually queries: a group with a
+/// member outside the universe was never probed and is incompatible;
+/// any other group gets `truth`'s verdict, which is what probing it would
+/// have measured.  Memoizing repeated queries is CachedOracle's job, so
+/// with ProtocolConfig::cache_oracle off every query runs one truth test
+/// (one SINR evaluation for a ChannelOracle).
+///
+/// Invariant: `truth` outlives the oracle and its verdicts do not change
+/// while the oracle lives, so answering late equals probing up front.
+/// ChannelOracle meets it: it reads only Channel::rx_power_w, which is
+/// fixed at construction (positions and tx powers never change), never
+/// the live interference of frames in flight.  Node mobility or fading
+/// (both parked) would break it.
 class MeasuredOracle : public CompatibilityOracle {
  public:
-  /// Probes all size-2..M subsets of `universe` against `truth`.
+  /// Takes the universe to probe; `truth` is asked lazily.
   MeasuredOracle(const CompatibilityOracle& truth,
                  std::span<const Tx> universe, int order);
 
   int order() const override { return order_; }
 
-  /// Number of groups probed during construction.
-  std::uint64_t probes() const { return probes_; }
+  /// Number of groups the head probes: probe_count(universe size, M).
+  std::uint64_t probes() const {
+    return probe_count(universe_.size(), order_);
+  }
 
   /// The number of groups a full probe of a universe of `u` transmissions
   /// at order M would need (the paper's 1320-vs-85320 argument).
@@ -137,12 +149,9 @@ class MeasuredOracle : public CompatibilityOracle {
   bool compatible_impl(const TxGroup& group) const override;
 
  private:
+  const CompatibilityOracle& truth_;
   int order_;
-  std::uint64_t probes_ = 0;
   TxGroup universe_;  // sorted, duplicate-free
-  /// verdicts_[k - 2]: bit r is set iff the k-subset of lexicographic
-  /// rank r is compatible.
-  std::vector<std::vector<std::uint64_t>> verdicts_;
 };
 
 /// Protocol-model (disc) ground truth: a group is compatible iff every

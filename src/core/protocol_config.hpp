@@ -70,7 +70,8 @@ struct ProtocolConfig {
 
   /// Wrap the measured oracle in a CachedOracle (memoized verdicts).
   /// Verdicts are unchanged — this is purely a hot-path speedup — so
-  /// reports are identical either way; off exists for A/B measurement.
+  /// reports are identical either way; off exists for A/B measurement
+  /// and runs one SINR test per scheduler query.
   bool cache_oracle = true;
 
   /// Relaying-path computation (kBalancedMaxFlow is the paper's §III-A

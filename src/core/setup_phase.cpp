@@ -2,6 +2,7 @@
 
 #include <queue>
 
+#include "core/interference.hpp"
 #include "net/deployment.hpp"
 #include "util/assertx.hpp"
 
@@ -74,17 +75,14 @@ SetupResult run_setup_discovery(const Channel& channel, std::size_t n) {
   return result;
 }
 
-ProbeResult run_interference_probing(
-    const Channel& channel, const std::vector<std::vector<NodeId>>& paths,
-    int order) {
-  ChannelOracle truth(channel, order);
-  const auto universe = transmissions_of_paths(paths);
-  MeasuredOracle oracle(truth, universe, order);
+SetupCost interference_probing_cost(
+    const std::vector<std::vector<NodeId>>& paths, int order) {
   SetupCost cost;
-  cost.probe_groups = oracle.probes();
+  cost.probe_groups = MeasuredOracle::probe_count(
+      transmissions_of_paths(paths).size(), order);
   // One slot to fire the group, one for the receivers' verdict report.
-  cost.probe_slots = static_cast<std::size_t>(2 * oracle.probes());
-  return ProbeResult{std::move(oracle), cost};
+  cost.probe_slots = static_cast<std::size_t>(2 * cost.probe_groups);
+  return cost;
 }
 
 }  // namespace mhp

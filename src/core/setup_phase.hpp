@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/interference.hpp"
 #include "net/cluster.hpp"
 #include "radio/channel.hpp"
 #include "sim/time.hpp"
@@ -54,14 +53,10 @@ struct SetupResult {
 /// `n` = number of sensors (ids 0..n-1; the head is node n).
 SetupResult run_setup_discovery(const Channel& channel, std::size_t n);
 
-/// Account the probing cost for a set of relaying paths at order M and
-/// build the measured oracle the head ends up with.
-struct ProbeResult {
-  MeasuredOracle oracle;
-  SetupCost cost;  // only the probe fields are populated
-};
-ProbeResult run_interference_probing(
-    const Channel& channel, const std::vector<std::vector<NodeId>>& paths,
-    int order);
+/// The §V-E probing cost of a set of relaying paths at order M: every
+/// group of 2..M of the transmissions they use (only the probe fields are
+/// populated).
+SetupCost interference_probing_cost(
+    const std::vector<std::vector<NodeId>>& paths, int order);
 
 }  // namespace mhp

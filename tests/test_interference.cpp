@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 #include "core/interference.hpp"
@@ -299,6 +300,117 @@ TEST(MeasuredOracle, RankIndexAnswersLikeNonMonotoneExplicitTruth) {
       expect_measured_matches(truth, universe, order, Tx{999, 1000});
     }
   }
+}
+
+// ---------- MeasuredOracle probes on demand ----------
+
+/// Passes every query through to `inner` and counts it.
+class CountingOracle : public CompatibilityOracle {
+ public:
+  explicit CountingOracle(const CompatibilityOracle& inner) : inner_(inner) {}
+
+  int order() const override { return inner_.order(); }
+
+  bool compatible(std::span<const Tx> txs) const override {
+    ++calls_;
+    return inner_.compatible(txs);
+  }
+
+  std::size_t calls() const { return calls_; }
+
+ protected:
+  bool compatible_impl(const TxGroup& group) const override {
+    return inner_.compatible(group);
+  }
+
+ private:
+  const CompatibilityOracle& inner_;
+  mutable std::size_t calls_ = 0;
+};
+
+TEST(MeasuredOracle, AsksItsTruthOnlyForQueriedGroups) {
+  // 2000 transmissions 2i → 2i+1 along a line of nodes 10 m apart under
+  // a 15 m disc model: neighbouring transmissions collide, distant ones
+  // do not.  Probing every group up front would take C(2000,2) +
+  // C(2000,3) truth tests and a 166 MB verdict table.
+  constexpr NodeId kTxs = 2000;
+  std::vector<Vec2> pos;
+  for (NodeId v = 0; v < 2 * kTxs; ++v)
+    pos.push_back({10.0 * v, 0.0});
+  const DiscModelOracle disc(pos, 15.0, 3);
+  const CountingOracle truth(disc);
+  std::vector<Tx> universe;
+  for (NodeId i = 0; i < kTxs; ++i) universe.push_back(Tx{2 * i, 2 * i + 1});
+
+  const MeasuredOracle measured(truth, universe, 3);
+  EXPECT_EQ(truth.calls(), 0u);
+  EXPECT_EQ(measured.probes(), MeasuredOracle::probe_count(kTxs, 3));
+
+  // A member outside the universe: refused without asking the truth.
+  EXPECT_FALSE(measured.compatible(std::vector<Tx>{universe[0], Tx{4, 7}}));
+  EXPECT_EQ(truth.calls(), 0u);
+
+  // Each in-universe query is one truth test, repeats included: the
+  // oracle memoizes nothing (that is CachedOracle's job).
+  const std::vector<TxGroup> queries = {
+      {universe[0], universe[1000]},
+      {universe[0], universe[1]},
+      {universe[3], universe[500], universe[1999]},
+      {universe[3], universe[4], universe[1999]},
+      {universe[0], universe[1000]},
+  };
+  std::size_t calls = 0;
+  for (const TxGroup& g : queries) {
+    EXPECT_EQ(measured.compatible(g), disc.compatible(g));
+    EXPECT_EQ(truth.calls(), ++calls);
+  }
+  EXPECT_TRUE(measured.compatible(queries[0]));
+  EXPECT_FALSE(measured.compatible(queries[1]));
+}
+
+TEST(ChannelOracle, VerdictsIgnoreFramesInFlight) {
+  // MeasuredOracle asks its truth during the run instead of at set-up,
+  // which is only sound if the truth is static: the same groups must get
+  // the same verdicts before any frame, while frames are on the air, and
+  // after the run.
+  ChannelField field(101);
+  Rng rng(1);
+  const std::vector<Tx> universe = field.universe(rng, 40);
+  const ChannelOracle truth(*field.channel, 3);
+  const std::vector<TxGroup> groups = all_groups(universe, 3);
+  const auto verdicts = [&] {
+    std::vector<bool> out;
+    for (const TxGroup& g : groups) out.push_back(truth.compatible(g));
+    return out;
+  };
+  const std::vector<bool> before = verdicts();
+  ASSERT_GT(std::count(before.begin(), before.end(), true), 0);
+  ASSERT_GT(std::count(before.begin(), before.end(), false), 0);
+
+  // Every sender of the universe starts one frame now.
+  std::vector<NodeId> senders;
+  for (const Tx& t : universe)
+    if (std::find(senders.begin(), senders.end(), t.from) == senders.end())
+      senders.push_back(t.from);
+  std::uint64_t uid = 0;
+  for (const NodeId s : senders) {
+    Frame f;
+    f.uid = ++uid, f.src = s, f.size_bytes = 80;
+    field.channel->transmit(s, std::move(f));
+  }
+  const Time airtime = field.channel->airtime(80);
+  const NodeId head = static_cast<NodeId>(field.pos.size() - 1);
+  bool checked = false;
+  field.sim.at(Time::ns(airtime.nanos() / 2), [&] {
+    EXPECT_GT(field.channel->sensed_power_w(head),
+              field.channel->params().noise_w);
+    EXPECT_EQ(verdicts(), before);
+    checked = true;
+  });
+  field.sim.run();
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(field.channel->frames_transmitted(), senders.size());
+  EXPECT_EQ(verdicts(), before);
 }
 
 // ---------- ChannelOracle inline SINR vs concurrent_outcome ----------

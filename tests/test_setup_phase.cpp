@@ -2,6 +2,7 @@
 // accounting.
 #include <gtest/gtest.h>
 
+#include "core/interference.hpp"
 #include "core/setup_phase.hpp"
 #include "net/deployment.hpp"
 #include "radio/propagation.hpp"
@@ -91,11 +92,10 @@ TEST(SetupPhase, ProbingCostMatchesOracleProbes) {
     }
     paths.push_back(std::move(p));
   }
-  const auto probe = run_interference_probing(*fx.channel, paths, 2);
-  EXPECT_EQ(probe.cost.probe_groups, probe.oracle.probes());
-  EXPECT_EQ(probe.cost.probe_slots, 2 * probe.oracle.probes());
+  const SetupCost probe = interference_probing_cost(paths, 2);
   const auto u = transmissions_of_paths(paths).size();
-  EXPECT_EQ(probe.cost.probe_groups, MeasuredOracle::probe_count(u, 2));
+  EXPECT_EQ(probe.probe_groups, MeasuredOracle::probe_count(u, 2));
+  EXPECT_EQ(probe.probe_slots, 2 * MeasuredOracle::probe_count(u, 2));
 }
 
 TEST(SetupPhase, SectoredProbingIsFarCheaper) {
@@ -114,7 +114,7 @@ TEST(SetupPhase, SectoredProbingIsFarCheaper) {
     }
     paths.push_back(std::move(p));
   }
-  const auto whole = run_interference_probing(*fx.channel, paths, 3);
+  const SetupCost whole = interference_probing_cost(paths, 3);
 
   // Split the paths into 4 arbitrary quarters ("sectors") and probe each.
   std::uint64_t sectored_groups = 0;
@@ -124,9 +124,9 @@ TEST(SetupPhase, SectoredProbingIsFarCheaper) {
          i += 4)
       part.push_back(paths[i]);
     sectored_groups +=
-        run_interference_probing(*fx.channel, part, 3).cost.probe_groups;
+        interference_probing_cost(part, 3).probe_groups;
   }
-  EXPECT_LT(sectored_groups, whole.cost.probe_groups / 3);
+  EXPECT_LT(sectored_groups, whole.probe_groups / 3);
 }
 
 }  // namespace
