@@ -40,8 +40,7 @@ int main(int argc, char** argv) {
       std::vector<double> powers(31, RadioParams::kSensorTxPowerW);
       powers[30] = RadioParams::kHeadTxPowerW;
       Channel channel(sim, prop, RadioParams{}, dep.positions, powers);
-      const auto topo = topology_from_predicate(
-          30, [&](NodeId a, NodeId b) { return channel.link_ok(a, b); });
+      const auto topo = link_topology(channel, 30);
       const auto routing = route::RoutingEngine().solve_balanced(
           topo, std::vector<std::int64_t>(30, 1));
       if (!routing.feasible) continue;

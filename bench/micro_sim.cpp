@@ -1,9 +1,13 @@
 // Micro-benchmarks (google-benchmark): the simulator substrate — event
-// queue throughput, SINR evaluation, and full duty-cycle simulation rate.
+// queue throughput, SINR evaluation, per-frame channel cost, and full
+// duty-cycle simulation rate.
 #include <benchmark/benchmark.h>
+
+#include <cmath>
 
 #include "core/polling_simulation.hpp"
 #include "exp/fig_common.hpp"
+#include "net/deployment.hpp"
 #include "radio/channel.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -60,6 +64,57 @@ void BM_ConcurrentOutcome(benchmark::State& state) {
   state.counters["group"] = static_cast<double>(txs.size());
 }
 BENCHMARK(BM_ConcurrentOutcome)->Arg(20)->Arg(60)->Arg(100);
+
+// One SINR Channel frame end to end (transmit, frame-begin notices, the
+// end event and its SINR verdicts) with a listener on every node.  The
+// field has Fig. 7(a) density, 1333 m² per sensor, so each sender reaches
+// about the same number of receivers at every n.  range(0) is the number
+// of sensors, range(1) the frames in flight: each iteration starts that
+// many frames from distinct senders at once and runs them to their end.
+void BM_ChannelTransmit(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto in_flight = static_cast<std::size_t>(state.range(1));
+  Rng rng(5);
+  const Deployment dep =
+      deploy_uniform_square(n, std::sqrt(1333.0 * static_cast<double>(n)), rng);
+  std::vector<double> powers(n + 1, RadioParams::kSensorTxPowerW);
+  powers[n] = RadioParams::kHeadTxPowerW;
+  Simulator sim;
+  TwoRayGround prop;
+  const RadioParams params;
+  Channel channel(sim, prop, params, dep.positions, powers);
+  struct Sink : ChannelListener {
+    std::uint64_t decoded = 0;
+    void on_frame_end(const Frame&, NodeId, bool phy_ok) override {
+      decoded += phy_ok ? 1 : 0;
+    }
+  } sink;
+  for (NodeId r = 0; r <= n; ++r) channel.set_listener(r, &sink);
+
+  std::uint64_t uid = 0;
+  for (auto _ : state) {
+    const auto first = static_cast<NodeId>(rng.below(n));
+    for (std::size_t k = 0; k < in_flight; ++k) {
+      Frame f;
+      f.uid = ++uid;
+      f.src = static_cast<NodeId>((first + k * (n / in_flight)) % n);
+      f.size_bytes = 40;
+      channel.transmit(f.src, f);
+    }
+    sim.run();
+  }
+  benchmark::DoNotOptimize(sink.decoded);
+  std::size_t audible = 0;
+  for (NodeId a = 0; a < n; ++a)
+    for (NodeId b = 0; b <= n; ++b)
+      if (a != b && channel.rx_power_w(a, b) >= params.sensitivity_w)
+        ++audible;
+  state.counters["audible"] =
+      static_cast<double>(audible) / static_cast<double>(n);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(in_flight));
+}
+BENCHMARK(BM_ChannelTransmit)->ArgsProduct({{400, 2000}, {1, 2, 3, 4}});
 
 void BM_FullDutyCycleSimulation(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

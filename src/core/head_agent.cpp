@@ -112,7 +112,7 @@ void HeadAgent::begin_sector(std::size_t k) {
     end_sector();
     return;
   }
-  if (trace_ != nullptr)
+  if (tracing(trace_, TraceCat::kProtocol))
     trace_->record(sim_.now(), TraceCat::kProtocol,
                    "cycle " + std::to_string(cycle_) + " sector " +
                        std::to_string(k) + " wake");
@@ -184,7 +184,7 @@ void HeadAgent::run_slot() {
       window_end()) {
     lost_abort_ += phase_.is_ack ? 0 : (phase_.total - phase_.delivered -
                                         phase_.abandoned);
-    if (trace_ != nullptr)
+    if (tracing(trace_, TraceCat::kProtocol))
       trace_->record(sim_.now(), TraceCat::kProtocol,
                      "window overrun: sector aborted");
     end_sector();
@@ -289,7 +289,7 @@ void HeadAgent::finish_slot() {
 
 void HeadAgent::end_sector() {
   duty_time_s_.add((sim_.now() - sector_began_).to_seconds());
-  if (trace_ != nullptr)
+  if (tracing(trace_, TraceCat::kProtocol))
     trace_->record(sim_.now(), TraceCat::kProtocol,
                    "cycle " + std::to_string(cycle_) + " sector " +
                        std::to_string(sector_) + " sleep (drained in " +
@@ -339,7 +339,7 @@ void HeadAgent::evaluate_suspects() {
   // Sensors already asleep keep their pre-repair wake times for one
   // cycle; do not read their silence as death.
   suspicion_resume_cycle_ = cycle_ + 2;
-  if (trace_ != nullptr)
+  if (tracing(trace_, TraceCat::kProtocol))
     trace_->record(sim_.now(), TraceCat::kProtocol,
                    "head declares node " + std::to_string(worst) +
                        " dead (" + std::to_string(votes) +

@@ -120,10 +120,8 @@ void MultiClusterSimulation::build(std::vector<ClusterSpec> specs,
       rt.head = base + static_cast<NodeId>(n);
 
       // Local topology over this cluster's own nodes.
-      rt.topo = std::make_unique<ClusterTopology>(topology_from_predicate(
-          n, [&](NodeId a, NodeId b) {
-            return channel.link_ok(base + a, base + b);
-          }));
+      rt.topo = std::make_unique<ClusterTopology>(
+          link_topology(channel, n, base));
       MHP_REQUIRE(rt.topo->fully_connected(), "cluster not fully connected");
 
       const double cycle_s = cfg_.cycle_period.to_seconds();

@@ -83,8 +83,7 @@ void PollingSimulation::setup(const Deployment& deployment) {
   // channel's interference-free link test.
   {
     MHP_SPAN("topology");
-    topo_ = std::make_unique<ClusterTopology>(topology_from_predicate(
-        n, [&channel](NodeId a, NodeId b) { return channel.link_ok(a, b); }));
+    topo_ = std::make_unique<ClusterTopology>(link_topology(channel, n));
   }
   MHP_REQUIRE(topo_->fully_connected(),
               "cluster not fully connected; adjust deployment");

@@ -3,7 +3,6 @@
 #include <queue>
 
 #include "core/interference.hpp"
-#include "net/deployment.hpp"
 #include "util/assertx.hpp"
 
 namespace mhp {
@@ -67,9 +66,7 @@ SetupResult run_setup_discovery(const Channel& channel, std::size_t n) {
   // The learned topology: symmetric sensor links + head-decodable uplinks
   // (identical to the ground-truth predicate — the procedures probe with
   // a silent channel).
-  auto topo = topology_from_predicate(n, [&](NodeId a, NodeId b) {
-    return channel.link_ok(a, b);
-  });
+  auto topo = link_topology(channel, n);
 
   SetupResult result{std::move(topo), std::move(temp_parent), cost};
   return result;

@@ -36,7 +36,7 @@ void FaultInjector::battery_exhausted(NodeId node) {
 void FaultInjector::fire(const NodeDeath& d) {
   if (is_dead(d.node)) return;
   dead_.push_back(d.node);
-  if (trace_ != nullptr)
+  if (tracing(trace_, TraceCat::kProtocol))
     trace_->record(sim_.now(), TraceCat::kProtocol,
                    "fault: node " + std::to_string(d.node) + " died (" +
                        to_string(d.cause) + ")");

@@ -100,6 +100,13 @@ Json& Json::set(std::string key, Json value) {
   return *this;
 }
 
+Json& Json::append(std::string key, Json value) {
+  if (type_ == Type::kNull) type_ = Type::kObject;
+  if (type_ != Type::kObject) type_error("an object");
+  object_.emplace_back(std::move(key), std::move(value));
+  return *this;
+}
+
 const Json* Json::find(const std::string& key) const {
   if (type_ != Type::kObject) return nullptr;
   for (const auto& [k, v] : object_)

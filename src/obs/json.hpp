@@ -94,6 +94,9 @@ class Json {
   // --- object (insertion-ordered) ---
   /// Insert or overwrite; returns *this so reports chain .set() calls.
   Json& set(std::string key, Json value);
+  /// Insert a key the caller knows is absent (the keys of a std::map, say)
+  /// without scanning for it: k appends cost O(k), k sets O(k²).
+  Json& append(std::string key, Json value);
   /// nullptr when absent (or not an object).
   const Json* find(const std::string& key) const;
   /// Mutable lookup for in-place patching (campaign sweep overrides).

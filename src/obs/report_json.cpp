@@ -13,14 +13,15 @@ namespace {
 
 /// Regroup every "base{node=N}" series of `snap` under one object:
 /// {"node.energy_j": {"0": 1.2, "1": 0.9, ...}, ...}.  Keys are node ids
-/// as strings (JSON object keys must be strings).
+/// as strings (JSON object keys must be strings).  Keys drawn from a
+/// std::map are unique, so they are appended without a duplicate scan.
 Json per_node_json(const MetricsSnapshot& snap) {
   Json out = Json::object();
   auto add_series = [&out](const std::string& base, const auto& by_node) {
     if (by_node.empty()) return;
     Json series = Json::object();
     for (const auto& [node, value] : by_node)
-      series.set(std::to_string(node), Json(value));
+      series.append(std::to_string(node), Json(value));
     out.set(base, std::move(series));
   };
   for (const char* base :
@@ -37,13 +38,13 @@ Json per_node_json(const MetricsSnapshot& snap) {
 Json to_json(const MetricsSnapshot& snap) {
   Json counters = Json::object();
   for (const auto& [name, value] : snap.counters)
-    counters.set(name, Json(value));
+    counters.append(name, Json(value));
 
   Json gauges = Json::object();
   for (const auto& [name, g] : snap.gauges)
-    gauges.set(name,
-               Json::object().set("last", Json(g.last)).set("mean",
-                                                            Json(g.mean)));
+    gauges.append(name, Json::object()
+                            .set("last", Json(g.last))
+                            .set("mean", Json(g.mean)));
 
   Json histograms = Json::object();
   for (const auto& [name, h] : snap.histograms) {
@@ -58,7 +59,7 @@ Json to_json(const MetricsSnapshot& snap) {
     // Only when samples were actually rejected, so healthy reports keep
     // their exact pre-existing shape.
     if (h.dropped > 0) entry.set("dropped", Json(h.dropped));
-    histograms.set(name, std::move(entry));
+    histograms.append(name, std::move(entry));
   }
 
   return Json::object()

@@ -22,11 +22,26 @@ Channel::Channel(Simulator& sim, const Propagation& prop, RadioParams params,
   listeners_.assign(n, nullptr);
   field_.assign(n, 0.0);
   rx_matrix_.assign(n * n, 0.0);
+  // Propagation models are reciprocal (propagation.hpp), so one call per
+  // unordered pair fills both directions when the two powers are equal.
   for (std::size_t a = 0; a < n; ++a)
-    for (std::size_t b = 0; b < n; ++b)
-      if (a != b)
-        rx_matrix_[a * n + b] =
-            prop.rx_power_w(tx_power_[a], positions_[a], positions_[b]);
+    for (std::size_t b = a + 1; b < n; ++b) {
+      const double ab =
+          prop.rx_power_w(tx_power_[a], positions_[a], positions_[b]);
+      rx_matrix_[a * n + b] = ab;
+      rx_matrix_[b * n + a] =
+          tx_power_[a] == tx_power_[b]
+              ? ab
+              : prop.rx_power_w(tx_power_[b], positions_[b], positions_[a]);
+    }
+  audible_begin_.reserve(n + 1);
+  audible_begin_.push_back(0);
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t r = 0; r < n; ++r)
+      if (r != a && rx_matrix_[a * n + r] >= params_.sensitivity_w)
+        audible_.push_back(static_cast<NodeId>(r));
+    audible_begin_.push_back(audible_.size());
+  }
 }
 
 void Channel::set_listener(NodeId node, ChannelListener* listener) {
@@ -52,6 +67,12 @@ bool Channel::link_ok(NodeId from, NodeId to) const {
          p / params_.noise_w >= params_.sinr_threshold;
 }
 
+std::span<const NodeId> Channel::audible(NodeId from) const {
+  MHP_REQUIRE(from < num_nodes(), "node out of range");
+  return std::span<const NodeId>(audible_).subspan(
+      audible_begin_[from], audible_begin_[from + 1] - audible_begin_[from]);
+}
+
 double Channel::sensed_power_w(NodeId at) const {
   MHP_REQUIRE(at < num_nodes(), "node out of range");
   return params_.noise_w + field_[at];
@@ -64,11 +85,12 @@ bool Channel::carrier_sensed(NodeId at) const {
 
 void Channel::refresh_max_other() {
   // After any change to the active set, update every active transmission's
-  // worst-case interference snapshot at every node.
+  // worst-case interference snapshot at the receivers that can decode it.
   for (auto& tx : active_) {
-    for (std::size_t r = 0; r < num_nodes(); ++r) {
-      const double other = field_[r] - tx.power_at[r];
-      tx.max_other[r] = std::max(tx.max_other[r], other);
+    const auto heard = audible(tx.from);
+    for (std::size_t i = 0; i < heard.size(); ++i) {
+      const NodeId r = heard[i];
+      tx.max_other[i] = std::max(tx.max_other[i], field_[r] - tx.power_at[r]);
     }
   }
 }
@@ -82,27 +104,18 @@ void Channel::transmit(NodeId from, Frame frame) {
   ++frames_tx_;
   const Time start = sim_.now();
   const Time end = start + airtime(frame.size_bytes);
-  if (trace_ != nullptr)
+  if (tracing(trace_, TraceCat::kChannel))
     trace_->record(start, TraceCat::kChannel, "tx " + frame.describe());
 
-  ActiveTx tx;
-  tx.frame = frame;
-  tx.from = from;
-  tx.start = start;
-  tx.end = end;
-  tx.power_at.resize(num_nodes());
-  tx.max_other.assign(num_nodes(), 0.0);
-  for (std::size_t r = 0; r < num_nodes(); ++r) {
-    tx.power_at[r] = r == from ? 0.0 : rx_power_w(from, static_cast<NodeId>(r));
-    field_[r] += tx.power_at[r];
-  }
+  const auto heard = audible(from);
+  ActiveTx tx{frame, from, &rx_matrix_[from * num_nodes()],
+              std::vector<double>(heard.size(), 0.0)};
+  for (std::size_t r = 0; r < num_nodes(); ++r) field_[r] += tx.power_at[r];
 
   // Frame-begin notifications to nodes that can hear it.
-  for (std::size_t r = 0; r < num_nodes(); ++r) {
-    if (r == from || listeners_[r] == nullptr) continue;
-    if (tx.power_at[r] >= params_.sensitivity_w)
+  for (const NodeId r : heard)
+    if (listeners_[r] != nullptr)
       listeners_[r]->on_frame_begin(frame, from, tx.power_at[r], end);
-  }
 
   const std::uint64_t uid = frame.uid;
   active_.push_back(std::move(tx));
@@ -118,18 +131,20 @@ void Channel::finish(std::uint64_t uid) {
   MHP_ENSURE(it != active_.end(), "finishing unknown transmission");
   ActiveTx tx = std::move(*it);
   active_.erase(it);
-  for (std::size_t r = 0; r < num_nodes(); ++r) field_[r] -= tx.power_at[r];
-  // Keep the field non-negative under floating-point cancellation.
-  for (auto& f : field_)
-    if (f < 0.0) f = 0.0;
-
   for (std::size_t r = 0; r < num_nodes(); ++r) {
-    if (r == tx.from || listeners_[r] == nullptr) continue;
-    if (tx.power_at[r] < params_.sensitivity_w) continue;
+    field_[r] -= tx.power_at[r];
+    // Keep the field non-negative under floating-point cancellation.
+    if (field_[r] < 0.0) field_[r] = 0.0;
+  }
+
+  const auto heard = audible(tx.from);
+  for (std::size_t i = 0; i < heard.size(); ++i) {
+    const NodeId r = heard[i];
+    if (listeners_[r] == nullptr) continue;
     const double sinr =
-        tx.power_at[r] / (params_.noise_w + tx.max_other[r]);
+        tx.power_at[r] / (params_.noise_w + tx.max_other[i]);
     const bool phy_ok = sinr >= params_.sinr_threshold;
-    if (trace_ != nullptr && !phy_ok &&
+    if (!phy_ok && tracing(trace_, TraceCat::kChannel) &&
         (tx.frame.dst == kBroadcast || tx.frame.dst == r))
       trace_->record(sim_.now(), TraceCat::kChannel,
                      "sinr fail at " + std::to_string(r) + ": " +
@@ -165,6 +180,26 @@ std::vector<bool> Channel::concurrent_outcome(
             params_.sinr_threshold;
   }
   return ok;
+}
+
+ClusterTopology link_topology(const Channel& channel, std::size_t n,
+                              NodeId base) {
+  MHP_REQUIRE(base + n < channel.num_nodes(), "cluster outside the channel");
+  const auto head = static_cast<NodeId>(base + n);
+  Graph g(n);
+  std::vector<bool> head_hears(n);
+  for (NodeId a = 0; a < n; ++a) {
+    const NodeId from = base + a;
+    // Ascending, so the pairs (a, b > a) come in the predicate scan's order.
+    for (const NodeId r : channel.audible(from)) {
+      if (r <= from) continue;
+      if (r >= head) break;
+      if (channel.link_ok(from, r) && channel.link_ok(r, from))
+        g.add_edge(a, r - base);
+    }
+    head_hears[a] = channel.link_ok(from, head);
+  }
+  return ClusterTopology(std::move(g), std::move(head_hears));
 }
 
 }  // namespace mhp

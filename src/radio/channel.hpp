@@ -12,11 +12,22 @@
 //    protocol agents and the S-MAC baseline, and
 //  * a slot-level oracle (`concurrent_outcome`) used for interference
 //    probing (§V-E) and by the schedule validator.
+//
+// Cost of a frame.  The received-power matrix stays dense: SINR sums every
+// concurrent transmission, however weak.  What a frame can *change* is
+// narrower: only a receiver whose power is at or above the sensitivity can
+// be notified or decode it.  Each sender's such receivers are listed once
+// at construction (`audible`), so a frame costs O(n) plain adds and
+// subtracts on the carrier-sense field plus O(audible · frames in flight)
+// for the SINR bookkeeping, with every outcome bit-identical to walking
+// all n nodes.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "net/cluster.hpp"
 #include "net/ids.hpp"
 #include "net/packet.hpp"
 #include "radio/propagation.hpp"
@@ -59,6 +70,9 @@ class Channel {
   /// One entry per node in `positions`/`tx_power_w` (sensors 0..n-1, head n).
   Channel(Simulator& sim, const Propagation& prop, RadioParams params,
           std::vector<Vec2> positions, std::vector<double> tx_power_w);
+  // Frames in flight point into the power matrix.
+  Channel(const Channel&) = delete;
+  Channel& operator=(const Channel&) = delete;
 
   /// Record kChannel entries (transmissions, SINR failures) into `trace`.
   void set_trace(Trace* trace) { trace_ = trace; }
@@ -77,6 +91,10 @@ class Channel {
 
   /// Interference-free link viability: sensitivity + SNR threshold.
   bool link_ok(NodeId from, NodeId to) const;
+
+  /// The receivers r ≠ from with rx_power_w(from, r) ≥ sensitivity, in
+  /// ascending order: every node a frame from `from` can reach.
+  std::span<const NodeId> audible(NodeId from) const;
 
   /// Total power observed at `at` right now (noise + active transmissions).
   double sensed_power_w(NodeId at) const;
@@ -104,10 +122,9 @@ class Channel {
   struct ActiveTx {
     Frame frame;
     NodeId from;
-    Time start;
-    Time end;
-    std::vector<double> power_at;   // per node
-    std::vector<double> max_other;  // max concurrent interference per node
+    const double* power_at;  // row `from` of rx_matrix_ (diagonal 0)
+    // Max concurrent interference at each audible(from)[i].
+    std::vector<double> max_other;
   };
 
   void finish(std::uint64_t uid);
@@ -117,12 +134,22 @@ class Channel {
   RadioParams params_;
   std::vector<Vec2> positions_;
   std::vector<double> tx_power_;
-  std::vector<double> rx_matrix_;  // (n+?)² cached powers, row-major
+  std::vector<double> rx_matrix_;  // n² cached powers, row-major
+  // audible(a) is audible_[audible_begin_[a] .. audible_begin_[a + 1]).
+  std::vector<std::size_t> audible_begin_;
+  std::vector<NodeId> audible_;
   std::vector<ChannelListener*> listeners_;
   std::vector<ActiveTx> active_;
   std::vector<double> field_;  // sum of active powers per node
   std::uint64_t frames_tx_ = 0;
   Trace* trace_ = nullptr;
 };
+
+/// The interference-free topology of the cluster whose n sensors are
+/// channel nodes base..base+n-1 and whose head is base+n: the result of
+/// topology_from_predicate(n, link_ok(base + a, base + b)), edge order
+/// included, found by testing only audible candidates.
+ClusterTopology link_topology(const Channel& channel, std::size_t n,
+                              NodeId base = 0);
 
 }  // namespace mhp

@@ -18,7 +18,9 @@ class Propagation {
   virtual ~Propagation() = default;
 
   /// Received signal power (watts) at `to` for a transmission of
-  /// `tx_power_w` watts from `from`.
+  /// `tx_power_w` watts from `from`.  Must be bitwise reciprocal,
+  /// rx_power_w(p, a, b) == rx_power_w(p, b, a): Channel computes each
+  /// pair of equal-power nodes once.
   virtual double rx_power_w(double tx_power_w, Vec2 from, Vec2 to) const = 0;
 };
 

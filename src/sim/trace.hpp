@@ -113,4 +113,10 @@ class Trace {
   std::vector<TraceSink*> sinks_;
 };
 
+/// True if `trace` is attached and records `cat`.  Guard the building of
+/// an entry's text with it, so a disabled category costs no string work.
+inline bool tracing(const Trace* trace, TraceCat cat) {
+  return trace != nullptr && trace->enabled(cat);
+}
+
 }  // namespace mhp

@@ -63,6 +63,42 @@ TEST(Json, ObjectsPreserveInsertionOrder) {
   EXPECT_THROW(o.at("missing"), std::out_of_range);
 }
 
+TEST(Json, AppendSkipsTheScanAndSetStillOverwrites) {
+  Json o;
+  o.append("a", Json(1)).append("b", Json(2));  // null becomes an object
+  o.set("a", Json(5));  // set finds appended keys: overwrite in place
+  o.set("c", Json(3));
+  EXPECT_EQ(o.dump(), R"({"a":5,"b":2,"c":3})");
+  EXPECT_THROW(Json::array().append("k", Json(1)), std::logic_error);
+}
+
+TEST(Json, ReportBlocksKeepEveryMapKeyInOrder) {
+  // The counters and per-node blocks append their std::map keys; the dump
+  // still lists each key once, in map order, with its value.
+  MetricsSnapshot snap;
+  for (std::uint64_t node = 0; node < 3000; ++node)
+    snap.counters[std::string(metric::kNodeRelayed) + "{node=" +
+                  std::to_string(node) + "}"] = node * 7;
+  snap.counters["zeta"] = 1;
+  snap.gauges["g"] = {2.0, 1.5};
+  const Json back = parse_json(obs::to_json(snap).dump());
+  const Json& counters = back.at("counters");
+  ASSERT_EQ(counters.size(), snap.counters.size());
+  std::size_t i = 0;
+  for (const auto& [name, value] : snap.counters) {
+    EXPECT_EQ(counters.items()[i].first, name);
+    EXPECT_EQ(counters.items()[i].second.as_uint(), value);
+    ++i;
+  }
+  const Json& relayed = back.at("per_node").at(metric::kNodeRelayed);
+  ASSERT_EQ(relayed.size(), 3000u);
+  for (std::uint64_t node = 0; node < 3000; ++node) {
+    EXPECT_EQ(relayed.items()[node].first, std::to_string(node));
+    EXPECT_EQ(relayed.items()[node].second.as_uint(), node * 7);
+  }
+  EXPECT_DOUBLE_EQ(back.at("gauges").at("g").at("mean").as_double(), 1.5);
+}
+
 TEST(Json, CompactAndPrettyWriting) {
   Json o = Json::object();
   o.set("n", Json(1)).set("s", Json("x"));

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
+#include "net/deployment.hpp"
 #include "util/assertx.hpp"
+#include "util/rng.hpp"
 #include "radio/channel.hpp"
 #include "radio/energy.hpp"
 #include "radio/propagation.hpp"
@@ -287,6 +292,315 @@ TEST_F(ChannelTest, DoubleTransmitFromSameNodeThrows) {
   g.uid = 2;
   EXPECT_THROW(channel_->transmit(0, g), ContractViolation);
   sim_.run();
+}
+
+// ---------- Channel vs the dense reference ----------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Channel's event-driven algorithm before per-sender audible lists: every
+// frame copies its whole power row, notifies, refreshes the interference
+// snapshot and tests SINR at all n nodes, and the matrix is filled one
+// propagation call per ordered pair.  The oracle for the audible-list
+// Channel, which must reproduce it bit for bit.
+class DenseReferenceChannel {
+ public:
+  DenseReferenceChannel(Simulator& sim, const Propagation& prop,
+                        RadioParams params, const std::vector<Vec2>& positions,
+                        const std::vector<double>& tx_power_w)
+      : sim_(sim), params_(params), n_(positions.size()) {
+    listeners_.assign(n_, nullptr);
+    field_.assign(n_, 0.0);
+    rx_matrix_.assign(n_ * n_, 0.0);
+    for (std::size_t a = 0; a < n_; ++a)
+      for (std::size_t b = 0; b < n_; ++b)
+        if (a != b)
+          rx_matrix_[a * n_ + b] =
+              prop.rx_power_w(tx_power_w[a], positions[a], positions[b]);
+  }
+
+  void set_listener(NodeId node, ChannelListener* listener) {
+    listeners_[node] = listener;
+  }
+  double sensed_power_w(NodeId at) const {
+    return params_.noise_w + field_[at];
+  }
+  bool carrier_sensed(NodeId at) const {
+    return field_[at] >= params_.cs_threshold_w;
+  }
+
+  void transmit(NodeId from, Frame frame) {
+    const Time end =
+        sim_.now() + Time::seconds(static_cast<double>(frame.size_bytes) *
+                                   8.0 / params_.bandwidth_bps);
+    ActiveTx tx{frame, from, end, std::vector<double>(n_),
+                std::vector<double>(n_, 0.0)};
+    for (std::size_t r = 0; r < n_; ++r) {
+      tx.power_at[r] = r == from ? 0.0 : rx_matrix_[from * n_ + r];
+      field_[r] += tx.power_at[r];
+    }
+    for (std::size_t r = 0; r < n_; ++r) {
+      if (r == from || listeners_[r] == nullptr) continue;
+      if (tx.power_at[r] >= params_.sensitivity_w)
+        listeners_[r]->on_frame_begin(frame, from, tx.power_at[r], end);
+    }
+    const std::uint64_t uid = frame.uid;
+    active_.push_back(std::move(tx));
+    for (auto& t : active_)
+      for (std::size_t r = 0; r < n_; ++r)
+        t.max_other[r] = std::max(t.max_other[r], field_[r] - t.power_at[r]);
+    sim_.at(end, [this, uid] { finish(uid); });
+  }
+
+ private:
+  struct ActiveTx {
+    Frame frame;
+    NodeId from;
+    Time end;
+    std::vector<double> power_at;
+    std::vector<double> max_other;
+  };
+
+  void finish(std::uint64_t uid) {
+    auto it = std::find_if(active_.begin(), active_.end(),
+                           [&](const ActiveTx& t) { return t.frame.uid == uid; });
+    ActiveTx tx = std::move(*it);
+    active_.erase(it);
+    for (std::size_t r = 0; r < n_; ++r) field_[r] -= tx.power_at[r];
+    for (auto& f : field_)
+      if (f < 0.0) f = 0.0;
+    for (std::size_t r = 0; r < n_; ++r) {
+      if (r == tx.from || listeners_[r] == nullptr) continue;
+      if (tx.power_at[r] < params_.sensitivity_w) continue;
+      const double sinr = tx.power_at[r] / (params_.noise_w + tx.max_other[r]);
+      listeners_[r]->on_frame_end(tx.frame, tx.from,
+                                  sinr >= params_.sinr_threshold);
+    }
+  }
+
+  Simulator& sim_;
+  RadioParams params_;
+  std::size_t n_;
+  std::vector<double> rx_matrix_;
+  std::vector<ChannelListener*> listeners_;
+  std::vector<ActiveTx> active_;
+  std::vector<double> field_;
+};
+
+// One listener callback, with every value that decides an outcome.
+struct Heard {
+  bool begin;
+  NodeId at;
+  std::uint64_t uid;
+  NodeId from;
+  std::uint64_t rx_bits;  // begin only
+  std::int64_t end_ns;    // begin only
+  bool phy_ok;            // end only
+  bool operator==(const Heard&) const = default;
+};
+
+struct RecordingListener : ChannelListener {
+  NodeId self = 0;
+  std::vector<Heard>* log = nullptr;
+  void on_frame_begin(const Frame& f, NodeId from, double rx_power_w,
+                      Time end) override {
+    log->push_back({true, self, f.uid, from, bits(rx_power_w), end.nanos(),
+                    false});
+  }
+  void on_frame_end(const Frame& f, NodeId from, bool phy_ok) override {
+    log->push_back({false, self, f.uid, from, 0, 0, phy_ok});
+  }
+};
+
+// 150 sensors at about 600 m² each plus a 0.5 W head in the centre, and
+// 400 seeded frames of 20-120 bytes over 250 ms (several in flight at
+// once).  Both channels run on their own simulator in lockstep.
+void expect_matches_dense_reference(const Propagation& prop,
+                                    std::uint64_t seed) {
+  constexpr std::size_t kSensors = 150;
+  const std::size_t n = kSensors + 1;
+  Rng rng(seed);
+  const Deployment dep = deploy_uniform_square(kSensors, 300.0, rng);
+  std::vector<double> powers(n, RadioParams::kSensorTxPowerW);
+  powers[kSensors] = RadioParams::kHeadTxPowerW;
+  const RadioParams params;
+
+  Simulator sim_new, sim_ref;
+  Channel channel(sim_new, prop, params, dep.positions, powers);
+  DenseReferenceChannel reference(sim_ref, prop, params, dep.positions,
+                                  powers);
+
+  // The matrix (one call per unordered pair, mirrored) and the audible
+  // lists equal the ordered-pair computation.
+  std::size_t audible_total = 0;
+  for (NodeId a = 0; a < n; ++a) {
+    std::vector<NodeId> expect;
+    for (NodeId b = 0; b < n; ++b) {
+      if (a == b) continue;
+      const double p =
+          prop.rx_power_w(powers[a], dep.positions[a], dep.positions[b]);
+      ASSERT_EQ(bits(channel.rx_power_w(a, b)), bits(p)) << a << "->" << b;
+      if (p >= params.sensitivity_w) expect.push_back(b);
+    }
+    const auto got = channel.audible(a);
+    ASSERT_EQ(std::vector<NodeId>(got.begin(), got.end()), expect) << a;
+    audible_total += expect.size();
+  }
+  EXPECT_LT(audible_total, n * (n - 1) / 2) << "lists should be sparse";
+
+  std::vector<Heard> log_new, log_ref;
+  std::vector<RecordingListener> rec_new(n), rec_ref(n);
+  for (NodeId r = 0; r < n; ++r) {
+    if (r % 7 == 3) continue;  // some nodes have no listener
+    rec_new[r].self = rec_ref[r].self = r;
+    rec_new[r].log = &log_new;
+    rec_ref[r].log = &log_ref;
+    channel.set_listener(r, &rec_new[r]);
+    reference.set_listener(r, &rec_ref[r]);
+  }
+
+  struct Planned {
+    Time at;
+    NodeId from;
+    std::uint32_t bytes;
+    NodeId dst;
+  };
+  std::vector<Planned> plan;
+  for (int i = 0; i < 400; ++i) {
+    const auto from = static_cast<NodeId>(rng.below(n));
+    const auto dst = rng.below(4) == 0 ? kBroadcast
+                                       : static_cast<NodeId>(rng.below(n));
+    plan.push_back({Time::us(static_cast<std::int64_t>(rng.below(250'000))),
+                    from, static_cast<std::uint32_t>(20 + rng.below(101)),
+                    dst});
+  }
+  std::stable_sort(plan.begin(), plan.end(),
+                   [](const Planned& x, const Planned& y) {
+                     return x.at < y.at;
+                   });
+  std::vector<Time> busy_until(n, Time::zero());
+  std::uint64_t uid = 0;
+  for (const Planned& p : plan) {
+    if (p.at <= busy_until[p.from]) continue;  // half-duplex
+    busy_until[p.from] = p.at + channel.airtime(p.bytes);
+    Frame f;
+    f.uid = ++uid;
+    f.src = p.from;
+    f.dst = p.dst;
+    f.size_bytes = p.bytes;
+    sim_new.at(p.at, [&channel, p, f] { channel.transmit(p.from, f); });
+    sim_ref.at(p.at, [&reference, p, f] { reference.transmit(p.from, f); });
+  }
+  ASSERT_GT(uid, 300u);
+
+  for (;;) {
+    const bool stepped = sim_new.step();
+    ASSERT_EQ(stepped, sim_ref.step());
+    if (!stepped) break;
+    ASSERT_EQ(sim_new.now(), sim_ref.now());
+    for (NodeId r = 0; r < n; ++r) {
+      ASSERT_EQ(bits(channel.sensed_power_w(r)),
+                bits(reference.sensed_power_w(r)))
+          << "node " << r << " at " << sim_new.now().nanos() << " ns";
+      ASSERT_EQ(channel.carrier_sensed(r), reference.carrier_sensed(r));
+    }
+  }
+  EXPECT_EQ(channel.frames_transmitted(), uid);
+  ASSERT_EQ(log_new.size(), log_ref.size());
+  for (std::size_t i = 0; i < log_new.size(); ++i)
+    ASSERT_EQ(log_new[i], log_ref[i]) << "callback " << i;
+  // The load overlaps enough that SINR both passes and fails.
+  const auto failed = std::count_if(log_new.begin(), log_new.end(),
+                                    [](const Heard& h) {
+                                      return !h.begin && !h.phy_ok;
+                                    });
+  const auto ends = std::count_if(log_new.begin(), log_new.end(),
+                                  [](const Heard& h) { return !h.begin; });
+  EXPECT_GT(failed, 0);
+  EXPECT_LT(failed, ends);
+}
+
+TEST(ChannelDifferential, MatchesDenseReferenceUnderTwoRay) {
+  TwoRayGround prop;
+  expect_matches_dense_reference(prop, 17);
+}
+
+TEST(ChannelDifferential, MatchesDenseReferenceUnderShadowing) {
+  LogDistanceShadowing prop(3.0, 6.0, 1.0, 914e6, 23);
+  expect_matches_dense_reference(prop, 29);
+}
+
+TEST(Propagation, EveryModelIsBitwiseReciprocal) {
+  FreeSpace free_space;
+  TwoRayGround two_ray;
+  LogDistanceShadowing shadowing(3.0, 6.0, 1.0, 914e6, 5);
+  Rng rng(41);
+  for (const Propagation* prop :
+       {static_cast<const Propagation*>(&free_space),
+        static_cast<const Propagation*>(&two_ray),
+        static_cast<const Propagation*>(&shadowing)}) {
+    for (int i = 0; i < 5000; ++i) {
+      const Vec2 a{rng.uniform(-800.0, 800.0), rng.uniform(-800.0, 800.0)};
+      // Half the pairs are short, across the two-ray crossover and the
+      // shadowing reference distance.
+      const double reach = i % 2 == 0 ? 2.0 : 800.0;
+      const Vec2 b{a.x + rng.uniform(-reach, reach),
+                   a.y + rng.uniform(-reach, reach)};
+      const double power = i % 3 == 0 ? RadioParams::kHeadTxPowerW
+                                      : RadioParams::kSensorTxPowerW;
+      ASSERT_EQ(bits(prop->rx_power_w(power, a, b)),
+                bits(prop->rx_power_w(power, b, a)))
+          << "pair " << i;
+    }
+  }
+}
+
+// link_topology against the all-pairs predicate scan, on a channel shared
+// by three overlapping clusters (so audible lists cross cluster bounds).
+TEST(LinkTopology, EqualsPredicateTopologyForEveryClusterOffset) {
+  const TwoRayGround two_ray;
+  const LogDistanceShadowing shadowing(3.0, 6.0, 1.0, 914e6, 9);
+  for (const Propagation* prop :
+       {static_cast<const Propagation*>(&two_ray),
+        static_cast<const Propagation*>(&shadowing)}) {
+    Rng rng(53);
+    const std::vector<std::size_t> sizes = {40, 25, 60};
+    std::vector<Vec2> positions;
+    std::vector<double> powers;
+    std::vector<NodeId> bases;
+    for (std::size_t c = 0; c < sizes.size(); ++c) {
+      bases.push_back(static_cast<NodeId>(positions.size()));
+      Deployment d = deploy_uniform_square(sizes[c], 160.0, rng);
+      for (Vec2& p : d.positions) p.x += 120.0 * static_cast<double>(c);
+      for (std::size_t s = 0; s < sizes[c]; ++s) {
+        positions.push_back(d.positions[s]);
+        powers.push_back(RadioParams::kSensorTxPowerW);
+      }
+      positions.push_back(d.head_pos());
+      powers.push_back(RadioParams::kHeadTxPowerW);
+    }
+    Simulator sim;
+    const Channel channel(sim, *prop, RadioParams{}, positions, powers);
+    for (std::size_t c = 0; c < sizes.size(); ++c) {
+      const std::size_t n = sizes[c];
+      const NodeId base = bases[c];
+      const ClusterTopology want =
+          topology_from_predicate(n, [&](NodeId a, NodeId b) {
+            return channel.link_ok(base + a, base + b);
+          });
+      const ClusterTopology got = link_topology(channel, n, base);
+      ASSERT_EQ(got.num_sensors(), n);
+      EXPECT_GT(want.sensor_links().edge_count(), 0u);
+      EXPECT_EQ(got.sensor_links().edge_count(),
+                want.sensor_links().edge_count());
+      for (NodeId s = 0; s < n; ++s) {
+        EXPECT_EQ(got.sensor_links().neighbors(s),
+                  want.sensor_links().neighbors(s))
+            << "cluster " << c << " sensor " << s;
+        EXPECT_EQ(got.head_hears(s), want.head_hears(s));
+      }
+    }
+  }
 }
 
 }  // namespace

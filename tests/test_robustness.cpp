@@ -150,6 +150,16 @@ struct MatrixParam {
   bool rotate;
 };
 
+// "order2_sectors_fixed": names the case in --gtest_list_tests and ctest
+// (the default would print the struct's bytes, padding included).
+std::string matrix_name(const MatrixParam& p) {
+  return "order" + std::to_string(p.oracle_order) +
+         (p.sectors ? "_sectors" : "_flat") +
+         (p.rotate ? "_rotating" : "_fixed");
+}
+
+void PrintTo(const MatrixParam& p, std::ostream* os) { *os << matrix_name(p); }
+
 class ProtocolMatrix : public ::testing::TestWithParam<MatrixParam> {};
 
 TEST_P(ProtocolMatrix, DeliversAtModestLoad) {
@@ -174,7 +184,10 @@ INSTANTIATE_TEST_SUITE_P(
                       MatrixParam{2, false, true},
                       MatrixParam{3, false, true},
                       MatrixParam{2, true, false},
-                      MatrixParam{3, true, false}));
+                      MatrixParam{3, true, false}),
+    [](const ::testing::TestParamInfo<MatrixParam>& info) {
+      return matrix_name(info.param);
+    });
 
 TEST(ProtocolStress, HeavyRandomLossStillTerminates) {
   ProtocolConfig cfg;
