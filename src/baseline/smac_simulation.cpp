@@ -76,11 +76,7 @@ SmacSimulation::SmacSimulation(const Deployment& deployment, SmacConfig cfg,
 
 void SmacSimulation::on_node_death(const NodeDeath& death) {
   nodes_.at(death.node)->fail();
-  if (!have_first_death_) {
-    have_first_death_ = true;
-    death_gen_ = sum_generated();
-    death_del_ = nodes_.back()->packets_delivered();
-  }
+  ledger_.on_death(sum_generated(), nodes_.back()->packets_delivered());
 }
 
 std::uint64_t SmacSimulation::sum_generated() const {
@@ -119,16 +115,8 @@ SmacReport SmacSimulation::run(Time duration, Time warmup) {
       generated += node.packets_generated();
       rep.packets_dropped += node.packets_dropped();
       active_sum += node.meter().active_fraction();
-      m.counter(node_metric(metric::kNodeRelayed, i))
-          .add(node.packets_relayed());
-      m.counter(node_metric(metric::kNodeFramesTx, i))
-          .add(node.data_frames_sent() + node.control_frames_sent());
-      m.gauge(node_metric(metric::kNodeEnergyJ, i))
-          .set(sim.now(), node.meter().total_energy_j());
-      m.gauge(node_metric(metric::kNodeAwakeS, i))
-          .set(sim.now(), (node.meter().total_time() -
-                           node.meter().time_in(RadioState::kSleep))
-                              .to_seconds());
+      rt_.export_node(i, node.meter(), node.packets_relayed(),
+                      node.data_frames_sent() + node.control_frames_sent());
     }
     rep.control_frames += node.control_frames_sent();
     rep.rreq_floods += node.rreqs_sent();
@@ -148,36 +136,11 @@ SmacReport SmacSimulation::run(Time duration, Time warmup) {
       .set(sim.now(),
            sink.latency_s().empty() ? 0.0 : sink.latency_s().mean());
 
-  if (!cfg_.faults.empty()) {
-    const FaultInjector& inj = *rt_.faults();
-    DegradationReport deg;
-    deg.dead_nodes = inj.dead_nodes();
-    deg.deaths = deg.dead_nodes.size();
-    // No head-driven detection or replanning here: those counters stay
-    // zero and AODV re-discovery is the only recovery.
-    const std::uint64_t gen_end = generated;
-    const std::uint64_t del_end = sink.packets_delivered();
-    const auto sat = [](std::uint64_t a, std::uint64_t b) {
-      return a > b ? a - b : std::uint64_t{0};
-    };
-    const auto ratio = [](std::uint64_t del, std::uint64_t gen) {
-      return gen == 0 ? 1.0
-                      : static_cast<double>(del) / static_cast<double>(gen);
-    };
-    if (have_first_death_) {
-      deg.delivery_before = ratio(death_del_, death_gen_);
-      deg.delivery_after =
-          ratio(sat(del_end, death_del_), sat(gen_end, death_gen_));
-    } else {
-      deg.delivery_before = ratio(del_end, gen_end);
-      deg.delivery_after = deg.delivery_before;
-    }
-    rep.degradation = deg;
-    m.counter("fault.deaths").add(deg.deaths);
-    m.counter("fault.deaths_detected").add(deg.deaths_detected);
-    m.counter("fault.replans").add(deg.replans);
-    m.counter("fault.orphaned_sensors").add(deg.orphaned_sensors);
-  }
+  // No head-driven detection or replanning here: those counters stay
+  // zero and AODV re-discovery is the only recovery.
+  if (!cfg_.faults.empty())
+    rep.degradation = rt_.collect_degradation({}, ledger_, generated,
+                                              sink.packets_delivered());
 
   static_cast<RunStats&>(rep) =
       rt_.collect_run_stats(duration - warmup, cfg_.data_bytes);

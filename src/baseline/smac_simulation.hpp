@@ -61,10 +61,8 @@ class SmacSimulation {
   std::vector<double> rates_;
   SimRuntime rt_;
   std::vector<std::unique_ptr<SmacNode>> nodes_;  // sensors then sink
-
-  // Degradation snapshots (untouched when faults are off).
-  bool have_first_death_ = false;
-  std::uint64_t death_gen_ = 0, death_del_ = 0;  // at first death
+  /// First-death snapshot (no repairs here; untouched when faults are off).
+  DeliveryLedger ledger_;
 };
 
 }  // namespace mhp

@@ -3,29 +3,22 @@
 #include <algorithm>
 #include <string>
 
+#include "core/ack_collection.hpp"
 #include "obs/profiler.hpp"
 #include "util/assertx.hpp"
 
 namespace mhp {
 
-HeadAgent::HeadAgent(NodeId id, Simulator& sim, Channel& channel,
-                     FrameUidSource& uids, const ProtocolConfig& cfg,
-                     const CompatibilityOracle& oracle,
-                     std::vector<SectorPlan> sectors, Rng rng,
-                     Trace* trace)
-    : id_(id),
-      sim_(sim),
-      channel_(channel),
-      uids_(uids),
-      cfg_(cfg),
-      oracle_(&oracle),
-      sectors_(std::move(sectors)),
-      rng_(rng),
-      trace_(trace),
-      tracker_(cfg.head_energy, sim.now(), RadioState::kIdle) {
-  MHP_REQUIRE(!sectors_.empty(), "head needs at least one sector plan");
-  channel_.set_listener(id_, this);
-  init_windows();
+SectorPlan make_sector(std::vector<NodeId> members,
+                       std::vector<std::vector<NodeId>> paths) {
+  SectorPlan sp;
+  const AckPlan ack = plan_ack_cover(members, paths);
+  MHP_ENSURE(ack.covers_all, "ack cover incomplete");
+  sp.ack_paths = ack.poll_paths;
+  for (std::size_t i = 0; i < members.size(); ++i)
+    sp.data_path[members[i]] = std::move(paths[i]);
+  sp.members = std::move(members);
+  return sp;
 }
 
 HeadAgent::HeadAgent(NodeId id, Simulator& sim, Channel& channel,
@@ -38,32 +31,24 @@ HeadAgent::HeadAgent(NodeId id, Simulator& sim, Channel& channel,
       uids_(uids),
       cfg_(cfg),
       oracle_(&oracle),
-      provider_(&provider),
+      provider_(provider),
       rng_(rng),
       trace_(trace),
       tracker_(cfg.head_energy, sim.now(), RadioState::kIdle) {
-  MHP_REQUIRE(!provider.plans(0).empty(),
-              "head needs at least one sector plan");
   channel_.set_listener(id_, this);
   init_windows();
 }
 
 const std::vector<SectorPlan>& HeadAgent::current_plans() const {
-  return provider_ != nullptr ? provider_->plans(cycle_) : sectors_;
-}
-
-void HeadAgent::replace_plans(std::vector<SectorPlan> sectors) {
-  MHP_REQUIRE(!sectors.empty(), "head needs at least one sector plan");
-  sectors_ = std::move(sectors);
-  provider_ = nullptr;
-  init_windows();
+  return provider_.plans(cycle_);
 }
 
 void HeadAgent::init_windows() {
   // Sector windows proportional to member count (at least one share
   // each), packed into the drain window (the whole cycle unless token
   // rotation caps it).
-  const auto& plans = provider_ != nullptr ? provider_->plans(0) : sectors_;
+  const auto& plans = current_plans();
+  MHP_REQUIRE(!plans.empty(), "head needs at least one sector plan");
   Time drain = cfg_.cycle_period;
   if (cfg_.max_drain_window > Time::zero())
     drain = std::min(drain, cfg_.max_drain_window);

@@ -41,9 +41,15 @@ struct SectorPlan {
   std::vector<std::vector<NodeId>> ack_paths;
 };
 
+/// The plan of a sector whose member `members[i]` sends over `paths[i]`,
+/// with the §V-F ack cover planned over those paths.
+SectorPlan make_sector(std::vector<NodeId> members,
+                       std::vector<std::vector<NodeId>> paths);
+
 /// Supplies the per-cycle sector plans.  Multi-path rotation (§V-D)
 /// changes relaying paths from cycle to cycle; sector *membership* must
-/// stay fixed (the head's wake windows are sized at set-up).
+/// stay fixed between calls to HeadAgent::plans_changed() (the head's
+/// wake windows are sized from it).
 class CyclePlanProvider {
  public:
   virtual ~CyclePlanProvider() = default;
@@ -52,14 +58,9 @@ class CyclePlanProvider {
 
 class HeadAgent : public ChannelListener {
  public:
-  /// Static plans: every cycle uses the same paths.  `trace` (optional)
-  /// receives kProtocol entries for cycle/phase transitions.
-  HeadAgent(NodeId id, Simulator& sim, Channel& channel, FrameUidSource& uids,
-            const ProtocolConfig& cfg, const CompatibilityOracle& oracle,
-            std::vector<SectorPlan> sectors, Rng rng, Trace* trace = nullptr);
-
-  /// Rotating plans: paths come from `provider` each cycle.  The
-  /// provider must outlive the agent and keep sector membership stable.
+  /// Paths come from `provider` each cycle; the provider must outlive
+  /// the agent.  `trace` (optional) receives kProtocol entries for
+  /// cycle/phase transitions.
   HeadAgent(NodeId id, Simulator& sim, Channel& channel, FrameUidSource& uids,
             const ProtocolConfig& cfg, const CompatibilityOracle& oracle,
             CyclePlanProvider& provider, Rng rng, Trace* trace = nullptr);
@@ -70,15 +71,14 @@ class HeadAgent : public ChannelListener {
   // --- fault recovery (cfg.recovery.enabled) ---
   /// Called when the head declares `dead` unresponsive (suspicion from
   /// unanswered polls crossed cfg.recovery.suspect_polls).  The handler
-  /// re-routes the surviving topology and hands the result back via
-  /// replace_plans() / set_oracle(); it runs at a cycle boundary, so no
-  /// phase is in flight.
+  /// re-routes the surviving topology, swaps the provider's plans and
+  /// calls plans_changed() / set_oracle(); it runs at a cycle boundary,
+  /// so no phase is in flight.
   using ReplanHandler = std::function<void(NodeId dead)>;
   void set_replan_handler(ReplanHandler h) { replan_handler_ = std::move(h); }
-  /// Swap in repaired sector plans (drops any rotating provider — path
-  /// rotation is suspended after a repair).  Call only from a
-  /// ReplanHandler or before start().
-  void replace_plans(std::vector<SectorPlan> sectors);
+  /// The provider's sector membership changed (a repair): re-size the
+  /// sector windows.  Call only from a ReplanHandler or before start().
+  void plans_changed() { init_windows(); }
   /// Swap the compatibility oracle (the old one must stay alive until
   /// the current phase ends; takes effect from the next phase).
   void set_oracle(const CompatibilityOracle& oracle) { oracle_ = &oracle; }
@@ -149,9 +149,8 @@ class HeadAgent : public ChannelListener {
   Channel& channel_;
   FrameUidSource& uids_;
   const ProtocolConfig& cfg_;
-  const CompatibilityOracle* oracle_;      // swappable after a repair
-  std::vector<SectorPlan> sectors_;        // static plans (unused when
-  CyclePlanProvider* provider_ = nullptr;  // a provider is set)
+  const CompatibilityOracle* oracle_;  // swappable after a repair
+  CyclePlanProvider& provider_;
   Rng rng_;
   Trace* trace_ = nullptr;
   RadioTracker tracker_;

@@ -11,16 +11,21 @@
 //    ever on the air together.
 //
 // Substrate (simulator, per-group channels, trace, metrics, RNG) comes
-// from one shared SimRuntime; one channel is added per colour group.
+// from one shared SimRuntime; one channel is added per colour group, and
+// each cluster runs on a ClusterStack at its own base on that channel.
+//
+// The protocol config applies as in PollingSimulation (routing,
+// propagation, oracle order and cache, faults, recovery), except that
+// heads poll fixed cycle-0 paths: rotate_paths does not apply here, and
+// use_sectors is rejected.
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "core/head_agent.hpp"
+#include "core/cluster_stack.hpp"
 #include "core/polling_simulation.hpp"
 #include "core/protocol_config.hpp"
-#include "core/sensor_agent.hpp"
 #include "net/deployment.hpp"
 #include "sim/runtime.hpp"
 
@@ -72,56 +77,22 @@ class MultiClusterSimulation {
   MetricsRegistry& metrics() { return rt_.metrics(); }
 
  private:
-  struct ClusterRt {
-    std::size_t num_sensors = 0;
-    NodeId base = 0;                     // first global id on its channel
-    NodeId head = kNoNode;               // global id on its channel
-    std::unique_ptr<ClusterTopology> topo;
-    std::unique_ptr<RelayPlan> plan;
-    /// Latest repaired plan: warm hint for this cluster's next replan.
-    std::unique_ptr<RelayPlan> repair_plan;
-    std::unique_ptr<ChannelOracle> truth;
-    std::unique_ptr<MeasuredOracle> oracle;
-    std::unique_ptr<CachedOracle> cached;
-    std::unique_ptr<HeadAgent> head_agent;
-    std::vector<std::unique_ptr<SensorAgent>> sensors;
-    // Fault-recovery state (local sensor ids).
-    std::vector<std::int64_t> demand;
-    std::vector<NodeId> declared_dead;
-    std::vector<std::unique_ptr<MeasuredOracle>> retired_oracles;
-    std::vector<std::unique_ptr<CachedOracle>> retired_caches;
-    std::uint64_t last_orphaned = 0;
-  };
-
-  void build(std::vector<ClusterSpec> clusters, double rate_bps,
-             double interference_range);
-  /// Cluster c's scheduling oracle: its measured oracle, or a fresh
-  /// CachedOracle wrapper when cfg.cache_oracle is on (hit/miss counters
-  /// aggregate field-wide in the shared runtime registry).
-  const CompatibilityOracle& scheduling_oracle(ClusterRt& rt);
   SensorAgent& sensor_by_field_id(NodeId field_id);
-  void on_node_death(const NodeDeath& death);
-  void replan_cluster(std::size_t c, NodeId declared);
   std::uint64_t sum_generated() const;
   std::uint64_t sum_delivered() const;
 
   ProtocolConfig cfg_;
-  ProtocolConfig head_cfg_;  // cfg_ plus the token drain window; the
-                             // head agents keep a reference to it
+  /// cfg_ with fixed cycle-0 paths and the token drain window; the
+  /// stacks and their agents keep a reference to it.
+  ProtocolConfig stack_cfg_;
   InterClusterMode mode_;
   SimRuntime rt_;
   /// Arena-reusing engine for replans (set-up solves fan out through
-  /// route::solve_clusters on `route_workers_` threads instead).
+  /// route::solve_clusters on RuntimeOptions::route_workers threads).
   route::RoutingEngine engine_;
-  std::size_t route_workers_ = 1;
-  std::vector<ClusterRt> clusters_;
+  std::vector<std::unique_ptr<ClusterStack>> stacks_;
   int channels_used_ = 1;
-  double rate_bps_ = 0.0;
-
-  // Field-wide degradation snapshots (untouched when faults are off).
-  bool have_first_death_ = false;
-  std::uint64_t death_gen_ = 0, death_del_ = 0;    // at first death
-  std::uint64_t repair_gen_ = 0, repair_del_ = 0;  // at last repair
+  DeliveryLedger ledger_;  // field-wide; untouched when faults are off
 };
 
 }  // namespace mhp

@@ -6,6 +6,7 @@
 #include "fault/fault_plan.hpp"
 #include "radio/channel.hpp"
 #include "radio/energy.hpp"
+#include "route/routing_engine.hpp"  // RoutingPolicy
 #include "sim/time.hpp"
 
 namespace mhp {
@@ -18,14 +19,6 @@ enum class PropagationModel {
   kTwoRayGround,  // NS-2's default; the paper's evaluation setting
   kFreeSpace,
   kLogNormalShadowing,
-};
-
-/// How the head computes relaying paths.  The paper's scheme is the
-/// min-max-load max-flow routing (§III-A); hop-count shortest paths are
-/// the ablation baseline whose worst relay carries measurably more load.
-enum class RoutingPolicy {
-  kBalancedMaxFlow,
-  kShortestPath,
 };
 
 /// Head-driven fault recovery: detect dead relays from unanswered polls

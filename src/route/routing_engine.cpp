@@ -589,12 +589,13 @@ MinMaxLoadResult RoutingEngine::solve_shortest(
   return result;
 }
 
-MinMaxLoadResult RoutingEngine::solve(SolveKind kind,
+MinMaxLoadResult RoutingEngine::solve(RoutingPolicy policy,
                                       const ClusterTopology& topo,
                                       const std::vector<std::int64_t>& demand,
                                       const std::vector<std::int64_t>& weight) {
-  return kind == SolveKind::kShortestPath ? solve_shortest(topo, demand)
-                                          : solve_balanced(topo, demand, weight);
+  return policy == RoutingPolicy::kShortestPath
+             ? solve_shortest(topo, demand)
+             : solve_balanced(topo, demand, weight);
 }
 
 std::vector<MinMaxLoadResult> solve_clusters(
@@ -608,7 +609,7 @@ std::vector<MinMaxLoadResult> solve_clusters(
     const ClusterRouteJob& job = jobs[i];
     MHP_REQUIRE(job.topo != nullptr, "cluster route job without topology");
     RoutingEngine engine;
-    results[i] = engine.solve(job.kind, *job.topo, job.demand, job.weight);
+    results[i] = engine.solve(job.routing, *job.topo, job.demand, job.weight);
   };
   if (jobs.size() <= 1 || workers == 1) {
     for (std::size_t i = 0; i < jobs.size(); ++i) solve_one(i);

@@ -52,6 +52,14 @@ struct UnitPath {
   std::size_t hop_count() const { return hops.size() - 1; }
 };
 
+/// How the head computes relaying paths.  The paper's scheme is the
+/// min-max-load max-flow routing (§III-A); hop-count shortest paths are
+/// the ablation baseline whose worst relay carries measurably more load.
+enum class RoutingPolicy {
+  kBalancedMaxFlow,
+  kShortestPath,
+};
+
 struct MinMaxLoadResult {
   bool feasible = false;
   /// δ*: the minimized maximum sensor load (packets sent per cycle,
@@ -73,8 +81,6 @@ struct SolvePolicy {
   /// mode exists for equivalence tests and perf comparisons).
   bool warm_start = true;
 };
-
-enum class SolveKind { kBalancedMaxFlow, kShortestPath };
 
 /// Counters from the most recent solve_balanced (zeroed for trivially
 /// feasible/infeasible instances and for solve_shortest).
@@ -108,7 +114,8 @@ class RoutingEngine {
   MinMaxLoadResult solve_shortest(const ClusterTopology& topo,
                                   const std::vector<std::int64_t>& demand);
 
-  MinMaxLoadResult solve(SolveKind kind, const ClusterTopology& topo,
+  /// solve_shortest for kShortestPath, else solve_balanced.
+  MinMaxLoadResult solve(RoutingPolicy policy, const ClusterTopology& topo,
                          const std::vector<std::int64_t>& demand,
                          const std::vector<std::int64_t>& weight = {});
 
@@ -201,7 +208,7 @@ struct ClusterRouteJob {
   const ClusterTopology* topo = nullptr;
   std::vector<std::int64_t> demand;
   std::vector<std::int64_t> weight;  // empty = all-1
-  SolveKind kind = SolveKind::kBalancedMaxFlow;
+  RoutingPolicy routing = RoutingPolicy::kBalancedMaxFlow;
 };
 
 /// Solve every job on `workers` threads (0 = hardware concurrency, 1 =

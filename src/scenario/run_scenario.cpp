@@ -61,8 +61,15 @@ void strip_perf(RunStats& stats) {
   stats.events_per_sec = 0.0;
 }
 
+/// build_deployment under a "deploy" span, so a profile attributes the
+/// time spent drawing connected deployments.
+Deployment deploy(const DeploymentSpec& spec, std::uint64_t seed_offset = 0) {
+  MHP_SPAN("deploy");
+  return build_deployment(spec, seed_offset);
+}
+
 obs::Json run_polling(const Scenario& s, const RunScenarioOptions& opts) {
-  const Deployment dep = build_deployment(s.deployment);
+  const Deployment dep = deploy(s.deployment);
   PollingSimulation sim(dep, s.protocol,
                         s.traffic.rates_bps.empty()
                             ? std::vector<double>(s.deployment.sensor_count(),
@@ -81,7 +88,7 @@ obs::Json run_multi_cluster(const Scenario& s, const RunScenarioOptions& opts) {
     for (std::size_t gx = 0; gx < s.clusters.grid_x; ++gx) {
       const std::size_t index = gy * s.clusters.grid_x + gx;
       ClusterSpec spec;
-      spec.deployment = build_deployment(s.deployment, index);
+      spec.deployment = deploy(s.deployment, index);
       spec.origin = Vec2{static_cast<double>(gx) * s.clusters.pitch,
                          static_cast<double>(gy) * s.clusters.pitch};
       clusters.push_back(std::move(spec));
@@ -97,7 +104,7 @@ obs::Json run_multi_cluster(const Scenario& s, const RunScenarioOptions& opts) {
 }
 
 obs::Json run_smac(const Scenario& s, const RunScenarioOptions& opts) {
-  const Deployment dep = build_deployment(s.deployment);
+  const Deployment dep = deploy(s.deployment);
   SmacSimulation sim(dep, s.smac,
                      s.traffic.rates_bps.empty()
                          ? std::vector<double>(s.deployment.sensor_count(),

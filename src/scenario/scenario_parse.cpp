@@ -437,6 +437,10 @@ Scenario parse_scenario(const obs::Json& doc) {
   r.finish();
 
   // Cross-section checks that need the deployment and stack together.
+  if (s.stack == StackKind::kMultiCluster && s.protocol.use_sectors)
+    fail("scenario.protocol.use_sectors",
+         "not supported by the multi_cluster stack (heads drain their "
+         "clusters whole)");
   if (!s.traffic.rates_bps.empty()) {
     if (s.stack == StackKind::kMultiCluster)
       fail("scenario.traffic.rates_bps",

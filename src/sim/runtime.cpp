@@ -4,6 +4,15 @@
 
 namespace mhp {
 
+void DeliveryLedger::on_death(std::uint64_t generated,
+                              std::uint64_t delivered) {
+  if (have_first_death) return;
+  have_first_death = true;
+  death_generated = generated;
+  death_delivered = delivered;
+  on_repair(generated, delivered);
+}
+
 SimRuntime::SimRuntime(std::uint64_t seed, const RuntimeOptions& opts)
     : root_rng_(seed), wall_begin_(std::chrono::steady_clock::now()) {
   trace_.set_max_entries(opts.trace_max_entries);
@@ -134,6 +143,50 @@ RunStats SimRuntime::collect_run_stats(Time measured,
           : 0.0;
   out.metrics = metrics_.snapshot(sim_.now());
   return out;
+}
+
+void SimRuntime::export_node(std::uint64_t id, const EnergyMeter& meter,
+                             std::uint64_t relayed,
+                             std::uint64_t frames_tx) {
+  const Time now = sim_.now();
+  metrics_.counter(node_metric(metric::kNodeRelayed, id)).add(relayed);
+  metrics_.counter(node_metric(metric::kNodeFramesTx, id)).add(frames_tx);
+  metrics_.gauge(node_metric(metric::kNodeEnergyJ, id))
+      .set(now, meter.total_energy_j());
+  metrics_.gauge(node_metric(metric::kNodeAwakeS, id))
+      .set(now,
+           (meter.total_time() - meter.time_in(RadioState::kSleep))
+               .to_seconds());
+}
+
+DegradationReport SimRuntime::collect_degradation(
+    DegradationReport deg, const DeliveryLedger& ledger,
+    std::uint64_t generated, std::uint64_t delivered) {
+  const auto sat = [](std::uint64_t a, std::uint64_t b) {
+    return a > b ? a - b : std::uint64_t{0};
+  };
+  const auto ratio = [](std::uint64_t del, std::uint64_t gen) {
+    return gen == 0 ? 1.0
+                    : static_cast<double>(del) / static_cast<double>(gen);
+  };
+  if (faults_ != nullptr) {
+    deg.dead_nodes = faults_->dead_nodes();
+    deg.deaths = deg.dead_nodes.size();
+  }
+  if (ledger.have_first_death) {
+    deg.delivery_before =
+        ratio(ledger.death_delivered, ledger.death_generated);
+    deg.delivery_after = ratio(sat(delivered, ledger.repair_delivered),
+                               sat(generated, ledger.repair_generated));
+  } else {
+    deg.delivery_before = ratio(delivered, generated);
+    deg.delivery_after = deg.delivery_before;
+  }
+  metrics_.counter("fault.deaths").add(deg.deaths);
+  metrics_.counter("fault.deaths_detected").add(deg.deaths_detected);
+  metrics_.counter("fault.replans").add(deg.replans);
+  metrics_.counter("fault.orphaned_sensors").add(deg.orphaned_sensors);
+  return deg;
 }
 
 }  // namespace mhp

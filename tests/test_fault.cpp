@@ -70,6 +70,15 @@ TEST(FaultInjector, LinkLossWindowsAreSymmetricAndCombine) {
 
 // ---------- repair_routes ----------
 
+/// The sensors a repaired plan still routes: the members of the flat
+/// sector the head drains after the repair.
+std::vector<NodeId> routed_sensors(const RelayPlan& plan) {
+  std::vector<NodeId> out;
+  for (NodeId s = 0; s < plan.num_sensors(); ++s)
+    if (!plan.paths(s).empty()) out.push_back(s);
+  return out;
+}
+
 TEST(RouteRepair, DeadRelayIsExcludedAndUnreachableSensorsOrphaned) {
   // Line: head hears only 0; 0-1-2 chain.  Killing 1 strands 2.
   Graph g(3);
@@ -81,13 +90,12 @@ TEST(RouteRepair, DeadRelayIsExcludedAndUnreachableSensorsOrphaned) {
   const RouteRepair rep =
       repair_routes(topo, {1}, {1, 1, 1}, RoutingPolicy::kBalancedMaxFlow);
   EXPECT_EQ(rep.orphaned, std::vector<NodeId>{2});
-  ASSERT_EQ(rep.sectors.size(), 1u);
-  const SectorPlan& sp = rep.sectors.front();
-  // Only the surviving routable sensor is polled; the dead relay and the
-  // orphan are off the plan entirely.
-  EXPECT_EQ(sp.members, std::vector<NodeId>{0});
-  for (const auto& [member, path] : sp.data_path)
-    for (NodeId hop : path) EXPECT_NE(hop, 1u);
+  // Only the surviving routable sensor keeps a path (and so is polled);
+  // the dead relay and the orphan are off the plan entirely.
+  EXPECT_EQ(routed_sensors(rep.plan), std::vector<NodeId>{0});
+  for (const auto& paths : rep.plan.all_paths())
+    for (const UnitPath& path : paths)
+      for (NodeId hop : path.hops) EXPECT_NE(hop, 1u);
 }
 
 TEST(RouteRepair, SurvivingRelayPathsAvoidTheDeadNode) {
@@ -99,11 +107,10 @@ TEST(RouteRepair, SurvivingRelayPathsAvoidTheDeadNode) {
   const RouteRepair rep =
       repair_routes(topo, {0}, {1, 1, 1}, RoutingPolicy::kBalancedMaxFlow);
   EXPECT_TRUE(rep.orphaned.empty());
-  ASSERT_EQ(rep.sectors.size(), 1u);
-  const SectorPlan& sp = rep.sectors.front();
-  EXPECT_EQ(sp.members, (std::vector<NodeId>{1, 2}));
-  for (const auto& [member, path] : sp.data_path)
-    for (NodeId hop : path) EXPECT_NE(hop, 0u);
+  EXPECT_EQ(routed_sensors(rep.plan), (std::vector<NodeId>{1, 2}));
+  for (const auto& paths : rep.plan.all_paths())
+    for (const UnitPath& path : paths)
+      for (NodeId hop : path.hops) EXPECT_NE(hop, 0u);
 }
 
 // ---------- polling stack: end-to-end recovery ----------

@@ -2,7 +2,10 @@
 // two remedies, on the event simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/multi_cluster_sim.hpp"
+#include "util/assertx.hpp"
 #include "util/rng.hpp"
 
 namespace mhp {
@@ -90,6 +93,57 @@ TEST(MultiCluster, SingleClusterDegeneratesToPlainProtocol) {
   const auto rep = sim.run(Time::sec(40), Time::sec(10));
   ASSERT_EQ(rep.delivery_ratio.size(), 1u);
   EXPECT_GE(rep.delivery_ratio[0], 0.95);
+}
+
+// ---------- the protocol config applies per cluster ----------
+
+std::vector<ClusterSpec> one_cluster(std::uint64_t seed, std::size_t sensors,
+                                     double side) {
+  Rng rng(seed);
+  ClusterSpec spec;
+  spec.deployment = deploy_connected_uniform_square(sensors, side, 60.0, rng);
+  spec.origin = {0.0, 0.0};
+  return {std::move(spec)};
+}
+
+TEST(MultiCluster, RoutingPolicyAppliesAtSetUp) {
+  // The deployment of RoutingPolicy.BalancedRoutingLowersWorstRelayLoad:
+  // the set-up max-flow plan (§III-A) must spread relaying, so its worst
+  // sensor forwards fewer packets than under hop-count shortest paths.
+  auto worst_relayed = [](RoutingPolicy policy) {
+    ProtocolConfig cfg;
+    cfg.routing = policy;
+    MultiClusterSimulation sim(one_cluster(1, 24, 200.0), cfg,
+                               InterClusterMode::kShared, 40.0);
+    const MultiClusterReport rep = sim.run(Time::sec(30), Time::sec(10));
+    std::uint64_t worst = 0;
+    for (const auto& [id, v] :
+         rep.totals.metrics.labeled_counters(metric::kNodeRelayed))
+      worst = std::max(worst, v);
+    return worst;
+  };
+  const std::uint64_t balanced =
+      worst_relayed(RoutingPolicy::kBalancedMaxFlow);
+  const std::uint64_t shortest = worst_relayed(RoutingPolicy::kShortestPath);
+  EXPECT_GT(shortest, 0u);
+  EXPECT_LT(balanced, shortest);
+}
+
+TEST(MultiCluster, PropagationModelApplies) {
+  ProtocolConfig cfg;
+  cfg.propagation = PropagationModel::kFreeSpace;
+  MultiClusterSimulation sim(one_cluster(7, 10, 170.0), cfg,
+                             InterClusterMode::kShared, 30.0);
+  EXPECT_NE(dynamic_cast<const FreeSpace*>(&sim.runtime().propagation()),
+            nullptr);
+}
+
+TEST(MultiCluster, SectorsAreRejected) {
+  ProtocolConfig cfg;
+  cfg.use_sectors = true;
+  EXPECT_THROW(MultiClusterSimulation(one_cluster(7, 10, 170.0), cfg,
+                                      InterClusterMode::kShared, 30.0),
+               ContractViolation);
 }
 
 }  // namespace

@@ -330,7 +330,9 @@ TEST(ScenarioProfile, ProfileEmbedsSummaryWithoutPerturbingReport) {
   ASSERT_NE(profile, nullptr);
   const obs::Json* spans = profile->find("spans");
   ASSERT_NE(spans, nullptr);
+  EXPECT_NE(spans->find("deploy"), nullptr);
   EXPECT_NE(spans->find("polling/setup"), nullptr);
+  EXPECT_NE(spans->find("polling/setup/channel"), nullptr);
   EXPECT_NE(spans->find("polling/measured"), nullptr);
   // record_perf false zeroes the profile's wall times too (counts stay).
   EXPECT_EQ(profile->at("attributed_ms").as_double(), 0.0);

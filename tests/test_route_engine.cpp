@@ -32,7 +32,6 @@ namespace {
 using route::ClusterRouteJob;
 using route::FlowGraph;
 using route::RoutingEngine;
-using route::SolveKind;
 using route::SolvePolicy;
 
 // Full-fidelity serialization of a solver result: any divergence in
@@ -129,10 +128,11 @@ TEST(RouteEngine, ReusedEngineMatchesFreshEnginePerSolve) {
 TEST(RouteEngine, EmptyClusterIsFeasibleWithZeroLoad) {
   const ClusterTopology topo(Graph(0), {});
   RoutingEngine engine;
-  for (SolveKind kind : {SolveKind::kBalancedMaxFlow, SolveKind::kShortestPath}) {
-    const MinMaxLoadResult r = engine.solve(kind, topo, {});
-    EXPECT_TRUE(r.feasible) << "kind=" << static_cast<int>(kind);
-    EXPECT_EQ(r.max_load, 0) << "kind=" << static_cast<int>(kind);
+  for (RoutingPolicy policy :
+       {RoutingPolicy::kBalancedMaxFlow, RoutingPolicy::kShortestPath}) {
+    const MinMaxLoadResult r = engine.solve(policy, topo, {});
+    EXPECT_TRUE(r.feasible) << "policy=" << static_cast<int>(policy);
+    EXPECT_EQ(r.max_load, 0) << "policy=" << static_cast<int>(policy);
     EXPECT_TRUE(r.paths.empty());
     EXPECT_TRUE(r.load.empty());
   }
@@ -189,7 +189,7 @@ TEST(RouteEngine, ChainedReplansMatchColdAcrossDeathSequence) {
   const RelayPlan plan = RelayPlan::balanced(topo, demand);
 
   // Two successive deaths: the second replan's hint is the first repair's
-  // plan, mirroring PollingSimulation's repair_plan_ chaining.
+  // plan, mirroring ClusterStack::replan's chaining.
   const NodeId first = loaded_victim(plan);
   RoutingEngine engine;
   engine.set_warm_hint(&plan.all_paths());
@@ -225,7 +225,7 @@ TEST(RouteEngineParallel, SolveClustersDeterministicAcrossWorkers) {
       job.weight.assign(topos[c].num_sensors(), 1);
       job.weight[0] = 3;
     }
-    if (c == 5) job.kind = SolveKind::kShortestPath;  // one baseline job
+    if (c == 5) job.routing = RoutingPolicy::kShortestPath;  // one baseline job
     jobs.push_back(std::move(job));
   }
 
@@ -244,7 +244,7 @@ TEST(RouteEngineParallel, SolveClustersDeterministicAcrossWorkers) {
   for (std::size_t c = 0; c < jobs.size(); ++c) {
     RoutingEngine engine;
     EXPECT_EQ(fingerprint(serial[c]),
-              fingerprint(engine.solve(jobs[c].kind, *jobs[c].topo,
+              fingerprint(engine.solve(jobs[c].routing, *jobs[c].topo,
                                        jobs[c].demand, jobs[c].weight)))
         << "cluster=" << c;
   }

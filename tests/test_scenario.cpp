@@ -221,6 +221,13 @@ TEST(ScenarioValidation, BadDurationsArePathQualified) {
                   "scenario.run.duration: expected duration string");
 }
 
+TEST(ScenarioValidation, MultiClusterRejectsSectors) {
+  expect_rejected(
+      R"({"stack": "multi_cluster", "protocol": {"use_sectors": true}})",
+      "scenario.protocol.use_sectors: not supported by the multi_cluster "
+      "stack");
+}
+
 TEST(ScenarioValidation, SemanticRangesAreChecked) {
   expect_rejected(R"({"stack": "polling", "traffic": {"rate_bps": -1.0}})",
                   "scenario.traffic.rate_bps: must be >= 0");
