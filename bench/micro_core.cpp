@@ -70,10 +70,12 @@ BENCHMARK(BM_MinMaxLoadRouting)->Arg(10)->Arg(30)->Arg(60)->Arg(100);
 
 /// One balanced routing solve on a disc field at the offline workloads'
 /// density (1000 m² a sensor, 60 m range, expected degree about 11),
-/// demand 1 per sensor, on a long-lived engine.
+/// demand 1 per sensor, on a long-lived engine.  Args: {sensors, seed}.
+/// {20000, 5} is solved by the first δ probe; {2000, 5} and {20000, 101}
+/// start below δ* and take a Newton step.
 void BM_SolveBalanced(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(5);
+  Rng rng(static_cast<std::uint64_t>(state.range(1)));
   const ClusterTopology topo = disc_topology(
       deploy_connected_uniform_square(
           n, std::sqrt(1000.0 * static_cast<double>(n)), 60.0, rng),
@@ -86,13 +88,15 @@ void BM_SolveBalanced(benchmark::State& state) {
   }
   const route::SolveStats& stats = engine.last_stats();
   state.counters["probes"] = stats.probes;
+  state.counters["delta_star"] = static_cast<double>(stats.delta_star);
   state.counters["phases"] = static_cast<double>(stats.phases);
   state.counters["augmentations"] = static_cast<double>(stats.augmentations);
   state.counters["arc_scans"] = static_cast<double>(stats.arc_scans);
 }
 BENCHMARK(BM_SolveBalanced)
-    ->Arg(2000)
-    ->Arg(20000)
+    ->Args({2000, 5})
+    ->Args({20000, 5})
+    ->Args({20000, 101})
     ->Unit(benchmark::kMillisecond);
 
 /// One cluster at the Fig. 7(a) sensor density (about 1600 m² a sensor),

@@ -1,6 +1,6 @@
 // Hot-path scaling trajectory: topology construction (spatial grid vs the
-// O(n²) brute-force reference), min-max-load routing (warm-start
-// RoutingEngine vs a from-zero δ-search), one full greedy polling cycle,
+// O(n²) brute-force reference), min-max-load routing (wall time plus the
+// engine's probe and Dinic work counts), one full greedy polling cycle,
 // and an event-kernel churn phase over n ∈ {50, 200, 500, 1000, 5000,
 // 20000, 100000} sensors at constant density.
 //
@@ -10,9 +10,9 @@
 // needs: wall time per phase, scheduled transmissions per second, and the
 // oracle cache hit rate.  Each row also records *generous* per-phase
 // budgets (phase ms × 20) plus the tx/sec floor (÷ 20) that CI's
-// perf-smoke job checks future runs against.  The O(n²) reference columns
-// (brute-force topology, cold routing) are only measured up to n = 1000;
-// beyond that they read 0 = skipped.  The "run" block records the
+// perf-smoke job checks future runs against.  The O(n²) reference
+// column (brute-force topology) is only measured up to n = 1000; beyond
+// that it reads 0 = skipped.  The "run" block records the
 // number of cores the process may use, since every budget and floor is
 // only meaningful beside the machine it was measured on.
 //
@@ -76,9 +76,12 @@ struct Result {
   double topo_grid_ms = 0.0;
   double topo_brute_ms = 0.0;  // 0 = skipped (n > 1000)
   double topo_speedup = 0.0;
-  double routing_ms = 0.0;       // warm-start engine (production path)
-  double routing_cold_ms = 0.0;  // from-zero δ-search; 0 = skipped
-  double routing_speedup = 0.0;
+  double routing_ms = 0.0;
+  // The routing solve's SolveStats: δ probes and Dinic work over them.
+  long long route_probes = 0;
+  long long route_phases = 0;
+  long long route_augmentations = 0;
+  long long route_arc_scans = 0;
   long long polling_slots = 0;
   long long polling_tx = 0;
   double polling_ms = 0.0;
@@ -94,7 +97,7 @@ struct Result {
   /// Span-attributed per-phase wall time from the profiler (the
   /// "bench/*" spans below); 0 when not run under --profile-out.
   double span_topo_ms = 0.0;     // per grid rep
-  double span_routing_ms = 0.0;  // production warm-start solve
+  double span_routing_ms = 0.0;  // balanced routing solve
   double span_polling_ms = 0.0;  // offline greedy cycle
   double span_kernel_ms = 0.0;   // simulator churn drain
 };
@@ -190,9 +193,7 @@ Result run_point(const Point& p) {
         out.topo_grid_ms > 0.0 ? out.topo_brute_ms / out.topo_grid_ms : 0.0;
   }
 
-  // Routing: one min-max-load solve, unit demand everywhere, on the
-  // warm-start engine (the production path); at reference sizes also a
-  // from-zero δ-search to pin the warm-start speedup.
+  // Routing: one min-max-load solve, unit demand everywhere.
   const ClusterTopology topo = disc_topology(dep, kSensorRange);
   const std::vector<std::int64_t> demand(p.sensors, 1);
   route::RoutingEngine engine;
@@ -202,17 +203,11 @@ Result run_point(const Point& p) {
     return engine.solve_balanced(topo, demand);
   }();
   out.routing_ms = ms_since(t0);
-  if (reference) {
-    route::RoutingEngine cold({.warm_start = false});
-    t0 = Clock::now();
-    const MinMaxLoadResult ref = cold.solve_balanced(topo, demand);
-    out.routing_cold_ms = ms_since(t0);
-    MHP_REQUIRE(ref.max_load == solution.max_load,
-                "warm and cold solves disagree");
-    out.routing_speedup = out.routing_ms > 0.0
-                              ? out.routing_cold_ms / out.routing_ms
-                              : 0.0;
-  }
+  const route::SolveStats& stats = engine.last_stats();
+  out.route_probes = stats.probes;
+  out.route_phases = stats.phases;
+  out.route_augmentations = stats.augmentations;
+  out.route_arc_scans = stats.arc_scans;
 
   const RelayPlan plan(topo, std::move(solution));
 
@@ -379,12 +374,13 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "Hot-path scaling — spatial-grid topology, warm-start routing "
+      "Hot-path scaling — spatial-grid topology, min-max-load routing "
       "engine, pair-screening cached oracle, greedy polling\n"
       "(speedups = reference / production time; 0 = reference skipped)\n\n");
 
   Table table({"sensors", "topo grid ms", "topo brute ms", "topo_speedup",
-               "routing ms", "routing cold ms", "routing_speedup",
+               "routing ms", "route_probes", "route_phases",
+               "route_augmentations", "route_arc_scans",
                "polling_slots", "polling tx", "polling ms", "tx_per_sec",
                "cache_hit_rate", "screened", "floor_tx_per_sec",
                "budget_topo_ms", "budget_routing_ms", "budget_polling_ms",
@@ -394,26 +390,25 @@ int main(int argc, char** argv) {
   table.set_precision(2, 3);
   table.set_precision(3, 1);
   table.set_precision(4, 2);
-  table.set_precision(5, 2);
-  table.set_precision(6, 2);
-  table.set_precision(9, 2);
-  table.set_precision(10, 0);
-  table.set_precision(11, 3);
-  table.set_precision(13, 0);
-  table.set_precision(14, 1);
-  table.set_precision(15, 1);
+  table.set_precision(11, 2);
+  table.set_precision(12, 0);
+  table.set_precision(13, 3);
+  table.set_precision(15, 0);
   table.set_precision(16, 1);
-  table.set_precision(17, 3);
-  table.set_precision(18, 2);
-  table.set_precision(19, 2);
-  table.set_precision(20, 3);
-  table.set_precision(21, 1);
+  table.set_precision(17, 1);
+  table.set_precision(18, 1);
+  table.set_precision(19, 3);
+  table.set_precision(20, 2);
+  table.set_precision(21, 2);
   table.set_precision(22, 3);
+  table.set_precision(23, 1);
+  table.set_precision(24, 3);
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Result& r = results[i];
     table.add_row({static_cast<long long>(points[i].sensors),
                    r.topo_grid_ms, r.topo_brute_ms, r.topo_speedup,
-                   r.routing_ms, r.routing_cold_ms, r.routing_speedup,
+                   r.routing_ms, r.route_probes, r.route_phases,
+                   r.route_augmentations, r.route_arc_scans,
                    r.polling_slots, r.polling_tx, r.polling_ms,
                    r.tx_per_sec, r.cache_hit_rate, r.screened,
                    r.floor_tx_per_sec, r.budget_topo_ms,

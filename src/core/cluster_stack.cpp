@@ -175,9 +175,8 @@ void ClusterStack::replan(NodeId declared, route::RoutingEngine& engine) {
   MHP_REQUIRE(declared >= base_ && declared < base_ + num_sensors(),
               "head declared a node outside its cluster");
   declared_dead_.push_back(declared - base_);
-  // The plan being repaired warm-starts the re-solve.
-  RouteRepair repair = repair_routes(topo_, declared_dead_, demand_,
-                                     cfg_.routing, &engine, plan_.get());
+  RouteRepair repair =
+      repair_routes(topo_, declared_dead_, demand_, cfg_.routing, &engine);
   plan_ = std::make_unique<RelayPlan>(std::move(repair.plan));
   orphaned_ = repair.orphaned.size();
 

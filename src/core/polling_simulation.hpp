@@ -96,8 +96,7 @@ class PollingSimulation {
  private:
   ProtocolConfig cfg_;
   SimRuntime rt_;
-  /// Owns the flow arenas for set-up routing and every replan; replans
-  /// warm-start from the previous plan's surviving flow.
+  /// Owns the flow arenas for set-up routing and every replan.
   route::RoutingEngine engine_;
   std::unique_ptr<ClusterStack> stack_;
   DeliveryLedger ledger_;  // untouched when faults are off

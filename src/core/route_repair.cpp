@@ -1,7 +1,5 @@
 #include "core/route_repair.hpp"
 
-#include <algorithm>
-
 #include "obs/profiler.hpp"
 #include "route/routing_engine.hpp"
 #include "util/assertx.hpp"
@@ -12,8 +10,7 @@ RouteRepair repair_routes(const ClusterTopology& topo,
                           const std::vector<NodeId>& dead,
                           std::vector<std::int64_t> demand,
                           RoutingPolicy routing,
-                          route::RoutingEngine* engine,
-                          const RelayPlan* previous) {
+                          route::RoutingEngine* engine) {
   MHP_SPAN("fault/repair_routes");
   const std::size_t n = topo.num_sensors();
   MHP_REQUIRE(demand.size() == n, "demand size mismatch");
@@ -44,17 +41,9 @@ RouteRepair repair_routes(const ClusterTopology& topo,
       orphaned.push_back(s);
     }
   }
-  MHP_REQUIRE(std::any_of(demand.begin(), demand.end(),
-                          [](std::int64_t d) { return d > 0; }),
-              "no sensor survives with a relay path");
 
   route::RoutingEngine local_engine;
   route::RoutingEngine& eng = engine != nullptr ? *engine : local_engine;
-  // The repaired plan's surviving paths seed the re-solve's first
-  // feasibility probe; paths through dead nodes are skipped by the
-  // engine.  This never changes the solution (see RoutingEngine docs).
-  if (previous != nullptr && routing != RoutingPolicy::kShortestPath)
-    eng.set_warm_hint(&previous->all_paths());
   return RouteRepair{
       RelayPlan(survived, eng.solve(routing, survived, demand)),
       std::move(orphaned)};

@@ -31,17 +31,15 @@ struct RouteRepair {
 
 /// Re-route `topo` minus `dead`.  `demand[s]` is the per-cycle packet
 /// demand used at set-up; dead and orphaned sensors are re-solved with
-/// zero demand.  Requires at least one sensor to survive with a path.
+/// zero demand.  When no sensor survives with a path the plan is feasible
+/// and empty, and `orphaned` lists every survivor.
 ///
 /// `engine` (optional) solves on a caller-owned RoutingEngine so repeated
-/// repairs reuse its arenas; `previous` (optional) is the plan being
-/// repaired, whose surviving paths warm-start the balanced re-solve.
-/// Both are pure accelerators: results are identical without them.
+/// repairs reuse its arenas; results are identical without it.
 RouteRepair repair_routes(const ClusterTopology& topo,
                           const std::vector<NodeId>& dead,
                           std::vector<std::int64_t> demand,
                           RoutingPolicy routing,
-                          route::RoutingEngine* engine = nullptr,
-                          const RelayPlan* previous = nullptr);
+                          route::RoutingEngine* engine = nullptr);
 
 }  // namespace mhp

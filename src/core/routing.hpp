@@ -44,8 +44,7 @@ class RelayPlan {
 
   const std::vector<UnitPath>& paths(NodeId s) const { return paths_.at(s); }
 
-  /// Every sensor's path list.  Feed to RoutingEngine::set_warm_hint so a
-  /// post-fault replan starts from this plan's surviving flow.
+  /// Every sensor's path list, indexed by sensor.
   const std::vector<std::vector<UnitPath>>& all_paths() const {
     return paths_;
   }

@@ -97,25 +97,4 @@ void FlowGraph::clear_flow() {
     cap_[e] = forward_[e] != 0 ? pair_cap_[e] : 0;
 }
 
-void FlowGraph::install_flow(std::span<const Cap> fwd) {
-  const std::size_t m = cap_.size();
-  MHP_REQUIRE(fwd.size() * 2 == m, "flow snapshot size mismatch");
-  std::size_t k = 0;
-  for (std::size_t e = 0; e < m; ++e) {
-    if (forward_[e] == 0) continue;
-    const Cap f = fwd[k++];
-    MHP_REQUIRE(f >= 0 && f <= pair_cap_[e], "installed flow exceeds capacity");
-    cap_[e] = pair_cap_[e] - f;
-    cap_[static_cast<std::size_t>(twin_[e])] = f;
-  }
-}
-
-void FlowGraph::save_flow(std::vector<Cap>& fwd) const {
-  const std::size_t m = cap_.size();
-  fwd.resize(m / 2);
-  std::size_t k = 0;
-  for (std::size_t e = 0; e < m; ++e)
-    if (forward_[e] != 0) fwd[k++] = pair_cap_[e] - cap_[e];
-}
-
 }  // namespace mhp::route

@@ -100,19 +100,11 @@ class FlowGraph {
   void push(int e, Cap amount);
 
   /// Change a forward arc's capacity.  Residuals are stale until the next
-  /// install_flow()/clear_flow(), so callers must follow with one of them.
+  /// clear_flow(), so callers must follow with it.
   void set_capacity(int e, Cap cap);
 
   /// Zero all flow, restoring residuals to the current capacities.
   void clear_flow();
-
-  /// Materialize residuals for the given per-forward-arc flow (fwd[k] is
-  /// the flow on the k-th forward arc in id order).  Requires
-  /// 0 <= fwd[k] <= that arc's capacity.
-  void install_flow(std::span<const Cap> fwd);
-
-  /// Snapshot the current per-forward-arc flow (id order) into `fwd`.
-  void save_flow(std::vector<Cap>& fwd) const;
 
  private:
   int num_nodes_ = 0;

@@ -31,80 +31,23 @@ void RoutingEngine::build_network(const ClusterTopology& topo,
                                   const std::vector<Cap>& weight) {
   const std::size_t n = topo.num_sensors();
   g_.reset(2 + 2 * static_cast<int>(n));
-  demand_arc_.assign(n, -1);
   capacity_arc_.assign(n, -1);
-  sink_arc_.assign(n, -1);
   for (NodeId s = 0; s < n; ++s) {
     if (demand[s] > 0)
-      demand_arc_[s] = static_cast<std::int32_t>(
-          g_.add_arc(Layout::source(), Layout::input(s), demand[s]));
+      g_.add_arc(Layout::source(), Layout::input(s), demand[s]);
     // Capacity δ·w is set per probe via set_capacity.
     capacity_arc_[s] = static_cast<std::int32_t>(
         g_.add_arc(Layout::input(s), Layout::output(s), weight[s]));
     if (topo.head_hears(s))
-      sink_arc_[s] = static_cast<std::int32_t>(
-          g_.add_arc(Layout::output(s), Layout::sink(), FlowGraph::kInfinite));
+      g_.add_arc(Layout::output(s), Layout::sink(), FlowGraph::kInfinite);
   }
   for (NodeId a = 0; a < n; ++a)
     for (NodeId b : topo.sensor_links().neighbors(a))
       g_.add_arc(Layout::output(a), Layout::input(b), FlowGraph::kInfinite);
-  // The tables hold add_arc's insertion indices until build_csr assigns
-  // the arc ids.
+  // capacity_arc_ holds add_arc's insertion indices until build_csr
+  // assigns the arc ids.
   const std::span<const std::int32_t> ids = g_.build_csr();
-  for (auto* table : {&demand_arc_, &capacity_arc_, &sink_arc_})
-    for (std::int32_t& e : *table)
-      if (e >= 0) e = ids[static_cast<std::size_t>(e)];
-}
-
-int RoutingEngine::find_link_arc(NodeId a, NodeId b) const {
-  const int target = Layout::input(b);
-  for (const int e : g_.arcs_out(Layout::output(a)))
-    if (g_.is_forward(e) && g_.arc_to(e) == target) return e;
-  return -1;
-}
-
-FlowGraph::Cap RoutingEngine::prime_from_hint(
-    const std::vector<std::vector<UnitPath>>& hint) {
-  const std::size_t n = capacity_arc_.size();
-  Cap primed = 0;
-  std::vector<int> arcs;
-  for (std::size_t s = 0; s < hint.size() && s < n; ++s) {
-    if (demand_arc_[s] < 0) continue;
-    for (const UnitPath& p : hint[s]) {
-      // hops = {s, relays..., head}; the head hop maps to the last relay's
-      // sink arc, every relay hop to a link arc plus its capacity arc.
-      if (p.hops.size() < 2 || p.hops.front() != static_cast<NodeId>(s))
-        continue;
-      arcs.clear();
-      arcs.push_back(demand_arc_[s]);
-      arcs.push_back(capacity_arc_[s]);
-      bool ok = true;
-      for (std::size_t i = 0; i + 2 < p.hops.size(); ++i) {
-        const NodeId b = p.hops[i + 1];
-        if (b >= n) {
-          ok = false;
-          break;
-        }
-        const int link = find_link_arc(p.hops[i], b);
-        if (link < 0) {
-          ok = false;
-          break;
-        }
-        arcs.push_back(link);
-        arcs.push_back(capacity_arc_[b]);
-      }
-      if (!ok) continue;
-      const NodeId last_relay = p.hops[p.hops.size() - 2];
-      if (last_relay >= n || sink_arc_[last_relay] < 0) continue;
-      arcs.push_back(sink_arc_[last_relay]);
-      Cap units = p.units;
-      for (const int e : arcs) units = std::min(units, g_.residual(e));
-      if (units <= 0) continue;
-      for (const int e : arcs) g_.push(e, units);
-      primed += units;
-    }
-  }
-  return primed;
+  for (std::int32_t& e : capacity_arc_) e = ids[static_cast<std::size_t>(e)];
 }
 
 void RoutingEngine::MaxFlowWork::count_span() const {
@@ -379,81 +322,58 @@ FlowGraph::Cap RoutingEngine::analytic_floor(
   return lb;
 }
 
-FlowGraph::Cap RoutingEngine::search(std::size_t n, Cap total, Cap lb,
-                                     Cap& final_delta) {
-  const bool warm = policy_.warm_start;
-
-  // Probe δ and return the max-flow value there.  Warm probes extend the
-  // base flow (the max flow of the largest infeasible δ so far — valid
-  // here because capacities only grow with δ); the value they converge to
-  // is unique even though the flow assignment is not, so feasibility
-  // answers — and hence δ* — match the cold search exactly.  Feasible
-  // from-zero probes save their flow: it is exactly the solve the
-  // decomposition contract calls for, so the final step can reuse it.
-  const auto probe = [&](Cap delta) {
+FlowGraph::Cap RoutingEngine::search(const std::vector<Cap>& demand, Cap total,
+                                     Cap delta) {
+  // Newton's method for parametric max-flow (Radzik; Gallo–Grigoriadis–
+  // Tarjan 1989).  Each probe is one from-zero max flow at δ.  When it
+  // falls short, the last BFS has labelled exactly the nodes that still
+  // reach t, which gives a min cut of capacity A + δ·B: A is the demand
+  // of the sensors whose input node is on the sink side, B the weight of
+  // the capacity arcs that cross.  Infinite arcs never cross (their tails
+  // reach t through them).  Every feasible δ needs A + δ·B >= total, so
+  // ⌈(total − A)/B⌉ is again a lower bound on δ*: probes climb from
+  // below, and the first feasible one is δ*, its flow the one decomposed.
+  const std::size_t n = demand.size();
+  for (;;) {
     MHP_SPAN("route/probe");
     for (NodeId s = 0; s < n; ++s)
       g_.set_capacity(capacity_arc_[s], delta * weight_[s]);
-    Cap value = 0;
-    const bool from_zero = !(warm && have_base_);
-    if (from_zero) {
-      g_.clear_flow();
-      ++stats_.cold_solves;
-    } else {
-      g_.install_flow(base_flow_);
-      value = base_value_;
-    }
-    value += work_.augment(g_);
+    g_.clear_flow();
+    const Cap value = work_.augment(g_);
     work_.count_span();
     work_.add_to(stats_);
     ++stats_.probes;
-    if (value >= total) {
-      if (from_zero) {
-        g_.save_flow(final_flow_);
-        final_delta = delta;
-      }
-    } else if (warm) {
-      g_.save_flow(base_flow_);
-      have_base_ = true;
-      base_value_ = value;
-    }
     MHP_SPAN_COUNTER("delta", delta);
     MHP_SPAN_COUNTER("feasible", value >= total ? 1 : 0);
-    return value;
-  };
+    if (value >= total) return delta;
 
-  // Gallop up from the floor with doubling GAPS (the analytic floor is
-  // usually tight, so small first steps beat a doubling-δ ladder),
-  // clamped at δ = total, which is always feasible once every
-  // demand-positive sensor is reachable: no sensor ever relays more than
-  // the whole load, and capacity total·w covers that.
-  Cap lo = lb;
-  Cap hi = lb;
-  Cap step = 1;
-  while (probe(hi) < total) {
-    MHP_ENSURE(hi < total,
-               "min-max-load search diverged: delta=" + std::to_string(hi) +
-                   " infeasible with total demand " + std::to_string(total));
-    lo = hi + 1;
-    hi = std::min(hi + step, total);
-    step *= 2;
+    const auto sink_side = [&](int v) {
+      return work_.level[static_cast<std::size_t>(v)] >= 0;
+    };
+    Cap a = 0;
+    Cap b = 0;
+    for (NodeId s = 0; s < n; ++s) {
+      if (sink_side(Layout::input(s)))
+        a += demand[s];
+      else if (sink_side(Layout::output(s)))
+        b += weight_[s];
+    }
+    MHP_ENSURE(b > 0 && a + delta * b == value,
+               "min cut does not match the max flow at delta=" +
+                   std::to_string(delta));
+    const Cap next = (total - a + b - 1) / b;
+    MHP_ENSURE(next > delta && next <= total,
+               "min-max-load search diverged: delta=" + std::to_string(delta) +
+                   " next=" + std::to_string(next) + " with total demand " +
+                   std::to_string(total));
+    delta = next;
   }
-  while (lo < hi) {
-    const Cap mid = lo + (hi - lo) / 2;
-    if (probe(mid) >= total)
-      hi = mid;
-    else
-      lo = mid + 1;
-  }
-  return hi;
 }
 
 MinMaxLoadResult RoutingEngine::solve_balanced(
     const ClusterTopology& topo, const std::vector<std::int64_t>& demand,
     const std::vector<std::int64_t>& weight) {
   MHP_SPAN("route/solve_balanced");
-  const auto* hint = hint_;
-  hint_ = nullptr;  // one-shot, consumed even on early return
   stats_ = {};
 
   const std::size_t n = topo.num_sensors();
@@ -480,56 +400,18 @@ MinMaxLoadResult RoutingEngine::solve_balanced(
     if (demand[s] > 0 && topo.level(s) == ClusterTopology::kUnreachable)
       return result;  // infeasible
 
-  // The analytic level-cut/demand floor is never above δ*, so it only
-  // trims the search.
+  // The analytic level-cut/demand floor is never above δ*, so the search
+  // can start there.
   const Cap lb = analytic_floor(topo, demand);
   stats_.delta_lower_bound = lb;
 
   build_network(topo, demand, weight_);
-  have_base_ = false;
-  base_value_ = 0;
-
-  // A warm hint is only a feasibility head start: pre-push its still-valid
-  // unit paths and keep them as the first warm base.
-  if (policy_.warm_start && hint != nullptr) {
-    for (NodeId s = 0; s < n; ++s)
-      g_.set_capacity(capacity_arc_[s], lb * weight_[s]);
-    g_.clear_flow();
-    const Cap primed = prime_from_hint(*hint);
-    stats_.hint_units = primed;
-    if (primed > 0) {
-      g_.save_flow(base_flow_);
-      have_base_ = true;
-      base_value_ = primed;
-    }
-  }
-
-  Cap final_delta = 0;
-  const Cap delta_star = search(n, total, lb, final_delta);
+  const Cap delta_star = search(demand, total, lb);
   stats_.delta_star = delta_star;
-
-  // Decomposition contract: the flow decomposed is always the one
-  // from-zero solve at δ*.  When some from-zero probe already ran it
-  // (cold searches always have; a warm search only when its very first
-  // probe won), reuse that flow; otherwise run it now.  Either way warm
-  // and cold searches decompose byte-identical flows.
-  for (NodeId s = 0; s < n; ++s)
-    g_.set_capacity(capacity_arc_[s], delta_star * weight_[s]);
-  if (final_delta == delta_star) {
-    g_.install_flow(final_flow_);
-  } else {
-    g_.clear_flow();
-    const Cap final_value = work_.augment(g_);
-    work_.add_to(stats_);
-    ++stats_.cold_solves;
-    MHP_ENSURE(final_value >= total, "final flow lost feasibility");
-  }
 
   result.feasible = true;
   result.max_load = delta_star;
   MHP_SPAN_COUNTER("probes", stats_.probes);
-  MHP_SPAN_COUNTER("cold_solves", stats_.cold_solves);
-  MHP_SPAN_COUNTER("hint_units", stats_.hint_units);
   MHP_SPAN_COUNTER("phases", stats_.phases);
   MHP_SPAN_COUNTER("augmentations", stats_.augmentations);
   MHP_SPAN_COUNTER("arc_scans", stats_.arc_scans);
@@ -541,7 +423,6 @@ MinMaxLoadResult RoutingEngine::solve_shortest(
     const ClusterTopology& topo, const std::vector<std::int64_t>& demand) {
   MHP_SPAN("route/solve_shortest");
   stats_ = {};
-  hint_ = nullptr;
   const std::size_t n = topo.num_sensors();
   MHP_REQUIRE(demand.size() == n, "demand size mismatch");
   MinMaxLoadResult result;

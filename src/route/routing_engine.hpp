@@ -11,20 +11,15 @@
 // yields each sensor's relaying paths with per-path flow units (used by
 // multiple-path rotation, §V-D).
 //
-// The δ-search is one serial gallop-then-bisect over Dinic max-flow
-// probes, starting at an analytic floor (level cuts and per-sensor demand
-// bounds, never above δ*).  On top of the plain search:
-//   * warm-start δ-probes — each feasibility probe augments the best flow
-//     found at a smaller δ instead of re-solving from zero.  Probes only
-//     answer "is δ feasible?" (the max-flow *value* at a given δ is
-//     unique, the assignment is not); the path decomposition always comes
-//     from one final from-zero solve at δ*, which is exactly the flow the
-//     cold search decomposed.  That is the determinism contract.
-//   * warm hints — a surviving RelayPlan can seed the first probe of a
-//     post-fault replan with its still-valid unit paths.  Hints only
-//     pre-load flow for feasibility probes, so they never change results.
-//   * reusable arenas — the CSR graph, BFS/DFS scratch and flow snapshots
-//     persist across solves on the same engine.
+// The δ-search is Newton's method for parametric max-flow: each probe is
+// one from-zero Dinic max flow at δ, starting at an analytic floor (level
+// cuts and per-sensor demand bounds, never above δ*).  An infeasible
+// probe's min cut, read off its last BFS, bounds δ* from below, and the
+// next probe goes there, so probes climb strictly towards δ* and the
+// first feasible one is δ*.  Its from-zero flow is the one decomposed,
+// which is the determinism contract: the result is a pure function of
+// the instance.  The CSR graph and the BFS/DFS and decomposition scratch
+// persist across solves on the same engine.
 //
 // Engines are cheap to construct and NOT thread-safe; for parallel
 // per-cluster routing use solve_clusters(), which gives each job its own
@@ -76,21 +71,13 @@ struct MinMaxLoadResult {
 
 namespace mhp::route {
 
-struct SolvePolicy {
-  /// Reuse flow between δ-probes (results are identical either way; cold
-  /// mode exists for equivalence tests and perf comparisons).
-  bool warm_start = true;
-};
-
 /// Counters from the most recent solve_balanced (zeroed for trivially
 /// feasible/infeasible instances and for solve_shortest).
 struct SolveStats {
-  int probes = 0;       // δ feasibility probes run
-  int cold_solves = 0;  // from-zero max-flow runs (probes + the final one)
+  int probes = 0;  // δ probes run, each one from-zero max flow
   std::int64_t delta_lower_bound = 0;  // δ floor the search began at
   std::int64_t delta_star = 0;  // winning δ (== result.max_load)
-  std::int64_t hint_units = 0;  // flow pre-seeded from a warm hint
-  // Max-flow work over every probe and the final solve.
+  // Max-flow work over every probe.
   std::int64_t phases = 0;         // BFS runs, the last one finding no path
   std::int64_t augmentations = 0;  // augmenting paths pushed
   std::int64_t arc_scans = 0;      // out-arcs of every node a BFS dequeued
@@ -98,7 +85,7 @@ struct SolveStats {
 
 class RoutingEngine {
  public:
-  explicit RoutingEngine(SolvePolicy policy = {}) : policy_(policy) {}
+  RoutingEngine() = default;
   RoutingEngine(RoutingEngine&&) = delete;
 
   /// Min-max-load routing (search over δ with max-flow probes).
@@ -119,22 +106,15 @@ class RoutingEngine {
                          const std::vector<std::int64_t>& demand,
                          const std::vector<std::int64_t>& weight = {});
 
-  /// Seed the NEXT solve_balanced's first δ-probe with the unit paths of a
-  /// previous solution (e.g. the surviving flow after a fault).  Paths
-  /// with dead hops/links are skipped; the hint is consumed by that solve.
-  /// The pointee must stay alive until then.  Never changes results.
-  void set_warm_hint(const std::vector<std::vector<UnitPath>>* hint) {
-    hint_ = hint;
-  }
-
   const SolveStats& last_stats() const { return stats_; }
 
  private:
   using Cap = FlowGraph::Cap;
 
-  /// Dinic max-flow scratch: augments whatever flow is installed on g to
-  /// a maximum flow and returns the value pushed.  The counters describe
-  /// the latest augment() call.
+  /// Dinic max-flow scratch: augments the flow on g to a maximum flow and
+  /// returns the value pushed.  The counters describe the latest augment()
+  /// call.  After it, level[v] >= 0 marks exactly the nodes that still
+  /// reach the sink in the residual graph.
   struct MaxFlowWork {
     std::vector<std::int32_t> level;  // residual distances to the sink
     std::vector<std::int32_t> queue;
@@ -157,8 +137,6 @@ class RoutingEngine {
 
   void build_network(const ClusterTopology& topo, const std::vector<Cap>& demand,
                      const std::vector<Cap>& weight);
-  Cap prime_from_hint(const std::vector<std::vector<UnitPath>>& hint);
-  int find_link_arc(NodeId a, NodeId b) const;
 
   /// Analytic δ floor: per-level cut bounds (all demand from level ≥ L
   /// crosses the level-L sensors; L = 1 is the head cut) and per-sensor
@@ -166,33 +144,20 @@ class RoutingEngine {
   Cap analytic_floor(const ClusterTopology& topo,
                      const std::vector<Cap>& demand) const;
 
-  /// The δ-search.  Returns δ* and leaves `final_flow_` / `final_delta`
-  /// set when some from-zero probe already solved δ*.
-  Cap search(std::size_t n, Cap total, Cap lb, Cap& final_delta);
+  /// The Newton δ-search from `delta` (a lower bound on δ*).  Returns δ*
+  /// and leaves g_ holding the from-zero max flow at δ*.
+  Cap search(const std::vector<Cap>& demand, Cap total, Cap delta);
 
   void decompose(const ClusterTopology& topo, const std::vector<Cap>& demand,
                  MinMaxLoadResult& result);
   bool cancel_one_cycle();
   void cancel_cycles();
 
-  SolvePolicy policy_;
   SolveStats stats_;
-  const std::vector<std::vector<UnitPath>>* hint_ = nullptr;
 
   FlowGraph g_;
-  std::vector<std::int32_t> demand_arc_;    // per sensor (-1 if demand 0)
   std::vector<std::int32_t> capacity_arc_;  // per sensor input→output arc
-  std::vector<std::int32_t> sink_arc_;      // per sensor (-1 unless 1st level)
   std::vector<Cap> weight_;                 // resolved weights for this solve
-
-  // Flow snapshots (per forward arc): the warm-start base (max flow at
-  // the largest infeasible δ probed, or the hint-seeded flow before any
-  // probe) and the flow of a from-zero feasible probe (reused by the
-  // final decomposition when that probe's δ wins the search).
-  std::vector<Cap> base_flow_;
-  std::vector<Cap> final_flow_;
-  bool have_base_ = false;
-  Cap base_value_ = 0;
 
   MaxFlowWork work_;
 

@@ -113,6 +113,28 @@ TEST(RouteRepair, SurvivingRelayPathsAvoidTheDeadNode) {
       for (NodeId hop : path.hops) EXPECT_NE(hop, 0u);
 }
 
+TEST(RouteRepair, LosingTheOnlyUplinkOrphansEverySurvivor) {
+  // Line: head hears only 0; 0-1-2 chain.  Killing 0 leaves no survivor a
+  // path: the repair is feasible and empty, not an error.
+  Graph g(3);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  ClusterTopology topo(g, {true, false, false});
+  for (RoutingPolicy routing :
+       {RoutingPolicy::kBalancedMaxFlow, RoutingPolicy::kShortestPath}) {
+    const RouteRepair rep = repair_routes(topo, {0}, {1, 1, 1}, routing);
+    EXPECT_EQ(rep.orphaned, (std::vector<NodeId>{1, 2}));
+    EXPECT_TRUE(routed_sensors(rep.plan).empty());
+    EXPECT_EQ(rep.plan.max_load(), 0);
+  }
+}
+
+/// Head at the origin and three sensors 40 m apart on a line: only the
+/// first sensor reaches the head, so its death orphans the other two.
+Deployment uplink_chain() {
+  return Deployment{{{40.0, 0.0}, {80.0, 0.0}, {120.0, 0.0}, {0.0, 0.0}}};
+}
+
 // ---------- polling stack: end-to-end recovery ----------
 
 // The bench smoke point: 14 sensors with a load-bearing relay.
@@ -156,6 +178,24 @@ TEST(FaultRecovery, RelayDeathTriggersReplanAndRestoresDelivery) {
   const std::string json = obs::to_json(r).dump();
   EXPECT_NE(json.find("\"degradation\""), std::string::npos);
   EXPECT_NE(json.find("\"delivery_after\""), std::string::npos);
+}
+
+TEST(FaultRecovery, RepairThatOrphansEverySurvivorRunsToTheEnd) {
+  ProtocolConfig cfg;
+  cfg.faults.kill_at(0, Time::sec(20));
+  cfg.recovery.enabled = true;
+  PollingSimulation sim(uplink_chain(), cfg, 20.0);
+  ASSERT_EQ(sim.relay_plan().load(0), 3);
+  const SimulationReport r = sim.run(Time::sec(40), Time::sec(10));
+
+  ASSERT_TRUE(r.degradation.has_value());
+  const DegradationReport& deg = *r.degradation;
+  EXPECT_EQ(deg.deaths, 1u);
+  EXPECT_EQ(deg.deaths_detected, 1u);
+  EXPECT_EQ(deg.orphaned_sensors, 2u);
+  EXPECT_EQ(deg.dead_nodes, std::vector<NodeId>{0});
+  EXPECT_GT(deg.delivery_before, 0.0);
+  EXPECT_EQ(deg.delivery_after, 0.0);
 }
 
 TEST(FaultRecovery, DisabledFaultsLeaveReportsUntouched) {
@@ -230,6 +270,32 @@ TEST(MultiClusterFault, FieldWideDeathIsRepairedByTheOwningHead) {
   EXPECT_GE(rep.delivery_ratio.at(0), 0.95);
   const std::string json = obs::to_json(rep).dump();
   EXPECT_NE(json.find("\"degradation\""), std::string::npos);
+}
+
+TEST(MultiClusterFault, RepairThatOrphansEverySurvivorRunsToTheEnd) {
+  // The uplink chain as the second of two clusters; its only head-heard
+  // sensor is local sensor 0, field-wide id 10.
+  std::vector<ClusterSpec> specs;
+  Rng rng(9);
+  specs.push_back({deploy_connected_uniform_square(10, 170.0, 60.0, rng),
+                   {0.0, 0.0}});
+  specs.push_back({uplink_chain(), {400.0, 0.0}});
+  ProtocolConfig cfg;
+  cfg.seed = 9;
+  cfg.faults.kill_at(10, Time::sec(20));
+  cfg.recovery.enabled = true;
+  MultiClusterSimulation sim(std::move(specs), cfg,
+                             InterClusterMode::kColored, 30.0);
+  const MultiClusterReport rep = sim.run(Time::sec(40), Time::sec(10));
+
+  ASSERT_TRUE(rep.degradation.has_value());
+  const DegradationReport& deg = *rep.degradation;
+  EXPECT_EQ(deg.deaths, 1u);
+  EXPECT_EQ(deg.deaths_detected, 1u);
+  EXPECT_EQ(deg.orphaned_sensors, 2u);
+  EXPECT_EQ(deg.dead_nodes, std::vector<NodeId>{10});
+  // The unaffected cluster keeps delivering.
+  EXPECT_GE(rep.delivery_ratio.at(0), 0.95);
 }
 
 // ---------- S-MAC baseline ----------

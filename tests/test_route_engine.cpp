@@ -1,10 +1,12 @@
-// RoutingEngine determinism contract: warm-start probes, warm hints and
-// parallel per-cluster solves must all produce byte-identical results to
-// the cold single-threaded solver, and to a min-max-load reference built
-// on the independent adjacency-list max-flow stack in reference_flow.hpp.
+// RoutingEngine determinism contract: long-lived engines, chained
+// repairs and parallel per-cluster solves must all produce byte-identical
+// results to a fresh single-threaded engine, and to a min-max-load
+// reference built on the independent adjacency-list max-flow stack in
+// reference_flow.hpp.  The Newton δ-search must climb to δ* from below.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <iterator>
@@ -18,6 +20,7 @@
 #include "core/routing.hpp"
 #include "exp/fig_common.hpp"
 #include "net/deployment.hpp"
+#include "obs/profiler.hpp"
 #include "reference_flow.hpp"
 #include "route/flow_graph.hpp"
 #include "route/routing_engine.hpp"
@@ -32,7 +35,6 @@ namespace {
 using route::ClusterRouteJob;
 using route::FlowGraph;
 using route::RoutingEngine;
-using route::SolvePolicy;
 
 // Full-fidelity serialization of a solver result: any divergence in
 // paths, per-path units or loads shows up as a string mismatch.
@@ -75,22 +77,24 @@ MinMaxLoadResult legacy_balanced(const ClusterTopology& topo,
                                  const std::vector<std::int64_t>& demand,
                                  const std::vector<std::int64_t>& weight);
 
-// ---------- warm start vs cold solve ----------
+// ---------- long-lived engine vs fresh engine ----------
 
 TEST(RouteEngine, WarmMatchesColdAndLegacyOnFixedDeployments) {
+  // One engine lives across every solve; each solve also runs on a fresh
+  // engine and through the reference.
+  RoutingEngine reused;
   for (std::size_t sensors : {14u, 40u, 120u}) {
     for (std::uint64_t seed : {1u, 2u}) {
       const ClusterTopology topo = eval_topology(sensors, seed);
       const std::vector<std::int64_t> demand(sensors, 1);
 
-      RoutingEngine warm(SolvePolicy{.warm_start = true});
-      RoutingEngine cold(SolvePolicy{.warm_start = false});
-      const std::string warm_fp =
-          fingerprint(warm.solve_balanced(topo, demand));
-      EXPECT_EQ(warm_fp, fingerprint(cold.solve_balanced(topo, demand)))
+      RoutingEngine fresh;
+      const std::string reused_fp =
+          fingerprint(reused.solve_balanced(topo, demand));
+      EXPECT_EQ(reused_fp, fingerprint(fresh.solve_balanced(topo, demand)))
           << "sensors=" << sensors << " seed=" << seed;
       const std::vector<std::int64_t> unit(sensors, 1);
-      EXPECT_EQ(warm_fp, fingerprint(legacy_balanced(topo, demand, unit)))
+      EXPECT_EQ(reused_fp, fingerprint(legacy_balanced(topo, demand, unit)))
           << "sensors=" << sensors << " seed=" << seed;
     }
   }
@@ -102,12 +106,14 @@ TEST(RouteEngine, WarmMatchesColdWithWeights) {
   std::vector<std::int64_t> weight(40);
   for (std::size_t s = 0; s < weight.size(); ++s) weight[s] = 1 + s % 3;
 
-  RoutingEngine warm(SolvePolicy{.warm_start = true});
-  RoutingEngine cold(SolvePolicy{.warm_start = false});
-  EXPECT_EQ(fingerprint(warm.solve_balanced(topo, demand, weight)),
-            fingerprint(cold.solve_balanced(topo, demand, weight)));
-  EXPECT_EQ(fingerprint(warm.solve_balanced(topo, demand, weight)),
-            fingerprint(legacy_balanced(topo, demand, weight)));
+  // The long-lived engine solves the unweighted instance first.
+  RoutingEngine reused;
+  reused.solve_balanced(topo, demand);
+  RoutingEngine fresh;
+  const std::string reused_fp =
+      fingerprint(reused.solve_balanced(topo, demand, weight));
+  EXPECT_EQ(reused_fp, fingerprint(fresh.solve_balanced(topo, demand, weight)));
+  EXPECT_EQ(reused_fp, fingerprint(legacy_balanced(topo, demand, weight)));
 }
 
 TEST(RouteEngine, ReusedEngineMatchesFreshEnginePerSolve) {
@@ -146,13 +152,65 @@ TEST(RouteEngine, SearchStatsBoundDeltaStar) {
   ASSERT_TRUE(result.feasible);
   const route::SolveStats& stats = engine.last_stats();
   EXPECT_GE(stats.probes, 1);
-  EXPECT_GE(stats.cold_solves, 1);
   EXPECT_GE(stats.delta_lower_bound, 1);
   EXPECT_LE(stats.delta_lower_bound, stats.delta_star);
   EXPECT_EQ(stats.delta_star, result.max_load);
 }
 
-// ---------- warm hints across fault → replan ----------
+// ---------- the Newton δ-search ----------
+
+TEST(RouteEngine, ProbesClimbToDeltaStarFromBelow) {
+  // A disc field at 1000 m² a sensor whose analytic floor is below δ*:
+  // the first probe's min cut must send the second straight to δ*.
+  constexpr std::size_t kSensors = 2000;
+  Rng rng(101);
+  const ClusterTopology topo = disc_topology(
+      deploy_connected_uniform_square(
+          kSensors, std::sqrt(1000.0 * static_cast<double>(kSensors)), 60.0,
+          rng),
+      60.0);
+  const std::vector<std::int64_t> demand(kSensors, 3);
+
+  obs::Profiler& prof = obs::Profiler::instance();
+  prof.disable();
+  prof.drain();
+  prof.enable();
+  RoutingEngine engine;
+  const MinMaxLoadResult got = engine.solve_balanced(topo, demand);
+  prof.disable();
+  const obs::ProfileData data = prof.drain();
+
+  const auto counter = [](const obs::ProfileEvent& ev, const char* name) {
+    for (const auto& c : ev.counters)
+      if (c.name != nullptr && std::string(c.name) == name)
+        return static_cast<std::int64_t>(c.value);
+    ADD_FAILURE() << "probe span without counter " << name;
+    return std::int64_t{-1};
+  };
+  std::vector<std::int64_t> deltas;
+  std::vector<std::int64_t> feasible;
+  for (const obs::ProfileEvent& ev : data.events)
+    if (data.paths.at(ev.path) == "route/solve_balanced/route/probe") {
+      deltas.push_back(counter(ev, "delta"));
+      feasible.push_back(counter(ev, "feasible"));
+    }
+
+  ASSERT_TRUE(got.feasible);
+  ASSERT_EQ(engine.last_stats().probes, 2);
+  ASSERT_EQ(deltas.size(), 2u);
+  for (std::size_t i = 1; i < deltas.size(); ++i)
+    EXPECT_GT(deltas[i], deltas[i - 1]) << "probe " << i;
+  for (std::size_t i = 0; i + 1 < feasible.size(); ++i)
+    EXPECT_EQ(feasible[i], 0) << "probe " << i;
+  EXPECT_EQ(feasible.back(), 1);
+  EXPECT_EQ(deltas.back(), got.max_load);
+  EXPECT_EQ(deltas.front(), engine.last_stats().delta_lower_bound);
+  EXPECT_EQ(engine.last_stats().delta_star, got.max_load);
+  const std::vector<std::int64_t> unit(kSensors, 1);
+  EXPECT_EQ(fingerprint(got), fingerprint(legacy_balanced(topo, demand, unit)));
+}
+
+// ---------- replans across fault → repair ----------
 
 // Pick a victim that actually carries relayed load so the repair is a
 // real re-solve, not a no-op.
@@ -165,22 +223,21 @@ NodeId loaded_victim(const RelayPlan& plan) {
 TEST(RouteEngine, WarmHintedReplanMatchesColdReplan) {
   const ClusterTopology topo = eval_topology(40, 7);
   const std::vector<std::int64_t> demand(40, 1);
-  const RelayPlan plan = RelayPlan::balanced(topo, demand);
+  RoutingEngine engine;
+  const RelayPlan plan(topo, engine.solve_balanced(topo, demand));
   const NodeId victim = loaded_victim(plan);
 
-  // Engine + previous-plan hint (the production path) vs the plain
-  // hint-free repair: identical plans, loads and orphan sets.
-  RoutingEngine engine;
-  engine.set_warm_hint(&plan.all_paths());
-  const RouteRepair hinted = repair_routes(
-      topo, {victim}, demand, RoutingPolicy::kBalancedMaxFlow, &engine,
-      &plan);
-  EXPECT_GT(engine.last_stats().hint_units, 0)
-      << "hint did not seed any flow; victim=" << victim;
-  const RouteRepair cold =
+  // The engine that solved set-up repairs the plan (the production path)
+  // vs a repair on its own fresh engine: identical plans, loads and
+  // orphan sets.
+  const RouteRepair reused = repair_routes(
+      topo, {victim}, demand, RoutingPolicy::kBalancedMaxFlow, &engine);
+  const RouteRepair fresh =
       repair_routes(topo, {victim}, demand, RoutingPolicy::kBalancedMaxFlow);
-  EXPECT_EQ(fingerprint(hinted.plan), fingerprint(cold.plan));
-  EXPECT_EQ(hinted.orphaned, cold.orphaned);
+  EXPECT_EQ(fingerprint(reused.plan), fingerprint(fresh.plan));
+  EXPECT_EQ(reused.orphaned, fresh.orphaned);
+  EXPECT_NE(fingerprint(reused.plan), fingerprint(plan))
+      << "the repair changed nothing; victim=" << victim;
 }
 
 TEST(RouteEngine, ChainedReplansMatchColdAcrossDeathSequence) {
@@ -188,26 +245,26 @@ TEST(RouteEngine, ChainedReplansMatchColdAcrossDeathSequence) {
   const std::vector<std::int64_t> demand(40, 1);
   const RelayPlan plan = RelayPlan::balanced(topo, demand);
 
-  // Two successive deaths: the second replan's hint is the first repair's
-  // plan, mirroring ClusterStack::replan's chaining.
+  // Two successive deaths repaired on one engine, mirroring
+  // ClusterStack::replan's chaining, vs fresh repairs.
   const NodeId first = loaded_victim(plan);
   RoutingEngine engine;
-  engine.set_warm_hint(&plan.all_paths());
-  RouteRepair step1 = repair_routes(topo, {first}, demand,
-                                    RoutingPolicy::kBalancedMaxFlow, &engine,
-                                    &plan);
+  const RouteRepair step1 = repair_routes(
+      topo, {first}, demand, RoutingPolicy::kBalancedMaxFlow, &engine);
+  EXPECT_EQ(fingerprint(step1.plan),
+            fingerprint(repair_routes(topo, {first}, demand,
+                                      RoutingPolicy::kBalancedMaxFlow)
+                            .plan));
   const NodeId second = loaded_victim(step1.plan) != first
                             ? loaded_victim(step1.plan)
                             : (first + 1) % 40;
   const std::vector<NodeId> dead = {first, second};
-  engine.set_warm_hint(&step1.plan.all_paths());
-  const RouteRepair hinted = repair_routes(
-      topo, dead, demand, RoutingPolicy::kBalancedMaxFlow, &engine,
-      &step1.plan);
-  const RouteRepair cold =
+  const RouteRepair reused = repair_routes(
+      topo, dead, demand, RoutingPolicy::kBalancedMaxFlow, &engine);
+  const RouteRepair fresh =
       repair_routes(topo, dead, demand, RoutingPolicy::kBalancedMaxFlow);
-  EXPECT_EQ(fingerprint(hinted.plan), fingerprint(cold.plan));
-  EXPECT_EQ(hinted.orphaned, cold.orphaned);
+  EXPECT_EQ(fingerprint(reused.plan), fingerprint(fresh.plan));
+  EXPECT_EQ(reused.orphaned, fresh.orphaned);
 }
 
 // ---------- parallel per-cluster solves ----------
@@ -412,35 +469,23 @@ TEST(FlowGraph, SaveInstallRoundTripsAndRequiresHold) {
     for (int w = 0; w < 30; ++w)
       push_random_walk(rng, g, static_cast<int>(rng.below(nodes)));
 
-    std::vector<FlowGraph::Cap> residual(static_cast<std::size_t>(g.num_arcs()));
     for (int e = 0; e < g.num_arcs(); ++e) {
-      residual[static_cast<std::size_t>(e)] = g.residual(e);
       EXPECT_EQ(g.twin_residual(e), g.residual(g.twin(e)));
       EXPECT_EQ(g.flow(e), -g.flow(g.twin(e)));
+      EXPECT_GE(g.residual(e), 0);
     }
-    std::vector<FlowGraph::Cap> saved;
-    g.save_flow(saved);
-    ASSERT_EQ(saved.size(), arcs.size());
-    // The snapshot lists forward arcs in id order.
-    std::size_t k = 0;
-    for (int e = 0; e < g.num_arcs(); ++e)
-      if (g.is_forward(e)) {
-        EXPECT_EQ(saved[k++], g.flow(e));
-      }
 
-    g.clear_flow();
-    for (int e = 0; e < g.num_arcs(); ++e) EXPECT_EQ(g.flow(e), 0);
-    g.install_flow(saved);
-    for (int e = 0; e < g.num_arcs(); ++e)
-      EXPECT_EQ(g.residual(e), residual[static_cast<std::size_t>(e)]);
-
-    // Raising a capacity keeps the installed flow valid; the twin's
-    // residual still reads from the arc's own slot.
+    // A raised capacity takes effect at clear_flow, which zeroes every
+    // flow; the twin's residual still reads from the arc's own slot.
     const int e0 = ids[0];
     g.set_capacity(e0, g.capacity(e0) + 5);
-    g.install_flow(saved);
-    EXPECT_EQ(g.residual(e0), g.capacity(e0) - g.flow(e0));
-    EXPECT_EQ(g.twin_residual(e0), g.residual(g.twin(e0)));
+    g.clear_flow();
+    for (int e = 0; e < g.num_arcs(); ++e) {
+      EXPECT_EQ(g.flow(e), 0);
+      EXPECT_EQ(g.residual(e), g.capacity(e));
+      EXPECT_EQ(g.twin_residual(e), g.residual(g.twin(e)));
+    }
+    EXPECT_EQ(g.capacity(e0), arcs[0].cap + 5);
 
     // Contract checks.
     EXPECT_THROW(g.set_capacity(g.twin(e0), 1), ContractViolation);
@@ -448,16 +493,6 @@ TEST(FlowGraph, SaveInstallRoundTripsAndRequiresHold) {
     EXPECT_THROW(g.set_capacity(e0, -1), ContractViolation);
     EXPECT_THROW(g.push(e0, g.residual(e0) + 1), ContractViolation);
     EXPECT_THROW(g.push(-1, 0), ContractViolation);
-    // Overflow the forward arc at snapshot index 0 (the lowest forward id).
-    std::vector<FlowGraph::Cap> too_much = saved;
-    for (int e = 0; e < g.num_arcs(); ++e)
-      if (g.is_forward(e)) {
-        too_much[0] = g.capacity(e) + 1;
-        break;
-      }
-    EXPECT_THROW(g.install_flow(too_much), ContractViolation);
-    too_much.pop_back();
-    EXPECT_THROW(g.install_flow(too_much), ContractViolation);
   }
   FlowGraph frozen;
   frozen.reset(2);
@@ -665,14 +700,12 @@ RandomInstance perturbed(Rng& rng, const RandomInstance& base) {
 }
 
 TEST(RouteEngine, MatchesLegacyMaxFlowOnRandomTopologies) {
-  // One long-lived engine per search mode, warm then cold: reuse across
-  // solves is part of what is under test.
-  RoutingEngine warm(SolvePolicy{.warm_start = true});
-  RoutingEngine cold(SolvePolicy{.warm_start = false});
-  RoutingEngine* const engines[] = {&warm, &cold};
+  // One long-lived engine (reuse across solves is part of what is under
+  // test) and a fresh engine per round.
+  RoutingEngine reused;
 
   Rng rng(20261017);
-  int feasible = 0, infeasible = 0, stranded = 0, hinted = 0, multi_path = 0;
+  int feasible = 0, infeasible = 0, stranded = 0, multi_path = 0;
   for (int round = 0; round < 240; ++round) {
     const std::size_t n = 1 + rng.below(40);
     const RandomInstance inst = random_instance(rng, n, round % 4 == 0);
@@ -687,10 +720,12 @@ TEST(RouteEngine, MatchesLegacyMaxFlowOnRandomTopologies) {
         legacy_balanced(inst.topo, inst.demand, inst.weight);
     const MinMaxLoadResult replan_reference =
         legacy_balanced(after.topo, after.demand, after.weight);
+    RoutingEngine fresh;
+    RoutingEngine* const engines[] = {&reused, &fresh};
     for (std::size_t c = 0; c < std::size(engines); ++c) {
       RoutingEngine& engine = *engines[c];
       const std::string where = "round=" + std::to_string(round) +
-                                (c == 0 ? " warm" : " cold");
+                                (c == 0 ? " reused" : " fresh");
       const MinMaxLoadResult got =
           engine.solve_balanced(inst.topo, inst.demand, inst.weight);
       ASSERT_EQ(fingerprint(got), fingerprint(reference)) << where;
@@ -703,11 +738,9 @@ TEST(RouteEngine, MatchesLegacyMaxFlowOnRandomTopologies) {
           }
       }
 
-      // Warm-hinted replan after the fault, seeded with this solution.
-      engine.set_warm_hint(&got.paths);
+      // Replan after the fault on the same engine.
       const MinMaxLoadResult replan =
           engine.solve_balanced(after.topo, after.demand, after.weight);
-      if (engine.last_stats().hint_units > 0) ++hinted;
       ASSERT_EQ(fingerprint(replan), fingerprint(replan_reference))
           << where << " (replan)";
     }
@@ -717,9 +750,6 @@ TEST(RouteEngine, MatchesLegacyMaxFlowOnRandomTopologies) {
   EXPECT_GE(infeasible, 20);
   EXPECT_GE(stranded, 60);
   EXPECT_GE(multi_path, 50);
-  // Only the warm engine consumes hints: at least 75 of its 240 replans
-  // (the same share as 300 over four warm engines) are hint-seeded.
-  EXPECT_GE(hinted, 75);
 }
 
 }  // namespace
