@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/json.hpp"
+#include "scenario/campaign.hpp"
 #include "scenario/run_scenario.hpp"
 #include "scenario/scenario.hpp"
 #include "serve/client.hpp"
@@ -346,6 +347,39 @@ TEST(ServeEquivalence, ServedReportIsByteIdenticalToDirectRun) {
   EXPECT_EQ(stream.results[0].at("report").dump(2), direct.dump(2));
   EXPECT_EQ(stream.results[0].at("point_wall_ms").as_double(), 0.0);
   ts.shutdown_via(client);
+}
+
+TEST(ServeEquivalence, CampaignRecordsMatchLocalRunner) {
+  // One worker on both sides, so both executors finish the points in
+  // expansion order and append the same lines in the same order.
+  const Json doc = quick_campaign("executors", {10, 20, 30});
+  const std::string local =
+      (fs::temp_directory_path() /
+       ("mhp_serve_" + std::to_string(::getpid()) + "_executors.local"))
+          .string();
+  fs::remove_all(local);
+  const scenario::CampaignResult ran = scenario::run_campaign(
+      scenario::parse_campaign(doc, nullptr), local, 1, nullptr);
+  ASSERT_EQ(ran.ok, 3u);
+
+  TestServer ts("executors", /*workers=*/1);
+  serve::Client client = ts.connect();
+  const Json response = client.submit(doc);
+  ASSERT_EQ(response.at("status").as_string(), "ok");
+  const std::string dir = response.at("dir").as_string();
+  // The directory name hashes the canonical submission: a moved byte
+  // would strand every job recorded before it.
+  EXPECT_EQ(fs::path(dir).filename().string(), "executors-a228c4fc416f824b");
+  JobStream stream = stream_job(client, response.at("job").as_string());
+  EXPECT_EQ(stream.done.at("ok").as_int(), 3);
+  ts.shutdown_via(client);
+
+  for (const char* file : {"results.jsonl", "manifest.jsonl", "summary.json"}) {
+    const std::string served = read_file(dir + "/" + file);
+    EXPECT_FALSE(served.empty()) << file;
+    EXPECT_EQ(served, read_file(local + "/" + file)) << file;
+  }
+  fs::remove_all(local);
 }
 
 // ---------- cancel ----------
