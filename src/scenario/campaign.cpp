@@ -5,7 +5,7 @@
 #include <fstream>
 #include <limits>
 #include <mutex>
-#include <sstream>
+#include <unordered_map>
 #include <utility>
 
 #include "exp/sweep.hpp"
@@ -143,6 +143,7 @@ std::vector<CampaignPoint> expand_campaign(const Campaign& campaign) {
 std::vector<std::pair<std::string, Json>> read_keyed_jsonl(
     const std::string& path) {
   std::vector<std::pair<std::string, Json>> entries;
+  std::unordered_map<std::string, std::size_t> index;  // key → entries slot
   std::ifstream in(path);
   std::string line;
   while (std::getline(in, line)) {
@@ -151,16 +152,12 @@ std::vector<std::pair<std::string, Json>> read_keyed_jsonl(
       Json doc = obs::parse_json(line);
       const Json* key = doc.find("key");
       if (key == nullptr || !key->is_string()) continue;
-      const std::string k = key->as_string();
-      bool replaced = false;
-      for (auto& [existing, value] : entries) {
-        if (existing == k) {
-          value = std::move(doc);
-          replaced = true;
-          break;
-        }
-      }
-      if (!replaced) entries.emplace_back(k, std::move(doc));
+      const auto [slot, fresh] =
+          index.try_emplace(key->as_string(), entries.size());
+      if (fresh)
+        entries.emplace_back(slot->first, std::move(doc));
+      else
+        entries[slot->second].second = std::move(doc);
     } catch (const obs::JsonParseError&) {
       continue;
     }
@@ -210,8 +207,6 @@ Json wall_ms_to_json(const std::vector<double>& samples) {
       .set("p99_ms", Json(all_zero ? 0.0 : h.quantile(0.99)));
   return out;
 }
-
-}  // namespace
 
 /// Roll delivery / throughput / energy / lifetime-proxy aggregates up
 /// from every ok result on record (this run and previous ones).
@@ -283,33 +278,85 @@ Json build_campaign_summary(const std::string& campaign_name,
   return obs::report_envelope("campaign_summary", std::move(body));
 }
 
+}  // namespace
+
+PointOutcome run_point(const CampaignPoint& point) {
+  PointOutcome out;
+  bool record_perf = true;
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    Scenario s = parse_scenario(point.doc);
+    record_perf = s.run.record_perf;
+    s.profile = false;
+    out.report = run_scenario(s);
+  } catch (const std::exception& e) {
+    out.error = e.what();
+    if (out.error.empty()) out.error = "unknown error";
+  }
+  if (record_perf)
+    out.wall_ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  return out;
+}
+
+JobLog::JobLog(std::string dir) : dir_(std::move(dir)) {
+  // A directory that cannot be made shows as !is_open() below.
+  std::error_code ec;
+  std::filesystem::create_directories(dir_, ec);
+  for (const auto& [key, entry] : read_keyed_jsonl(dir_ + "/manifest.jsonl")) {
+    const Json* status = entry.find("status");
+    if (status != nullptr && status->is_string() &&
+        status->as_string() == "ok")
+      finished_.insert(key);
+  }
+  results_.open(dir_ + "/results.jsonl", std::ios::app);
+  manifest_.open(dir_ + "/manifest.jsonl", std::ios::app);
+}
+
+void JobLog::record(const CampaignPoint& point, const PointOutcome& outcome) {
+  Json status = Json::object().set("key", Json(point.key));
+  if (outcome.error.empty()) {
+    results_ << Json::object()
+                    .set("key", Json(point.key))
+                    .set("scenario", point.doc)
+                    .set("point_wall_ms", Json(outcome.wall_ms))
+                    .set("report", outcome.report)
+                    .dump()
+             << '\n'
+             << std::flush;
+    status.set("status", Json("ok"));
+  } else {
+    status.set("status", Json("failed")).set("error", Json(outcome.error));
+  }
+  manifest_ << status.dump() << '\n' << std::flush;
+}
+
+std::vector<std::pair<std::string, Json>> JobLog::read_results() const {
+  return read_keyed_jsonl(dir_ + "/results.jsonl");
+}
+
+void JobLog::write_summary(const std::string& campaign_name,
+                           std::size_t total) const {
+  obs::save_json(dir_ + "/summary.json",
+                 build_campaign_summary(campaign_name, dir_, total));
+}
+
 CampaignResult run_campaign(const Campaign& campaign,
                             const std::string& out_dir, std::size_t workers,
                             std::FILE* log, const std::atomic<bool>* stop) {
-  namespace fs = std::filesystem;
-  fs::create_directories(out_dir);
-
-  const std::string results_path = out_dir + "/results.jsonl";
-  const std::string manifest_path = out_dir + "/manifest.jsonl";
+  JobLog job_log(out_dir);
+  if (!job_log.is_open())
+    throw std::runtime_error("campaign: cannot open output files in " +
+                             out_dir);
 
   const std::vector<CampaignPoint> points = expand_campaign(campaign);
   CampaignResult result;
   result.total = points.size();
 
-  // Resume: the manifest's last word per key decides.  "ok" points are
-  // skipped; failed (or unrecorded) points run.
   std::vector<const CampaignPoint*> to_run;
-  const auto manifest_state = read_keyed_jsonl(manifest_path);
   for (const CampaignPoint& point : points) {
-    bool done = false;
-    for (const auto& [key, entry] : manifest_state) {
-      if (key != point.key) continue;
-      const Json* status = entry.find("status");
-      done = status != nullptr && status->is_string() &&
-             status->as_string() == "ok";
-      break;
-    }
-    if (done) {
+    if (job_log.finished(point.key)) {
       ++result.skipped;
       if (log != nullptr)
         std::fprintf(log, "campaign: skipping completed point %s\n",
@@ -318,12 +365,6 @@ CampaignResult run_campaign(const Campaign& campaign,
       to_run.push_back(&point);
     }
   }
-
-  std::ofstream results_out(results_path, std::ios::app);
-  std::ofstream manifest_out(manifest_path, std::ios::app);
-  if (!results_out.is_open() || !manifest_out.is_open())
-    throw std::runtime_error("campaign: cannot open output files in " +
-                             out_dir);
 
   std::mutex mu;
   std::size_t finished = 0;
@@ -343,63 +384,21 @@ CampaignResult run_campaign(const Campaign& campaign,
           return 2;
         const CampaignPoint& point = *to_run[i];
         MHP_SPAN("campaign/point");
-        Json report;
-        std::string error;
-        bool record_perf = true;
-        const auto t0 = std::chrono::steady_clock::now();
-        try {
-          Scenario s = parse_scenario(point.doc);
-          record_perf = s.run.record_perf;
-          // Per-point profiling is off: the profiler's enable/drain
-          // cycle is process-global, so concurrent points would corrupt
-          // each other's summaries.  Profile a single scenario instead.
-          s.profile = false;
-          report = run_scenario(s);
-        } catch (const std::exception& e) {
-          error = e.what();
-          if (error.empty()) error = "unknown error";
-        }
-        // Zeroed with run.record_perf false so the results document
-        // stays a pure function of the scenario (byte-stable goldens).
-        const double wall_ms =
-            record_perf
-                ? std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count()
-                : 0.0;
+        const PointOutcome outcome = run_point(point);
 
         const std::scoped_lock lock(mu);
         ++finished;
-        if (error.empty()) {
-          results_out << Json::object()
-                             .set("key", Json(point.key))
-                             .set("scenario", point.doc)
-                             .set("point_wall_ms", Json(wall_ms))
-                             .set("report", std::move(report))
-                             .dump()
-                      << '\n'
-                      << std::flush;
-          manifest_out << Json::object()
-                              .set("key", Json(point.key))
-                              .set("status", Json("ok"))
-                              .dump()
-                       << '\n'
-                       << std::flush;
+        job_log.record(point, outcome);
+        if (outcome.error.empty()) {
           if (log != nullptr)
             std::fprintf(log, "campaign: [%zu/%zu] ok %s\n", finished,
                          to_run.size(), point.key.c_str());
           return 0;
         }
-        manifest_out << Json::object()
-                            .set("key", Json(point.key))
-                            .set("status", Json("failed"))
-                            .set("error", Json(error))
-                            .dump()
-                     << '\n'
-                     << std::flush;
         if (log != nullptr)
           std::fprintf(log, "campaign: [%zu/%zu] FAILED %s: %s\n", finished,
-                       to_run.size(), point.key.c_str(), error.c_str());
+                       to_run.size(), point.key.c_str(),
+                       outcome.error.c_str());
         return 1;
       },
       workers);
@@ -413,9 +412,7 @@ CampaignResult run_campaign(const Campaign& campaign,
       ++result.interrupted;
   }
 
-  obs::save_json(out_dir + "/summary.json",
-                 build_campaign_summary(campaign.name, out_dir,
-                                        points.size()));
+  job_log.write_summary(campaign.name, points.size());
   return result;
 }
 

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -39,6 +40,14 @@ inline const char* json_type_name(obs::Json::Type t) {
   }
   return "?";
 }
+
+/// One row of an enum's name table: the schema spells each enum value
+/// exactly once, and both the reader and the writer look it up here.
+template <typename E>
+struct EnumName {
+  const char* name;
+  E value;
+};
 
 class ObjectReader {
  public:
@@ -132,10 +141,10 @@ class ObjectReader {
     }
   }
 
-  /// Map a string field onto an enum through (name, value) pairs.
+  /// Map a string field onto an enum through its (name, value) table.
   template <typename E>
   void read_enum(const std::string& key, E& out,
-                 std::initializer_list<std::pair<const char*, E>> names) {
+                 std::span<const EnumName<E>> names) {
     const obs::Json* v = take(key);
     if (v == nullptr) return;
     if (!v->is_string())

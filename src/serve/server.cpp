@@ -9,11 +9,11 @@
 #include <cstdarg>
 #include <filesystem>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/profiler.hpp"
-#include "obs/report_json.hpp"
-#include "scenario/run_scenario.hpp"
 #include "scenario/scenario.hpp"
 #include "util/assertx.hpp"
 
@@ -325,33 +325,19 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
   const std::string dir =
       cfg_.out_root + "/" +
       job_dir_name(parsed.name, content_hash_hex(parsed.canonical));
-  std::filesystem::create_directories(dir);
-
-  const auto manifest = scenario::read_keyed_jsonl(dir + "/manifest.jsonl");
-  const auto point_done = [&manifest](const std::string& key) {
-    for (const auto& [k, entry] : manifest) {
-      if (k != key) continue;
-      const Json* status = entry.find("status");
-      return status != nullptr && status->is_string() &&
-             status->as_string() == "ok";
-    }
-    return false;
-  };
-  std::vector<scenario::CampaignPoint> runnable;
-  std::vector<std::string> skipped;
-  for (scenario::CampaignPoint& pt : parsed.points) {
-    if (point_done(pt.key))
-      skipped.push_back(pt.key);
-    else
-      runnable.push_back(std::move(pt));
-  }
-
-  std::ofstream results_out(dir + "/results.jsonl", std::ios::app);
-  std::ofstream manifest_out(dir + "/manifest.jsonl", std::ios::app);
-  if (!results_out.is_open() || !manifest_out.is_open()) {
+  scenario::JobLog log(dir);
+  if (!log.is_open()) {
     conn->send(response_base("submit", "error")
                    .set("error", Json("cannot open output files in " + dir)));
     return;
+  }
+  std::vector<scenario::CampaignPoint> runnable;
+  std::vector<std::string> skipped;
+  for (scenario::CampaignPoint& pt : parsed.points) {
+    if (log.finished(pt.key))
+      skipped.push_back(pt.key);
+    else
+      runnable.push_back(std::move(pt));
   }
 
   std::shared_ptr<Job> job;
@@ -396,8 +382,7 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
     job->dir = dir;
     job->total = parsed.points.size();
     job->client = conn;
-    job->results_out = std::move(results_out);
-    job->manifest_out = std::move(manifest_out);
+    job->log = std::move(log);
     job->skipped = skipped.size();
     job->done = skipped.size();
     job->runnable = std::move(runnable);
@@ -419,7 +404,11 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
   // Replay completed points from the durable record so a resumed
   // submission still streams every report it asked for.
   if (!skipped.empty()) {
-    const auto results = scenario::read_keyed_jsonl(dir + "/results.jsonl");
+    // No point of this job runs before the loop below submits it, so the
+    // log is still this thread's alone.
+    const auto results = job->log->read_results();
+    std::unordered_map<std::string_view, const Json*> by_key;
+    for (const auto& [key, entry] : results) by_key.emplace(key, &entry);
     for (const std::string& key : skipped) {
       Json frame = Json::object()
                        .set("frame", Json("result"))
@@ -428,12 +417,10 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
                        .set("status", Json("skipped"));
       double wall_ms = 0.0;
       const Json* report = nullptr;
-      for (const auto& [k, entry] : results) {
-        if (k != key) continue;
-        if (const Json* ms = entry.find("point_wall_ms"))
+      if (const auto it = by_key.find(key); it != by_key.end()) {
+        if (const Json* ms = it->second->find("point_wall_ms"))
           if (ms->is_number()) wall_ms = ms->as_double();
-        report = entry.find("report");
-        break;
+        report = it->second->find("report");
       }
       frame.set("point_wall_ms", Json(wall_ms));
       if (report != nullptr) frame.set("report", *report);
@@ -454,9 +441,7 @@ void Server::run_point(const std::shared_ptr<Job>& job, std::size_t index) {
   const scenario::CampaignPoint& point = job->runnable[index];
 
   std::string status;
-  std::string error;
-  Json report;
-  double wall_ms = 0.0;
+  scenario::PointOutcome outcome;
   if (abort_pending_.load(std::memory_order_relaxed) ||
       job->cancel.load(std::memory_order_relaxed)) {
     // Not run, not recorded: a resume (same submission, later) reruns it.
@@ -464,26 +449,8 @@ void Server::run_point(const std::shared_ptr<Job>& job, std::size_t index) {
   } else {
     if (cfg_.point_hook) cfg_.point_hook();
     MHP_SPAN("serve/point");
-    bool record_perf = true;
-    const auto t0 = std::chrono::steady_clock::now();
-    try {
-      scenario::Scenario s = scenario::parse_scenario(point.doc);
-      record_perf = s.run.record_perf;
-      // Profiling is process-global; concurrent points would corrupt
-      // each other's summaries (same rule as the campaign runner).
-      s.profile = false;
-      report = scenario::run_scenario(s);
-      status = "ok";
-    } catch (const std::exception& e) {
-      status = "failed";
-      error = e.what();
-      if (error.empty()) error = "unknown error";
-    }
-    wall_ms = record_perf
-                  ? std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count()
-                  : 0.0;
+    outcome = scenario::run_point(point);
+    status = outcome.error.empty() ? "ok" : "failed";
   }
 
   Json frame = Json::object()
@@ -491,46 +458,24 @@ void Server::run_point(const std::shared_ptr<Job>& job, std::size_t index) {
                    .set("job", Json(job->id))
                    .set("key", Json(point.key))
                    .set("status", Json(status))
-                   .set("point_wall_ms", Json(wall_ms));
-  if (status == "failed") frame.set("error", Json(error));
+                   .set("point_wall_ms", Json(outcome.wall_ms));
+  if (status == "failed") frame.set("error", Json(outcome.error));
 
   bool job_complete = false;
   {
     const std::lock_guard lock(job->mu);
-    if (status == "ok") {
-      job->results_out << Json::object()
-                              .set("key", Json(point.key))
-                              .set("scenario", point.doc)
-                              .set("point_wall_ms", Json(wall_ms))
-                              .set("report", report)
-                              .dump()
-                       << '\n'
-                       << std::flush;
-      job->manifest_out << Json::object()
-                               .set("key", Json(point.key))
-                               .set("status", Json("ok"))
-                               .dump()
-                        << '\n'
-                        << std::flush;
-      ++job->ok;
-    } else if (status == "failed") {
-      job->manifest_out << Json::object()
-                               .set("key", Json(point.key))
-                               .set("status", Json("failed"))
-                               .set("error", Json(error))
-                               .dump()
-                        << '\n'
-                        << std::flush;
-      ++job->failed;
-    } else {
+    if (status == "cancelled")
       ++job->cancelled;
-    }
+    else
+      job->log->record(point, outcome);
+    if (status == "ok") ++job->ok;
+    if (status == "failed") ++job->failed;
     ++job->done;
     job_complete = job->done == job->total;
     // Send under job->mu: per-job frame order then matches counter
     // order, so the done frame (emitted by whichever worker retires the
     // last point) can never overtake another point's result frame.
-    if (status == "ok") frame.set("report", std::move(report));
+    if (status == "ok") frame.set("report", std::move(outcome.report));
     job->client->send(frame);
   }
 
@@ -558,14 +503,11 @@ void Server::finish_job(const std::shared_ptr<Job>& job) {
     failed = job->failed;
     skipped = job->skipped;
     cancelled = job->cancelled;
-    // Flush-before-done: once the client sees the done frame, the
-    // durable record is complete.
-    job->results_out.flush();
-    job->manifest_out.flush();
   }
-  obs::save_json(job->dir + "/summary.json",
-                 scenario::build_campaign_summary(job->name, job->dir,
-                                                  job->total));
+  // Every point has retired, so nothing else touches the log.  Its lines
+  // were flushed as they were appended, so once the client sees the
+  // done frame the durable record is complete.
+  job->log->write_summary(job->name, job->total);
   job->client->send(Json::object()
                         .set("frame", Json("done"))
                         .set("job", Json(job->id))
@@ -575,11 +517,11 @@ void Server::finish_job(const std::shared_ptr<Job>& job) {
                         .set("skipped", Json(skipped))
                         .set("cancelled", Json(cancelled)));
   {
-    // The job keeps its counters for status; its files and its claim on
-    // the client's socket go.
+    // The job keeps its counters for status; its point documents, its
+    // files and its claim on the client's socket go.
     const std::lock_guard lock(job->mu);
-    job->results_out.close();
-    job->manifest_out.close();
+    job->runnable = {};
+    job->log.reset();
     job->client.reset();
   }
   log_line("serve: %s done (%zu ok, %zu failed, %zu skipped, %zu cancelled)",

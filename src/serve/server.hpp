@@ -25,9 +25,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <fstream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -113,11 +113,14 @@ class Server {
     std::string id;    // server-run handle ("j1", "j2", ...)
     std::string name;  // scenario/campaign name from the document
     std::string dir;   // durable output directory (stable across restarts)
-    std::vector<scenario::CampaignPoint> runnable;  // points to execute
+    // The points to execute and their durable record; finish_job
+    // releases both, and the client, so a finished job keeps only the
+    // counters status reports.
+    std::vector<scenario::CampaignPoint> runnable;
+    std::optional<scenario::JobLog> log;
     std::size_t total = 0;  // expansion size incl. skipped points
     std::shared_ptr<Connection> client;
-    std::mutex mu;  // guards counters + output streams
-    std::ofstream results_out, manifest_out;
+    std::mutex mu;  // guards counters + the log
     std::size_t done = 0, ok = 0, failed = 0, skipped = 0, cancelled = 0;
     std::atomic<bool> cancel{false};
   };

@@ -550,6 +550,32 @@ TEST(CampaignRun, TornManifestTailIsIgnoredAndPointReruns) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(CampaignRun, KeyedJsonlKeepsFirstOrderAndLastValue) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("mhp_keyed_" + std::to_string(::getpid()) + ".jsonl"))
+          .string();
+  // Repeated keys, a keyless line, a blank line and a torn tail: the
+  // torn rewrite of "a" must not replace its last whole line.
+  std::ofstream(path) << "{\"key\": \"b\", \"v\": 1}\n"
+                      << "{\"key\": \"a\", \"v\": 1}\n"
+                      << "{\"key\": \"b\", \"v\": 2}\n"
+                      << "\n"
+                      << "{\"v\": 3}\n"
+                      << "{\"key\": \"c\", \"v\": 1}\n"
+                      << "{\"key\": \"b\", \"v\": 3}\n"
+                      << "{\"key\": \"a\", \"v\": ";
+  const auto entries = read_keyed_jsonl(path);
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[0].first, "b");
+  EXPECT_EQ(entries[0].second.at("v").as_int(), 3);
+  EXPECT_EQ(entries[1].first, "a");
+  EXPECT_EQ(entries[1].second.at("v").as_int(), 1);
+  EXPECT_EQ(entries[2].first, "c");
+  EXPECT_EQ(entries[2].second.at("v").as_int(), 1);
+  std::filesystem::remove(path);
+}
+
 TEST(CampaignRun, StopFlagInterruptsCleanlyAndResumeCompletes) {
   Campaign campaign;
   campaign.name = "interrupt";
