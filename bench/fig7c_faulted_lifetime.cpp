@@ -9,14 +9,20 @@
 // worst sensor power; the battery cancels in the ratio).
 //
 // `--smoke` runs a single small point (CI sanity check).
+// `--profile-out PATH` records profiler spans across the whole sweep
+// (repairs show under "polling/replan") and writes Chrome trace-event
+// JSON.
 #include <cstdio>
+#include <fstream>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "exp/bench_json.hpp"
 #include "exp/csv_out.hpp"
 #include "exp/fig_common.hpp"
 #include "exp/sweep.hpp"
+#include "obs/profiler.hpp"
 #include "util/table.hpp"
 #include "exp/flags.hpp"
 
@@ -88,9 +94,12 @@ Result run_point(const Point& p, const mhp::RuntimeOptions& rt_opts) {
 int main(int argc, char** argv) {
   using namespace mhp;
   mhp::exp::Flags flags("fig 7(c) companion: relay death with head repair");
-  flags.flag("--smoke", "single point for CI");
+  flags.flag("--smoke", "single point for CI")
+      .option("--profile-out", "PATH",
+              "record profiler spans, write Chrome trace-event JSON here");
   flags.parse(argc, argv);
   const bool smoke = flags.has("--smoke");
+  const std::string profile_path = flags.value("--profile-out");
   mhp::obs::RunRecorder recorder;
 
   std::vector<Point> points;
@@ -100,12 +109,32 @@ int main(int argc, char** argv) {
     for (std::size_t n = 10; n <= 50; n += 10) points.push_back({n});
   }
 
+  const bool profiling = !profile_path.empty();
+  obs::Profiler& prof = obs::Profiler::instance();
+  if (profiling) {
+    prof.drain();
+    prof.enable();
+  }
   mhp::exp::SweepOptions sweep_opts;
   sweep_opts.runtime = mhp::exp::eval_runtime_options();
   const auto results = mhp::exp::sweep<Point, Result>(
       points,
       std::function<Result(const Point&, const RuntimeOptions&)>(run_point),
       sweep_opts);
+  if (profiling) {
+    // The sweep has joined: a quiescent point, so one drain collects
+    // every worker's spans.
+    prof.disable();
+    const obs::ProfileData spans = prof.drain();
+    std::ofstream trace(profile_path);
+    if (trace.is_open()) {
+      obs::chrome_trace_json(spans).write(trace, -1);
+      trace << '\n';
+    } else {
+      std::fprintf(stderr, "fig7c_faulted_lifetime: cannot write %s\n",
+                   profile_path.c_str());
+    }
+  }
 
   std::printf(
       "Fig 7(c) companion — mid-run relay death with head-driven repair\n"
