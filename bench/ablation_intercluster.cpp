@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/multi_cluster_sim.hpp"
+#include "scenario/scenario.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "exp/bench_json.hpp"
@@ -60,7 +61,7 @@ int main(int argc, char** argv) {
     double worst = 1.0, active = 0.0;
     for (double d : rep.delivery_ratio) worst = std::min(worst, d);
     for (double a : rep.mean_active) active += a / rep.mean_active.size();
-    table.add_row({std::string(to_string(mode)),
+    table.add_row({std::string(scenario::to_string(mode)),
                    static_cast<long long>(rep.channels_used),
                    100.0 * rep.aggregate_delivery, 100.0 * worst,
                    100.0 * active});

@@ -8,18 +8,6 @@
 
 namespace mhp {
 
-const char* to_string(InterClusterMode mode) {
-  switch (mode) {
-    case InterClusterMode::kShared:
-      return "shared";
-    case InterClusterMode::kColored:
-      return "colored";
-    case InterClusterMode::kToken:
-      return "token";
-  }
-  return "?";
-}
-
 MultiClusterSimulation::MultiClusterSimulation(
     std::vector<ClusterSpec> specs, ProtocolConfig cfg, InterClusterMode mode,
     double rate_bps, double interference_range, const RuntimeOptions& rt_opts)
@@ -71,6 +59,7 @@ MultiClusterSimulation::MultiClusterSimulation(
       rt_.add_channel(cfg_.radio,
                       std::move(positions[static_cast<std::size_t>(g)]),
                       std::move(powers[static_cast<std::size_t>(g)]));
+    span_channel_counters(rt_.channel_stats());
   }
 
   // Heads poll fixed cycle-0 paths; with token rotation each drains in
@@ -182,8 +171,10 @@ MultiClusterReport MultiClusterSimulation::run(Time duration, Time warmup) {
   {
     MHP_SPAN("mc/measured");
     const std::uint64_t events_before = sim.events_executed();
+    const ChannelStats channel_before = rt_.channel_stats();
     sim.run_until(duration);
     MHP_SPAN_COUNTER("events", sim.events_executed() - events_before);
+    span_channel_counters(rt_.channel_stats() - channel_before);
     MHP_SPAN_COUNTER("oracle_hits",
                      rt_.metrics().counter(metric::kOracleCacheHit).value());
     MHP_SPAN_COUNTER("oracle_misses",

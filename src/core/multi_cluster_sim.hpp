@@ -33,8 +33,6 @@ namespace mhp {
 
 enum class InterClusterMode { kShared, kColored, kToken };
 
-const char* to_string(InterClusterMode mode);
-
 struct ClusterSpec {
   Deployment deployment;  // positions relative to the cluster's own frame
   Vec2 origin;            // where this cluster sits in the field

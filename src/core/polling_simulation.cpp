@@ -23,6 +23,7 @@ PollingSimulation::PollingSimulation(const Deployment& deployment,
     MHP_SPAN("channel");
     channel = &rt_.add_channel(cfg_.radio, deployment.positions,
                                std::move(powers));
+    span_channel_counters(rt_.channel_stats());
   }
   {
     MHP_SPAN("topology");
@@ -92,8 +93,10 @@ SimulationReport PollingSimulation::run(Time duration, Time warmup) {
   {
     MHP_SPAN("polling/measured");
     const std::uint64_t events_before = sim.events_executed();
+    const ChannelStats channel_before = rt_.channel_stats();
     sim.run_until(duration);
     MHP_SPAN_COUNTER("events", sim.events_executed() - events_before);
+    span_channel_counters(rt_.channel_stats() - channel_before);
     MHP_SPAN_COUNTER("oracle_hits",
                      rt_.metrics().counter(metric::kOracleCacheHit).value());
     MHP_SPAN_COUNTER("oracle_misses",

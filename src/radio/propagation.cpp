@@ -1,6 +1,8 @@
 #include "radio/propagation.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "util/assertx.hpp"
@@ -10,6 +12,13 @@ namespace mhp {
 
 namespace {
 constexpr double kSpeedOfLight = 299'792'458.0;
+// Widens every closed-form reach by far more than the few ulps of rounding
+// in rx_power_w and in the bound itself, so the bound stays conservative.
+constexpr double kReachSlack = 1.0 + 1e-6;
+}  // namespace
+
+double Propagation::range_bound_m(double, double) const {
+  return std::numeric_limits<double>::infinity();
 }
 
 FreeSpace::FreeSpace(double freq_hz, double gt, double gr, double system_loss)
@@ -23,6 +32,15 @@ double FreeSpace::rx_power_w(double tx_power_w, Vec2 from, Vec2 to) const {
   const double denom = 16.0 * std::numbers::pi * std::numbers::pi * d * d *
                        loss_;
   return tx_power_w * gt_ * gr_ * lambda_ * lambda_ / denom;
+}
+
+double FreeSpace::range_bound_m(double tx_power_w, double min_rx_w) const {
+  if (!(min_rx_w > 0.0)) return Propagation::range_bound_m(tx_power_w, min_rx_w);
+  // Pr(d) ≥ min  ⇔  d² ≤ Pt·Gt·Gr·λ² / (16π²·L·min); d = 0 returns Pt.
+  const double d2 = tx_power_w * gt_ * gr_ * lambda_ * lambda_ /
+                    (16.0 * std::numbers::pi * std::numbers::pi * loss_ *
+                     min_rx_w);
+  return kReachSlack * std::sqrt(std::max(d2, 0.0));
 }
 
 TwoRayGround::TwoRayGround(double freq_hz, double antenna_height_m, double gt,
@@ -40,6 +58,19 @@ double TwoRayGround::rx_power_w(double tx_power_w, Vec2 from, Vec2 to) const {
   const double d = distance(from, to);
   if (d <= crossover_) return friis_.rx_power_w(tx_power_w, from, to);
   return tx_power_w * gt_ * gr_ * ht_ * ht_ * hr_ * hr_ / (d * d * d * d);
+}
+
+double TwoRayGround::range_bound_m(double tx_power_w, double min_rx_w) const {
+  if (!(min_rx_w > 0.0)) return Propagation::range_bound_m(tx_power_w, min_rx_w);
+  // Inside the crossover only Friis applies; beyond it Pr ≥ min needs
+  // d⁴ ≤ Pt·Gt·Gr·ht²·hr² / min, which is empty when that reach is short
+  // of the crossover.
+  const double near = std::min(friis_.range_bound_m(tx_power_w, min_rx_w),
+                               crossover_);
+  const double d4 =
+      tx_power_w * gt_ * gr_ * ht_ * ht_ * hr_ * hr_ / min_rx_w;
+  const double far = kReachSlack * std::sqrt(std::sqrt(std::max(d4, 0.0)));
+  return far > crossover_ ? std::max(near, far) : near;
 }
 
 LogDistanceShadowing::LogDistanceShadowing(double exponent, double sigma_db,

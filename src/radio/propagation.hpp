@@ -19,9 +19,16 @@ class Propagation {
 
   /// Received signal power (watts) at `to` for a transmission of
   /// `tx_power_w` watts from `from`.  Must be bitwise reciprocal,
-  /// rx_power_w(p, a, b) == rx_power_w(p, b, a): Channel computes each
-  /// pair of equal-power nodes once.
+  /// rx_power_w(p, a, b) == rx_power_w(p, b, a): Channel's all-pairs scan
+  /// computes each pair of equal-power nodes once, and its rows and grid
+  /// scan compute each direction on its own.
   virtual double rx_power_w(double tx_power_w, Vec2 from, Vec2 to) const = 0;
+
+  /// A conservative reach: every pair with rx_power_w(tx_power_w, a, b) ≥
+  /// min_rx_w has distance(a, b) ≤ this.  Channel builds its audible
+  /// lists through a grid of this size; +∞ (the default, and the answer
+  /// for a non-positive `min_rx_w`) means any pair may be audible.
+  virtual double range_bound_m(double tx_power_w, double min_rx_w) const;
 };
 
 /// Friis free-space model: Pr = Pt·Gt·Gr·λ² / ((4π)²·d²·L).
@@ -32,6 +39,7 @@ class FreeSpace : public Propagation {
                      double system_loss = 1.0);
 
   double rx_power_w(double tx_power_w, Vec2 from, Vec2 to) const override;
+  double range_bound_m(double tx_power_w, double min_rx_w) const override;
 
   double wavelength_m() const { return lambda_; }
 
@@ -49,6 +57,10 @@ class TwoRayGround : public Propagation {
                         double system_loss = 1.0);
 
   double rx_power_w(double tx_power_w, Vec2 from, Vec2 to) const override;
+  /// The Friis reach when it ends inside the crossover, else the
+  /// fourth-power reach (a system loss above 1 can make the two-ray
+  /// branch the longer one).
+  double range_bound_m(double tx_power_w, double min_rx_w) const override;
 
   double crossover_distance_m() const { return crossover_; }
 

@@ -109,6 +109,10 @@ struct ClusterFieldSpec {
   double interference_range = 400.0;
 };
 
+/// The schema's name of an inter-cluster mode ("shared", "colored",
+/// "token").
+const char* to_string(InterClusterMode mode);
+
 struct Scenario {
   std::string name;
   StackKind stack = StackKind::kPolling;

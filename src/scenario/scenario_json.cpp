@@ -579,6 +579,8 @@ const char* to_string(StackKind stack) { return enum_name(stack); }
 
 const char* to_string(DeploymentSpec::Kind kind) { return enum_name(kind); }
 
+const char* to_string(InterClusterMode mode) { return enum_name(mode); }
+
 Scenario default_scenario(StackKind stack) {
   Scenario s;
   s.stack = stack;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 
 #include "util/assertx.hpp"
 #include "net/cluster.hpp"
@@ -148,6 +151,55 @@ TEST(ConnectedDeployment, AlwaysFullyConnected) {
         deploy_connected_uniform_square(40, 200.0, 60.0, rng);
     EXPECT_TRUE(disc_topology(d, 60.0).fully_connected());
   }
+}
+
+// The rejection loop without the stranded-sensor prefilter: the
+// deployment it accepts and the index of that draw.
+struct Accepted {
+  Deployment deployment;
+  int draw = -1;
+};
+
+Accepted accept_unfiltered(std::size_t n, double side, double range,
+                           Rng& rng) {
+  for (int t = 0; t < 5000; ++t) {
+    Deployment d = deploy_uniform_square(n, side, rng);
+    if (disc_topology(d, range).fully_connected()) return {std::move(d), t};
+  }
+  return {};
+}
+
+TEST(ConnectedDeployment, PrefilterKeepsTheDrawsAndTheAcceptedDeployment) {
+  // Small clusters in the 200 m square, and Fig. 7(a) density (1333 m² a
+  // sensor) at 300 and 1000 sensors, which takes dozens of draws.
+  int most_draws = 0;
+  for (const std::size_t n : {1, 12, 40, 300, 1000})
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const double side =
+          n <= 40 ? 200.0 : std::sqrt(1333.0 * static_cast<double>(n));
+      Rng want_rng(seed), got_rng(seed), short_rng(seed);
+      const Accepted want = accept_unfiltered(n, side, 60.0, want_rng);
+      ASSERT_GE(want.draw, 0) << "n " << n << " seed " << seed;
+      const Deployment got = deploy_connected_uniform_square(
+          n, side, 60.0, got_rng, want.draw + 1);
+      ASSERT_EQ(got.positions.size(), want.deployment.positions.size());
+      for (std::size_t i = 0; i < got.positions.size(); ++i) {
+        const Vec2 a = got.positions[i];
+        const Vec2 b = want.deployment.positions[i];
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a.x),
+                  std::bit_cast<std::uint64_t>(b.x));
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a.y),
+                  std::bit_cast<std::uint64_t>(b.y));
+      }
+      // The same draw index: one try fewer fails, and both streams go on
+      // from the same state.
+      EXPECT_THROW(deploy_connected_uniform_square(n, side, 60.0, short_rng,
+                                                   want.draw),
+                   ContractViolation);
+      EXPECT_EQ(got_rng.next(), want_rng.next());
+      most_draws = std::max(most_draws, want.draw);
+    }
+  EXPECT_GE(most_draws, 20);
 }
 
 // ---------- Grid vs brute-force topology ----------
