@@ -1,7 +1,6 @@
 #include "metrics/registry.hpp"
 
 #include <charconv>
-#include <ostream>
 
 namespace mhp {
 
@@ -100,16 +99,6 @@ std::map<std::uint64_t, double> MetricsSnapshot::labeled_gauges(
     if (parse_node_label(name, base, node)) out[node] = value.last;
   }
   return out;
-}
-
-void MetricsSnapshot::print(std::ostream& os) const {
-  for (const auto& [name, value] : counters)
-    os << name << " = " << value << "\n";
-  for (const auto& [name, g] : gauges)
-    os << name << " = " << g.last << " (mean " << g.mean << ")\n";
-  for (const auto& [name, h] : histograms)
-    os << name << " = n " << h.count << " mean " << h.mean << " p50 "
-       << h.p50 << " p95 " << h.p95 << " p99 " << h.p99 << "\n";
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {

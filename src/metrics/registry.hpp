@@ -18,7 +18,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <string_view>
@@ -147,8 +146,6 @@ struct MetricsSnapshot {
   std::map<std::uint64_t, std::uint64_t> labeled_counters(
       std::string_view base) const;
   std::map<std::uint64_t, double> labeled_gauges(std::string_view base) const;
-
-  void print(std::ostream& os) const;
 };
 
 class MetricsRegistry {

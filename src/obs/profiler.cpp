@@ -93,7 +93,6 @@ struct ThreadState {
 
   struct OpenSpan {
     std::uint32_t path = 0;
-    const char* name = nullptr;
     std::uint64_t start_ns = 0;
     std::array<ProfileEvent::Counter, ProfileEvent::kMaxCounters> counters{};
   };
@@ -186,7 +185,6 @@ void Profiler::open_span(const char* name) {
       depth == 0 ? kRootPath : st.stack[depth - 1].path;
   ThreadState::OpenSpan& span = st.stack[depth];
   span.path = intern_path(parent, name);
-  span.name = name;
   span.counters = {};
   span.start_ns = now_ns();
 }
@@ -250,17 +248,6 @@ ProfileData Profiler::drain() {
     }
   }
   out.paths = snapshot_paths();
-  return out;
-}
-
-std::vector<std::string> Profiler::thread_span_stack() {
-  std::vector<std::string> out;
-  const ThreadState* st = t_state;
-  if (st == nullptr) return out;
-  const std::size_t depth = std::min(st->depth, kMaxDepth);
-  out.reserve(depth);
-  for (std::size_t i = 0; i < depth; ++i)
-    out.emplace_back(st->stack[i].name);
   return out;
 }
 

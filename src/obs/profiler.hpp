@@ -106,11 +106,6 @@ class Profiler {
   /// (ThreadPool::parallel_for has joined, simulations have returned).
   ProfileData drain();
 
-  /// The calling thread's open span names, outermost first — what the
-  /// FlightRecorder prints as "which phase was active" post-mortem.
-  /// Cheap; safe whether or not recording is enabled.
-  static std::vector<std::string> thread_span_stack();
-
   /// Spans dropped because the per-thread open-span stack overflowed
   /// (depth > kMaxDepth) plus counters dropped for want of a slot.
   std::uint64_t dropped() const {

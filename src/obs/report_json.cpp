@@ -181,21 +181,6 @@ Json to_json(const Deployment& deployment) {
       .set("sensors", std::move(sensors));
 }
 
-Json to_json(const TraceEntry& entry) {
-  return Json::object()
-      .set("t_s", Json(entry.when.to_seconds()))
-      .set("cat", Json(to_string(entry.cat)))
-      .set("text", Json(entry.text));
-}
-
-Json trace_to_json(const Trace& trace) {
-  Json entries = Json::array();
-  for (const TraceEntry& e : trace.entries()) entries.push_back(to_json(e));
-  return Json::object()
-      .set("dropped", Json(trace.dropped()))
-      .set("entries", std::move(entries));
-}
-
 Json report_envelope(std::string kind, Json body) {
   return Json::object()
       .set("schema", Json(kReportSchemaVersion))

@@ -13,7 +13,6 @@
 #include "net/deployment.hpp"
 #include "obs/json.hpp"
 #include "sim/runtime.hpp"
-#include "sim/trace.hpp"
 
 namespace mhp {
 struct SimulationReport;
@@ -36,11 +35,6 @@ Json to_json(const SimulationReport& report);
 Json to_json(const SmacReport& report);
 Json to_json(const MultiClusterReport& report);
 Json to_json(const Deployment& deployment);
-Json to_json(const TraceEntry& entry);
-
-/// The trace ring's current contents as an array (oldest first), plus
-/// eviction accounting.
-Json trace_to_json(const Trace& trace);
 
 /// Wrap a report body into the standard envelope:
 /// {"schema":1,"kind":<kind>,"report":<body>}.

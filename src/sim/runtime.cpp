@@ -17,14 +17,6 @@ void DeliveryLedger::on_death(std::uint64_t generated,
 SimRuntime::SimRuntime(std::uint64_t seed, const RuntimeOptions& opts)
     : root_rng_(seed), wall_begin_(std::chrono::steady_clock::now()) {
   trace_.set_max_entries(opts.trace_max_entries);
-  if (opts.trace_stream != nullptr) {
-    stream_sink_ = std::make_unique<OstreamTraceSink>(*opts.trace_stream);
-    trace_.add_sink(stream_sink_.get());
-  }
-  if (opts.trace_jsonl_stream != nullptr) {
-    jsonl_sink_ = std::make_unique<JsonlTraceSink>(*opts.trace_jsonl_stream);
-    trace_.add_sink(jsonl_sink_.get());
-  }
   if (opts.samples_stream != nullptr) {
     MetricsSampler& sp = install_sampler(
         {.period = opts.sample_period, .out = opts.samples_stream});
@@ -38,11 +30,6 @@ SimRuntime::SimRuntime(std::uint64_t seed, const RuntimeOptions& opts)
     sp.watch_gauge(sample::kGenerated);
     sp.start();
   }
-}
-
-SimRuntime::~SimRuntime() {
-  if (stream_sink_) trace_.remove_sink(stream_sink_.get());
-  if (jsonl_sink_) trace_.remove_sink(jsonl_sink_.get());
 }
 
 Propagation& SimRuntime::adopt_propagation(

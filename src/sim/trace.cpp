@@ -1,84 +1,10 @@
 #include "sim/trace.hpp"
 
-#include <algorithm>
-#include <cstdio>
-#include <ostream>
+#include <utility>
 
 #include "util/assertx.hpp"
 
 namespace mhp {
-
-const char* to_string(TraceCat cat) {
-  switch (cat) {
-    case TraceCat::kProtocol:
-      return "protocol";
-    case TraceCat::kChannel:
-      return "channel";
-    case TraceCat::kEnergy:
-      return "energy";
-    case TraceCat::kRouting:
-      return "routing";
-    case TraceCat::kMac:
-      return "mac";
-  }
-  return "?";
-}
-
-void format_trace_entry(std::ostream& os, const TraceEntry& entry) {
-  os << entry.when << " [" << to_string(entry.cat) << "] " << entry.text
-     << "\n";
-}
-
-void OstreamTraceSink::on_entry(const TraceEntry& entry) {
-  format_trace_entry(os_, entry);
-}
-
-namespace {
-
-// Minimal JSON string escaping for the JSONL sink.  (The full JSON layer
-// lives in src/obs; the sim substrate stays below it, so the sink carries
-// its own escaper for the one string field it writes.)
-void write_json_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
-void JsonlTraceSink::on_entry(const TraceEntry& entry) {
-  os_ << "{\"t_s\":" << entry.when.to_seconds() << ",\"cat\":\""
-      << to_string(entry.cat) << "\",\"text\":";
-  write_json_escaped(os_, entry.text);
-  os_ << "}\n";
-}
 
 void Trace::set_max_entries(std::size_t n) {
   MHP_REQUIRE(n >= 1, "trace ring needs room for at least one entry");
@@ -89,21 +15,9 @@ void Trace::set_max_entries(std::size_t n) {
   }
 }
 
-void Trace::add_sink(TraceSink* sink) {
-  MHP_REQUIRE(sink != nullptr, "null trace sink");
-  sinks_.push_back(sink);
-}
-
-void Trace::remove_sink(TraceSink* sink) {
-  sinks_.erase(std::remove(sinks_.begin(), sinks_.end(), sink),
-               sinks_.end());
-}
-
 void Trace::record(Time when, TraceCat cat, std::string text) {
   if (!enabled(cat)) return;
-  TraceEntry entry{when, cat, std::move(text)};
-  for (TraceSink* sink : sinks_) sink->on_entry(entry);
-  entries_.push_back(std::move(entry));
+  entries_.push_back({when, cat, std::move(text)});
   if (entries_.size() > max_entries_) {
     entries_.pop_front();
     ++dropped_;
@@ -120,10 +34,6 @@ std::vector<std::string> Trace::texts(TraceCat cat) const {
   for (const auto& e : entries_)
     if (e.cat == cat) out.push_back(e.text);
   return out;
-}
-
-void Trace::print(std::ostream& os) const {
-  for (const auto& e : entries_) format_trace_entry(os, e);
 }
 
 }  // namespace mhp

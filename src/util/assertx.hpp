@@ -2,14 +2,11 @@
 //
 // Library code uses MHP_REQUIRE for precondition violations (caller bugs)
 // and MHP_ENSURE for internal invariants.  Both throw so tests can assert
-// on misuse without aborting the whole test binary.
-//
-// Before throwing, contract_fail notifies any registered failure hooks —
-// the attachment point for post-mortem tooling (obs::FlightRecorder dumps
-// the trace ring tail and a metrics snapshot from such a hook).
+// on misuse without aborting the whole test binary; the exception's
+// message names the failing expression, its location and the caller's
+// explanation, which is what a failed campaign point reports as its error.
 #pragma once
 
-#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,31 +18,10 @@ class ContractViolation : public std::logic_error {
   using std::logic_error::logic_error;
 };
 
-/// What failed, handed to every registered contract-failure hook just
-/// before the ContractViolation is thrown.
-struct ContractFailureInfo {
-  const char* kind;  // "precondition" or "invariant"
-  const char* expr;
-  const char* file;
-  int line;
-  std::string message;
-};
-
-/// Register `hook` to run (LIFO, newest first) on every MHP_REQUIRE /
-/// MHP_ENSURE failure; returns a token for remove_contract_failure_hook.
-/// Hooks must not throw; anything they raise is swallowed so the original
-/// ContractViolation still propagates.  Thread-safe.
-int add_contract_failure_hook(
-    std::function<void(const ContractFailureInfo&)> hook);
-void remove_contract_failure_hook(int token);
-
 namespace detail {
-void notify_contract_failure(const ContractFailureInfo& info) noexcept;
-
 [[noreturn]] inline void contract_fail(const char* kind, const char* expr,
                                        const char* file, int line,
                                        const std::string& msg) {
-  notify_contract_failure({kind, expr, file, line, msg});
   std::ostringstream os;
   os << kind << " failed: (" << expr << ") at " << file << ":" << line;
   if (!msg.empty()) os << " — " << msg;

@@ -1,7 +1,6 @@
 // Observability layer tests: the JSON value/writer/parser, report
-// exporters for all three simulation stacks, per-node labeled series,
-// histogram metrics, the JSONL trace sink, bench reports and the crash
-// flight recorder.
+// exporters for all three simulation stacks and deployments, per-node
+// labeled series, histogram metrics and bench reports.
 #include <gtest/gtest.h>
 
 #include <clocale>
@@ -19,12 +18,10 @@
 #include "exp/bench_json.hpp"
 #include "metrics/registry.hpp"
 #include "net/deployment.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
 #include "obs/report_json.hpp"
 #include "obs/run_recorder.hpp"
 #include "sim/runtime.hpp"
-#include "util/assertx.hpp"
 #include "util/rng.hpp"
 
 namespace mhp {
@@ -431,54 +428,15 @@ TEST(ReportJson, MultiClusterReportRoundTrips) {
             16u);
 }
 
-// ---------- Deployment + trace serialization ----------
+// ---------- Deployment serialization ----------
 
-TEST(ReportJson, DeploymentAndTraceSerialize) {
+TEST(ReportJson, DeploymentSerializes) {
   const Deployment dep = small_deployment(5);
   const Json d = obs::to_json(dep);
   EXPECT_EQ(d.at("num_sensors").as_uint(), dep.num_sensors());
   EXPECT_EQ(d.at("sensors").size(), dep.num_sensors());
   EXPECT_EQ(parse_json(d.dump()).at("head").at("x").as_double(),
             dep.head_pos().x);
-
-  Trace trace;
-  trace.enable(TraceCat::kProtocol);
-  trace.set_max_entries(2);
-  trace.record(Time::ms(1), TraceCat::kProtocol, "one");
-  trace.record(Time::ms(2), TraceCat::kProtocol, "two");
-  trace.record(Time::ms(3), TraceCat::kProtocol, "three");
-  const Json t = parse_json(obs::trace_to_json(trace).dump());
-  EXPECT_EQ(t.at("dropped").as_uint(), 1u);
-  ASSERT_EQ(t.at("entries").size(), 2u);
-  EXPECT_EQ(t.at("entries").at(0).at("text").as_string(), "two");
-  EXPECT_EQ(t.at("entries").at(1).at("cat").as_string(), "protocol");
-}
-
-TEST(ReportJson, JsonlTraceSinkLinesParse) {
-  std::ostringstream log;
-  RuntimeOptions opts;
-  opts.trace_jsonl_stream = &log;
-  SimRuntime rt(1, opts);
-  rt.trace().enable(TraceCat::kProtocol);
-  rt.trace().record(Time::ms(1), TraceCat::kProtocol, "plain");
-  rt.trace().record(Time::ms(2), TraceCat::kProtocol,
-                    "with \"quotes\"\nand newline");
-  std::istringstream in(log.str());
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(in, line)) {
-    const Json v = parse_json(line);  // every line is one strict document
-    EXPECT_TRUE(v.at("t_s").is_number());
-    EXPECT_EQ(v.at("cat").as_string(), "protocol");
-    ++lines;
-  }
-  EXPECT_EQ(lines, 2u);
-  // The escaped entry round-trips through the sink's own escaper.
-  std::istringstream in2(log.str());
-  std::getline(in2, line);
-  std::getline(in2, line);
-  EXPECT_EQ(parse_json(line).at("text").as_string(),
-            "with \"quotes\"\nand newline");
 }
 
 // ---------- Bench reports ----------
@@ -509,77 +467,6 @@ TEST(BenchJson, TableAndRecorderSerializeAndParseBack) {
   EXPECT_EQ(p0.at("sensors").as_int(), 10);
   EXPECT_DOUBLE_EQ(p0.at("rate B/s").as_double(), 20.5);
   EXPECT_EQ(v.at("points").at(1).at("note").as_string(), "sat");
-}
-
-// ---------- Flight recorder ----------
-
-TEST(FlightRecorder, DumpsTraceTailAndMetricsOnContractFailure) {
-  SimRuntime rt(1);
-  rt.trace().enable(TraceCat::kProtocol);
-  for (int i = 0; i < 10; ++i)
-    rt.trace().record(Time::ms(i), TraceCat::kProtocol,
-                      "entry " + std::to_string(i));
-  rt.metrics().counter("boom.counter").add(3);
-
-  std::ostringstream out;
-  obs::FlightRecorder::Options opts;
-  opts.tail_entries = 3;
-  opts.out = &out;
-  obs::FlightRecorder recorder(rt, opts);
-  EXPECT_FALSE(recorder.dumped());
-
-  // No propagation adopted: this precondition fails and must trigger the
-  // post-mortem before the ContractViolation propagates.
-  EXPECT_THROW(rt.propagation(), ContractViolation);
-  EXPECT_TRUE(recorder.dumped());
-  const std::string dump = out.str();
-  EXPECT_NE(dump.find("flight recorder"), std::string::npos);
-  EXPECT_NE(dump.find("propagation"), std::string::npos);  // failing expr
-  // Only the newest 3 entries of the ring tail.
-  EXPECT_EQ(dump.find("entry 6"), std::string::npos);
-  EXPECT_NE(dump.find("entry 7"), std::string::npos);
-  EXPECT_NE(dump.find("entry 9"), std::string::npos);
-  EXPECT_NE(dump.find("boom.counter = 3"), std::string::npos);
-
-  // One post-mortem per recorder: a second failure doesn't re-dump.
-  EXPECT_THROW(rt.propagation(), ContractViolation);
-  EXPECT_EQ(dump, out.str());
-}
-
-TEST(FlightRecorder, DisarmsOnDestruction) {
-  SimRuntime rt(1);
-  std::ostringstream out;
-  {
-    obs::FlightRecorder::Options opts;
-    opts.out = &out;
-    obs::FlightRecorder recorder(rt, opts);
-  }
-  EXPECT_THROW(rt.propagation(), ContractViolation);
-  EXPECT_TRUE(out.str().empty());
-}
-
-// ---------- Contract failure hooks ----------
-
-TEST(ContractHooks, RunLifoAndSwallowHookExceptions) {
-  std::vector<int> order;
-  const int t1 = add_contract_failure_hook(
-      [&order](const ContractFailureInfo&) { order.push_back(1); });
-  const int t2 = add_contract_failure_hook(
-      [&order](const ContractFailureInfo& info) {
-        order.push_back(2);
-        EXPECT_STREQ(info.kind, "precondition");
-        EXPECT_NE(info.message.find("boom"), std::string::npos);
-        throw std::runtime_error("hook failure must be swallowed");
-      });
-  EXPECT_THROW(MHP_REQUIRE(false, "boom"), ContractViolation);
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 2);  // newest first
-  EXPECT_EQ(order[1], 1);
-  remove_contract_failure_hook(t1);
-  remove_contract_failure_hook(t2);
-  order.clear();
-  EXPECT_THROW(MHP_REQUIRE(false, "again"), ContractViolation);
-  EXPECT_TRUE(order.empty());
 }
 
 // ---------- Routing policy: load balance acceptance ----------

@@ -13,7 +13,6 @@
 
 #include "core/routing.hpp"
 #include "net/deployment.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
 #include "obs/profiler.hpp"
 #include "route/routing_engine.hpp"
@@ -198,24 +197,6 @@ TEST_F(ProfilerTest, ChromeTraceRoundTripsStrictParser) {
     }
   }
   EXPECT_TRUE(saw_outer);
-}
-
-TEST_F(ProfilerTest, FlightRecorderDumpListsOpenSpans) {
-  SimRuntime rt(1);
-  obs::FlightRecorder recorder(rt);
-  Profiler::instance().enable();
-  {
-    MHP_SPAN("fault/probe");
-    std::ostringstream os;
-    recorder.dump(os);
-    EXPECT_NE(os.str().find("open profiler spans"), std::string::npos);
-    EXPECT_NE(os.str().find("fault/probe"), std::string::npos);
-  }
-  Profiler::instance().disable();
-  // With every span closed the section disappears.
-  std::ostringstream os;
-  recorder.dump(os);
-  EXPECT_EQ(os.str().find("open profiler spans"), std::string::npos);
 }
 
 // ---------- sim-time metrics sampler ----------

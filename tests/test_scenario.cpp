@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "baseline/smac_simulation.hpp"
@@ -524,6 +525,60 @@ TEST(CampaignRun, IsolatesFailuresAndResumesFromManifest) {
                 .at("count")
                 .as_int(),
             2);
+
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignRun, ContractFailureBecomesThePointsError) {
+  // A 4-sensor grid spread over 5 km passes validation but trips the
+  // cluster's set-up contract; its ContractViolation text is the point's
+  // post-mortem.  The 100 m grid beside it is connected and runs.
+  Campaign campaign;
+  campaign.name = "contract_failure";
+  campaign.base = obs::parse_json(
+      R"({"stack": "polling",
+          "deployment": {"kind": "grid", "n_sensors": 4, "side": 100.0},
+          "run": {"duration": "6s", "warmup": "1s", "record_perf": false}})");
+  campaign.sweep.emplace_back(
+      "deployment.side",
+      std::vector<obs::Json>{obs::Json(5000.0), obs::Json(100.0)});
+
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("mhp_campaign_contract_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+
+  const CampaignResult r = run_campaign(campaign, dir, 1, nullptr);
+  EXPECT_EQ(r.total, 2u);
+  EXPECT_EQ(r.ok, 1u);
+  EXPECT_EQ(r.failed, 1u);
+
+  std::map<std::string, obs::Json> manifest;
+  for (auto& [key, entry] : read_keyed_jsonl(dir + "/manifest.jsonl"))
+    manifest.emplace(key, std::move(entry));
+  ASSERT_EQ(manifest.size(), 2u);
+  const obs::Json& failed = manifest.at("deployment.side=5000.0");
+  EXPECT_EQ(failed.at("status").as_string(), "failed");
+  // Substrings only: the error's file path depends on the build tree.
+  const std::string error = failed.at("error").as_string();
+  EXPECT_NE(error.find("precondition failed"), std::string::npos) << error;
+  EXPECT_NE(error.find("topo_.fully_connected()"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("cluster not fully connected"), std::string::npos)
+      << error;
+  EXPECT_EQ(manifest.at("deployment.side=100.0").at("status").as_string(),
+            "ok");
+
+  const auto results = read_keyed_jsonl(dir + "/results.jsonl");
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].first, "deployment.side=100.0");
+  EXPECT_EQ(results[0].second.at("report").at("kind").as_string(), "polling");
+
+  const obs::Json summary =
+      obs::parse_json(read_file(dir + "/summary.json"));
+  EXPECT_EQ(summary.at("report").at("points").at("ok").as_int(), 1);
+  EXPECT_EQ(summary.at("report").at("points").at("failed").as_int(), 1);
 
   std::filesystem::remove_all(dir);
 }
