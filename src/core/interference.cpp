@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 
 #include "util/assertx.hpp"
 
@@ -89,8 +90,11 @@ bool ChannelOracle::compatible_impl(const TxGroup& group) const {
   for (const Tx& t : group) {
     for (const Tx& other : group)
       if (other.from == t.to) return false;  // half-duplex
-    const double signal = channel_.rx_power_w(t.from, t.to);
-    if (signal < params.sensitivity_w) return false;
+    // Only an audible receiver clears the sensitivity, and its list holds
+    // the model's power: no propagation call for the signal.
+    const std::optional<double> heard = channel_.audible_power_w(t.from, t.to);
+    if (!heard) return false;
+    const double signal = *heard;
     double interference = 0.0;
     for (const Tx& other : group)
       if (&other != &t) interference += channel_.rx_power_w(other.from, t.to);

@@ -124,10 +124,10 @@ class ChannelOracle : public CompatibilityOracle {
 ///
 /// Invariant: `truth` outlives the oracle and its verdicts do not change
 /// while the oracle lives, so answering late equals probing up front.
-/// ChannelOracle meets it: it reads only Channel::rx_power_w, which is
-/// fixed at construction (positions and tx powers never change), never
-/// the live interference of frames in flight.  Node mobility or fading
-/// (both parked) would break it.
+/// ChannelOracle meets it: it reads only the audible powers and
+/// Channel::rx_power_w, both fixed at construction (positions and tx
+/// powers never change), never the live interference of frames in
+/// flight.  Node mobility or fading (both parked) would break it.
 class MeasuredOracle : public CompatibilityOracle {
  public:
   /// Takes the universe to probe; `truth` is asked lazily.

@@ -22,33 +22,32 @@ namespace {
 Json::Json(unsigned long v) {
   if (v > static_cast<unsigned long>(std::numeric_limits<std::int64_t>::max()))
     throw std::overflow_error("Json: unsigned value exceeds int64 range");
-  type_ = Type::kInt;
-  int_ = static_cast<std::int64_t>(v);
+  v_ = static_cast<std::int64_t>(v);
 }
 
 Json::Json(unsigned long long v) {
   if (v > static_cast<unsigned long long>(
               std::numeric_limits<std::int64_t>::max()))
     throw std::overflow_error("Json: unsigned value exceeds int64 range");
-  type_ = Type::kInt;
-  int_ = static_cast<std::int64_t>(v);
+  v_ = static_cast<std::int64_t>(v);
 }
 
 bool Json::as_bool() const {
-  if (type_ != Type::kBool) type_error("a bool");
-  return bool_;
+  if (!is_bool()) type_error("a bool");
+  return std::get<bool>(v_);
 }
 
 std::int64_t Json::as_int() const {
-  if (type_ == Type::kInt) return int_;
-  if (type_ == Type::kDouble) {
+  if (is_int()) return std::get<std::int64_t>(v_);
+  if (type() == Type::kDouble) {
+    const double d = std::get<double>(v_);
     // int64 covers [-2^63, 2^63); both bounds are exact doubles, and the
     // half-open test keeps the cast defined (2^63 itself must throw).
     // NaN fails the comparison and lands in out_of_range too.
-    if (!(double_ >= -0x1p63 && double_ < 0x1p63))
+    if (!(d >= -0x1p63 && d < 0x1p63))
       throw std::out_of_range("Json: double value outside int64 range");
-    if (std::trunc(double_) != double_) type_error("an integer");
-    return static_cast<std::int64_t>(double_);
+    if (std::trunc(d) != d) type_error("an integer");
+    return static_cast<std::int64_t>(d);
   }
   type_error("a number");
 }
@@ -60,56 +59,57 @@ std::uint64_t Json::as_uint() const {
 }
 
 double Json::as_double() const {
-  if (type_ == Type::kDouble) return double_;
-  if (type_ == Type::kInt) return static_cast<double>(int_);
+  if (type() == Type::kDouble) return std::get<double>(v_);
+  if (is_int()) return static_cast<double>(std::get<std::int64_t>(v_));
   type_error("a number");
 }
 
 const std::string& Json::as_string() const {
-  if (type_ != Type::kString) type_error("a string");
-  return string_;
+  if (!is_string()) type_error("a string");
+  return std::get<std::string>(v_);
 }
 
 void Json::push_back(Json value) {
-  if (type_ == Type::kNull) type_ = Type::kArray;
-  if (type_ != Type::kArray) type_error("an array");
-  array_.push_back(std::move(value));
+  if (is_null()) v_.emplace<Array>();
+  if (!is_array()) type_error("an array");
+  std::get<Array>(v_).push_back(std::move(value));
 }
 
 std::size_t Json::size() const {
-  if (type_ == Type::kArray) return array_.size();
-  if (type_ == Type::kObject) return object_.size();
+  if (is_array()) return std::get<Array>(v_).size();
+  if (is_object()) return std::get<Object>(v_).size();
   return 0;
 }
 
 const Json& Json::at(std::size_t index) const {
-  if (type_ != Type::kArray) type_error("an array");
-  return array_.at(index);
+  if (!is_array()) type_error("an array");
+  return std::get<Array>(v_).at(index);
 }
 
 Json& Json::set(std::string key, Json value) {
-  if (type_ == Type::kNull) type_ = Type::kObject;
-  if (type_ != Type::kObject) type_error("an object");
-  for (auto& [k, v] : object_) {
+  if (is_null()) v_.emplace<Object>();
+  if (!is_object()) type_error("an object");
+  Object& members = std::get<Object>(v_);
+  for (auto& [k, v] : members) {
     if (k == key) {
       v = std::move(value);
       return *this;
     }
   }
-  object_.emplace_back(std::move(key), std::move(value));
+  members.emplace_back(std::move(key), std::move(value));
   return *this;
 }
 
 Json& Json::append(std::string key, Json value) {
-  if (type_ == Type::kNull) type_ = Type::kObject;
-  if (type_ != Type::kObject) type_error("an object");
-  object_.emplace_back(std::move(key), std::move(value));
+  if (is_null()) v_.emplace<Object>();
+  if (!is_object()) type_error("an object");
+  std::get<Object>(v_).emplace_back(std::move(key), std::move(value));
   return *this;
 }
 
 const Json* Json::find(const std::string& key) const {
-  if (type_ != Type::kObject) return nullptr;
-  for (const auto& [k, v] : object_)
+  if (!is_object()) return nullptr;
+  for (const auto& [k, v] : std::get<Object>(v_))
     if (k == key) return &v;
   return nullptr;
 }
@@ -126,8 +126,8 @@ const Json& Json::at(const std::string& key) const {
 }
 
 const std::vector<std::pair<std::string, Json>>& Json::items() const {
-  if (type_ != Type::kObject) type_error("an object");
-  return object_;
+  if (!is_object()) type_error("an object");
+  return std::get<Object>(v_);
 }
 
 std::string json_escape(std::string_view s) {
@@ -208,45 +208,47 @@ void write_newline_indent(std::ostream& os, int indent, int depth) {
 }  // namespace
 
 void Json::write_impl(std::ostream& os, int indent, int depth) const {
-  switch (type_) {
+  switch (type()) {
     case Type::kNull:
       os << "null";
       break;
     case Type::kBool:
-      os << (bool_ ? "true" : "false");
+      os << (std::get<bool>(v_) ? "true" : "false");
       break;
     case Type::kInt:
-      write_int(os, int_);
+      write_int(os, std::get<std::int64_t>(v_));
       break;
     case Type::kDouble:
-      write_double(os, double_);
+      write_double(os, std::get<double>(v_));
       break;
     case Type::kString:
-      os << '"' << json_escape(string_) << '"';
+      os << '"' << json_escape(std::get<std::string>(v_)) << '"';
       break;
     case Type::kArray: {
-      if (array_.empty()) {
+      const Array& elements = std::get<Array>(v_);
+      if (elements.empty()) {
         os << "[]";
         break;
       }
       os << '[';
-      for (std::size_t i = 0; i < array_.size(); ++i) {
+      for (std::size_t i = 0; i < elements.size(); ++i) {
         if (i > 0) os << ',';
         if (indent >= 0) write_newline_indent(os, indent, depth + 1);
-        array_[i].write_impl(os, indent, depth + 1);
+        elements[i].write_impl(os, indent, depth + 1);
       }
       if (indent >= 0) write_newline_indent(os, indent, depth);
       os << ']';
       break;
     }
     case Type::kObject: {
-      if (object_.empty()) {
+      const Object& members = std::get<Object>(v_);
+      if (members.empty()) {
         os << "{}";
         break;
       }
       os << '{';
       bool first = true;
-      for (const auto& [k, v] : object_) {
+      for (const auto& [k, v] : members) {
         if (!first) os << ',';
         first = false;
         if (indent >= 0) write_newline_indent(os, indent, depth + 1);

@@ -13,6 +13,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace mhp::obs {
@@ -40,44 +41,43 @@ class JsonParseError : public std::runtime_error {
 
 class Json {
  public:
+  /// In the order of the variant's alternatives: type() is its index.
   enum class Type { kNull, kBool, kInt, kDouble, kString, kArray, kObject };
 
   Json() = default;  // null
-  Json(bool b) : type_(Type::kBool), bool_(b) {}
-  Json(int v) : type_(Type::kInt), int_(v) {}
-  Json(long v) : type_(Type::kInt), int_(v) {}
-  Json(long long v) : type_(Type::kInt), int_(v) {}
-  Json(unsigned v) : type_(Type::kInt), int_(static_cast<std::int64_t>(v)) {}
+  Json(bool b) : v_(b) {}
+  Json(int v) : v_(std::int64_t{v}) {}
+  Json(long v) : v_(std::int64_t{v}) {}
+  Json(long long v) : v_(std::int64_t{v}) {}
+  Json(unsigned v) : v_(std::int64_t{v}) {}
   /// Counters are uint64; values beyond int64 are unrepresentable in the
   /// common JSON integer range and throw rather than silently wrap.
   Json(unsigned long v);
   Json(unsigned long long v);
-  Json(double v) : type_(Type::kDouble), double_(v) {}
-  Json(const char* s) : type_(Type::kString), string_(s) {}
-  Json(std::string s) : type_(Type::kString), string_(std::move(s)) {}
-  Json(std::string_view s) : type_(Type::kString), string_(s) {}
+  Json(double v) : v_(v) {}
+  Json(const char* s) : v_(std::in_place_type<std::string>, s) {}
+  Json(std::string s) : v_(std::move(s)) {}
+  Json(std::string_view s) : v_(std::in_place_type<std::string>, s) {}
 
   static Json array() {
     Json j;
-    j.type_ = Type::kArray;
+    j.v_.emplace<Array>();
     return j;
   }
   static Json object() {
     Json j;
-    j.type_ = Type::kObject;
+    j.v_.emplace<Object>();
     return j;
   }
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_bool() const { return type_ == Type::kBool; }
-  bool is_int() const { return type_ == Type::kInt; }
-  bool is_number() const {
-    return type_ == Type::kInt || type_ == Type::kDouble;
-  }
-  bool is_string() const { return type_ == Type::kString; }
-  bool is_array() const { return type_ == Type::kArray; }
-  bool is_object() const { return type_ == Type::kObject; }
+  Type type() const { return static_cast<Type>(v_.index()); }
+  bool is_null() const { return type() == Type::kNull; }
+  bool is_bool() const { return type() == Type::kBool; }
+  bool is_int() const { return type() == Type::kInt; }
+  bool is_number() const { return is_int() || type() == Type::kDouble; }
+  bool is_string() const { return type() == Type::kString; }
+  bool is_array() const { return type() == Type::kArray; }
+  bool is_object() const { return type() == Type::kObject; }
 
   bool as_bool() const;
   std::int64_t as_int() const;
@@ -111,15 +111,16 @@ class Json {
   std::string dump(int indent = -1) const;
 
  private:
+  using Array = std::vector<Json>;
+  using Object = std::vector<std::pair<std::string, Json>>;
+
   void write_impl(std::ostream& os, int indent, int depth) const;
 
-  Type type_ = Type::kNull;
-  bool bool_ = false;
-  std::int64_t int_ = 0;
-  double double_ = 0.0;
-  std::string string_;
-  std::vector<Json> array_;
-  std::vector<std::pair<std::string, Json>> object_;
+  // A node costs its largest alternative (a std::string) plus the index.
+  // A copy is deep; a moved-from value keeps its alternative, so its type.
+  std::variant<std::monostate, bool, std::int64_t, double, std::string,
+               Array, Object>
+      v_;
 };
 
 /// JSON string escaping (quotes, backslash, control characters).

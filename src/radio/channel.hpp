@@ -37,6 +37,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -132,6 +133,11 @@ class Channel {
   /// Received power for a transmission from→to at from's tx power (0 on
   /// the diagonal): a kept row's entry, else one propagation call.
   double rx_power_w(NodeId from, NodeId to) const;
+
+  /// rx_power_w(from, to), bit for bit, when `to` is in audible(from);
+  /// nullopt for any other receiver, which fails the sensitivity test.
+  /// A binary search of the audible list; never calls the model.
+  std::optional<double> audible_power_w(NodeId from, NodeId to) const;
 
   /// Interference-free link viability: sensitivity + SNR threshold.  Reads
   /// the audible list; never calls the propagation model.

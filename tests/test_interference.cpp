@@ -482,6 +482,43 @@ TEST(ChannelOracle, InlineVerdictKeepsTheChannelsRangeChecks) {
   EXPECT_THROW(oracle.sinr_verdict({Tx{0, 1}, Tx{0, 2}}), ContractViolation);
 }
 
+// The signal is read from the sender's audible list: a receiver outside
+// it fails the sensitivity test and one inside it gets the stored model
+// power, both with no propagation call (no frame has run, so no row is
+// kept and every rx_power_w read would be one).
+TEST(ChannelOracle, SignalComesFromTheAudibleListWithNoModelCall) {
+  const ChannelField field(42, 12, 600.0);
+  const auto nodes = static_cast<NodeId>(field.pos.size());
+  const ExposedChannelOracle oracle(*field.channel, 2);
+  std::size_t heard = 0, unheard = 0;
+  for (NodeId from = 0; from < nodes; ++from)
+    for (NodeId to = 0; to < nodes; ++to) {
+      if (from == to) continue;
+      const std::uint64_t calls = field.channel->stats().propagation_calls;
+      const bool verdict = oracle.sinr_verdict({Tx{from, to}});
+      ASSERT_EQ(field.channel->stats().propagation_calls, calls)
+          << from << "->" << to;
+      ASSERT_EQ(verdict, field.channel->concurrent_outcome({{from, to}})[0])
+          << from << "->" << to;
+      ++(field.channel->audible_power_w(from, to) ? heard : unheard);
+    }
+  EXPECT_GT(heard, 0u);
+  EXPECT_GT(unheard, 0u);
+  // Interference is still read through rx_power_w: once the first
+  // receiver clears the sensitivity, the other sender costs a model call.
+  NodeId from = 0;
+  while (field.channel->audible(from).empty()) ++from;
+  const NodeId to = field.channel->audible(from).front();
+  NodeId other = 0;
+  while (other == from || other == to) ++other;
+  NodeId other_to = 0;
+  while (other_to == from || other_to == other) ++other_to;
+  const TxGroup pair = {Tx{from, to}, Tx{other, other_to}};
+  const std::uint64_t calls = field.channel->stats().propagation_calls;
+  static_cast<void>(oracle.sinr_verdict(pair));
+  EXPECT_GE(field.channel->stats().propagation_calls, calls + 1);
+}
+
 TEST(TransmissionsOfPaths, ExtractsHops) {
   // {1,5} appears in both paths and is deduplicated.
   const std::vector<std::vector<NodeId>> paths = {{2, 1, 5}, {1, 5}};

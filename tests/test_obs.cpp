@@ -7,10 +7,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <locale>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <utility>
 
 #include "baseline/smac_simulation.hpp"
 #include "core/multi_cluster_sim.hpp"
@@ -106,6 +110,153 @@ TEST(Json, CompactAndPrettyWriting) {
   EXPECT_EQ(o.dump(), "{\"n\":1,\"s\":\"x\",\"a\":[true,null]}");
   const std::string pretty = o.dump(2);
   EXPECT_NE(pretty.find("{\n  \"n\": 1,"), std::string::npos);
+}
+
+// A node holds one alternative (a std::string is the largest) plus its
+// index; report trees of millions of nodes pay this per value.
+static_assert(sizeof(Json) <= 40);
+
+TEST(Json, TypeMatchesEveryConstructor) {
+  using T = Json::Type;
+  EXPECT_EQ(Json().type(), T::kNull);
+  EXPECT_EQ(Json(false).type(), T::kBool);
+  EXPECT_EQ(Json(-1).type(), T::kInt);
+  EXPECT_EQ(Json(-2L).type(), T::kInt);
+  EXPECT_EQ(Json(-3LL).type(), T::kInt);
+  EXPECT_EQ(Json(4000000000U).type(), T::kInt);
+  EXPECT_EQ(Json(4000000000U).as_int(), 4000000000LL);
+  EXPECT_EQ(Json(5UL).type(), T::kInt);
+  EXPECT_EQ(Json(6ULL).type(), T::kInt);
+  EXPECT_EQ(Json(1.5).type(), T::kDouble);
+  EXPECT_EQ(Json(2.0).type(), T::kDouble);
+  EXPECT_EQ(Json("c").type(), T::kString);
+  EXPECT_EQ(Json(std::string("s")).type(), T::kString);
+  EXPECT_EQ(Json(std::string_view("v")).as_string(), "v");
+  EXPECT_EQ(Json::array().type(), T::kArray);
+  EXPECT_EQ(Json::object().type(), T::kObject);
+  // The largest unsigned that fits int64 is an int; one more throws.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const auto max_ul = static_cast<unsigned long>(kMax);
+  EXPECT_EQ(Json(max_ul).type(), T::kInt);
+  EXPECT_EQ(Json(max_ul).as_int(), kMax);
+  EXPECT_THROW(Json(max_ul + 1), std::overflow_error);
+  const auto max_ull = static_cast<unsigned long long>(kMax);
+  EXPECT_EQ(Json(max_ull).as_uint(), static_cast<std::uint64_t>(kMax));
+  EXPECT_THROW(Json(max_ull + 1), std::overflow_error);
+}
+
+TEST(Json, CopiesAreDeep) {
+  Json arr = Json::array();
+  arr.push_back(Json(1));
+  arr.push_back(Json("x"));
+  Json arr_copy = arr;
+  arr_copy.push_back(Json(2));
+  EXPECT_EQ(arr.dump(), R"([1,"x"])");
+  EXPECT_EQ(arr_copy.dump(), R"([1,"x",2])");
+
+  Json obj = Json::object();
+  obj.set("a", arr);
+  Json obj_copy = obj;
+  obj_copy.find("a")->push_back(Json(3));
+  obj_copy.set("b", Json(true));
+  EXPECT_EQ(obj.dump(), R"({"a":[1,"x"]})");
+  EXPECT_EQ(obj_copy.dump(), R"({"a":[1,"x",3],"b":true})");
+
+  Json assigned = Json::array();
+  assigned = obj;  // copy assignment over another alternative
+  assigned.set("a", Json(0));
+  EXPECT_EQ(obj.dump(), R"({"a":[1,"x"]})");
+  EXPECT_EQ(assigned.dump(), R"({"a":0})");
+
+  const Json str("abc");
+  Json str_copy = str;
+  str_copy = Json("z");
+  EXPECT_EQ(str.as_string(), "abc");
+  EXPECT_EQ(str_copy.as_string(), "z");
+}
+
+TEST(Json, MovedFromContainersKeepTheirTypeAndStayUsable) {
+  Json arr = Json::array();
+  arr.push_back(Json(1));
+  const Json taken = std::move(arr);
+  EXPECT_EQ(taken.dump(), "[1]");
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state is pinned
+  EXPECT_TRUE(arr.is_array());
+  arr.push_back(Json(2));
+  EXPECT_EQ(arr.at(arr.size() - 1).as_int(), 2);
+
+  Json obj = Json::object();
+  obj.set("a", Json(1));
+  Json target;
+  target = std::move(obj);
+  EXPECT_EQ(target.dump(), R"({"a":1})");
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state is pinned
+  EXPECT_TRUE(obj.is_object());
+  obj.set("b", Json(2));
+  EXPECT_EQ(obj.at("b").as_int(), 2);
+}
+
+TEST(Json, BuildersPromoteNull) {
+  Json arr;
+  arr.push_back(Json(1));
+  EXPECT_TRUE(arr.is_array());
+  EXPECT_EQ(arr.dump(), "[1]");
+  Json set;
+  set.set("k", Json(1));
+  EXPECT_TRUE(set.is_object());
+  EXPECT_EQ(set.dump(), R"({"k":1})");
+  Json appended;
+  appended.append("k", Json(2));
+  EXPECT_TRUE(appended.is_object());
+  EXPECT_EQ(appended.dump(), R"({"k":2})");
+}
+
+TEST(Json, MismatchedAccessThrowsLogicError) {
+  const auto message = [](auto&& access) {
+    try {
+      access();
+    } catch (const std::logic_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_EQ(message([] { static_cast<void>(Json(1).as_string()); }),
+            "Json: value is not a string");
+  EXPECT_EQ(message([] { Json::object().push_back(Json(1)); }),
+            "Json: value is not an array");
+  EXPECT_EQ(message([] { static_cast<void>(Json::array().items()); }),
+            "Json: value is not an object");
+  EXPECT_EQ(message([] { Json(true).set("k", Json(1)); }),
+            "Json: value is not an object");
+  EXPECT_EQ(message([] { static_cast<void>(Json("1").as_double()); }),
+            "Json: value is not a number");
+  EXPECT_EQ(message([] { static_cast<void>(Json(0).as_bool()); }),
+            "Json: value is not a bool");
+  EXPECT_EQ(message([] { static_cast<void>(Json::object().at(0)); }),
+            "Json: value is not an array");
+  EXPECT_EQ(message([] { static_cast<void>(Json(1.5).as_int()); }),
+            "Json: value is not an integer");
+  // Reads that are not a type mismatch keep their own answers.
+  EXPECT_EQ(Json(7).size(), 0u);
+  EXPECT_EQ(Json::array().find("k"), nullptr);
+}
+
+TEST(Json, ShippedScenariosDumpToAFixedPoint) {
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(MHP_SOURCE_DIR) + "/examples/scenarios")) {
+    if (entry.path().extension() != ".json") continue;
+    std::ifstream in(entry.path());
+    std::ostringstream text;
+    text << in.rdbuf();
+    for (const int indent : {-1, 2}) {
+      const std::string once = parse_json(text.str()).dump(indent);
+      EXPECT_EQ(parse_json(once).dump(indent), once)
+          << entry.path() << " indent " << indent;
+    }
+    ++files;
+  }
+  EXPECT_GE(files, 6u);
 }
 
 TEST(Json, EscapingRoundTrips) {

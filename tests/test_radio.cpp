@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 
 #include "net/deployment.hpp"
 #include "util/assertx.hpp"
@@ -660,6 +661,47 @@ TEST(ChannelAudible, GridListsEqualTheAllPairsScan) {
         links += want ? 1 : 0;
       }
     EXPECT_GT(links, n);
+    EXPECT_EQ(channel.stats().propagation_calls, calls);
+  }
+}
+
+// audible_power_w hands back the model's power bit for bit for every
+// audible pair (the reciprocal scan of the shadowing model included, with
+// unequal sensor and head powers) and nullopt for every other receiver,
+// without a model call.
+TEST(ChannelAudible, StoredPowersAreTheModelsBitForBit) {
+  const FreeSpace free_space;
+  const TwoRayGround two_ray;
+  const LogDistanceShadowing shadowing(3.0, 6.0, 1.0, 914e6, 11);
+  const RadioParams params;
+  for (const Propagation* prop :
+       {static_cast<const Propagation*>(&free_space),
+        static_cast<const Propagation*>(&two_ray),
+        static_cast<const Propagation*>(&shadowing)}) {
+    Rng rng(73);
+    const Deployment dep = deploy_uniform_square(80, 300.0, rng);
+    const std::size_t n = dep.positions.size();
+    std::vector<double> powers(n, RadioParams::kSensorTxPowerW);
+    powers[n - 1] = RadioParams::kHeadTxPowerW;
+    Simulator sim;
+    const Channel channel(sim, *prop, params, dep.positions, powers);
+    const std::uint64_t calls = channel.stats().propagation_calls;
+    std::size_t heard = 0;
+    for (NodeId a = 0; a < n; ++a)
+      for (NodeId b = 0; b < n; ++b) {
+        const double p = prop->rx_power_w(powers[a], dep.positions[a],
+                                          dep.positions[b]);
+        const std::optional<double> stored = channel.audible_power_w(a, b);
+        if (a != b && p >= params.sensitivity_w) {
+          ASSERT_TRUE(stored) << a << "->" << b;
+          ASSERT_EQ(bits(*stored), bits(p)) << a << "->" << b;
+          ++heard;
+        } else {
+          ASSERT_FALSE(stored) << a << "->" << b;
+        }
+      }
+    EXPECT_GT(heard, n);
+    EXPECT_LT(heard, n * (n - 1));
     EXPECT_EQ(channel.stats().propagation_calls, calls);
   }
 }
