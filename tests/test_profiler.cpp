@@ -301,28 +301,66 @@ TEST(ScenarioProfile, GlobalRecordingLeavesReportsByteIdentical) {
   EXPECT_EQ(plain, while_recording);
 }
 
+/// A 2×1 field of 8-sensor clusters, 15 s with 5 s of warm-up.
+scenario::Scenario small_field_scenario() {
+  scenario::Scenario s =
+      scenario::default_scenario(scenario::StackKind::kMultiCluster);
+  s.deployment.n_sensors = 8;
+  s.deployment.side = 100.0;
+  s.clusters.grid_x = 2;
+  s.clusters.grid_y = 1;
+  s.run.duration = Time::sec(15);
+  s.run.warmup = Time::sec(5);
+  s.run.record_perf = false;
+  return s;
+}
+
+/// Both polling facades, profiled: the facade-level spans run once each,
+/// and the measured window's event counter is the report's event count.
 TEST(ScenarioProfile, ProfileEmbedsSummaryWithoutPerturbingReport) {
-  scenario::Scenario s = small_polling_scenario();
-  const std::string plain = scenario::run_scenario(s).dump();
+  struct Case {
+    scenario::Scenario scenario;
+    std::string prefix;
+    std::vector<std::string> run_path;  // where the report keeps RunStats
+  };
+  const std::vector<Case> cases = {
+      {small_polling_scenario(), "polling", {"report", "run"}},
+      {small_field_scenario(), "mc", {"report", "totals", "run"}}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.prefix);
+    scenario::Scenario s = c.scenario;
+    const std::string plain = scenario::run_scenario(s).dump();
 
-  s.profile = true;
-  const obs::Json doc = scenario::run_scenario(s);
-  const obs::Json* profile = doc.find("profile");
-  ASSERT_NE(profile, nullptr);
-  const obs::Json* spans = profile->find("spans");
-  ASSERT_NE(spans, nullptr);
-  EXPECT_NE(spans->find("deploy"), nullptr);
-  EXPECT_NE(spans->find("polling/setup"), nullptr);
-  EXPECT_NE(spans->find("polling/setup/channel"), nullptr);
-  EXPECT_NE(spans->find("polling/measured"), nullptr);
-  // record_perf false zeroes the profile's wall times too (counts stay).
-  EXPECT_EQ(profile->at("attributed_ms").as_double(), 0.0);
-  EXPECT_GE(spans->at("polling/setup").at("count").as_uint(), 1u);
+    s.profile = true;
+    const obs::Json doc = scenario::run_scenario(s);
+    const obs::Json* profile = doc.find("profile");
+    ASSERT_NE(profile, nullptr);
+    const obs::Json* spans = profile->find("spans");
+    ASSERT_NE(spans, nullptr);
+    EXPECT_NE(spans->find("deploy"), nullptr);
+    for (const char* phase :
+         {"/setup", "/setup/channel", "/setup/topology", "/setup/routing",
+          "/warmup", "/measured", "/collect"}) {
+      const obs::Json* span = spans->find(c.prefix + phase);
+      ASSERT_NE(span, nullptr) << c.prefix + phase;
+      EXPECT_EQ(span->at("count").as_uint(), 1u) << c.prefix + phase;
+    }
+    // record_perf false zeroes the profile's wall times too (counts stay).
+    EXPECT_EQ(profile->at("attributed_ms").as_double(), 0.0);
 
-  // The rest of the envelope is exactly the unprofiled document.
-  obs::Json expected = obs::parse_json(plain);
-  expected.set("profile", *profile);
-  EXPECT_EQ(doc.dump(), expected.dump());
+    const obs::Json* run = &doc;
+    for (const std::string& key : c.run_path) run = &run->at(key);
+    EXPECT_EQ(spans->at(c.prefix + "/measured")
+                  .at("counters")
+                  .at("events")
+                  .as_uint(),
+              run->at("events_processed").as_uint());
+
+    // The rest of the envelope is exactly the unprofiled document.
+    obs::Json expected = obs::parse_json(plain);
+    expected.set("profile", *profile);
+    EXPECT_EQ(doc.dump(), expected.dump());
+  }
 }
 
 TEST(ScenarioProfile, TraceSinkReceivesValidChromeTrace) {
