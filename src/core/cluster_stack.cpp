@@ -5,11 +5,15 @@
 
 #include "core/route_repair.hpp"
 #include "obs/profiler.hpp"
+#include "radio/propagation.hpp"
 #include "sim/sampler.hpp"
 #include "util/assertx.hpp"
 
 namespace mhp {
+namespace {
 
+/// The propagation model `cfg.propagation` names, with cfg's shadowing
+/// parameters.
 std::unique_ptr<Propagation> make_propagation(const ProtocolConfig& cfg) {
   switch (cfg.propagation) {
     case PropagationModel::kTwoRayGround:
@@ -24,6 +28,8 @@ std::unique_ptr<Propagation> make_propagation(const ProtocolConfig& cfg) {
   MHP_REQUIRE(false, "unknown propagation model");
   return nullptr;  // unreachable
 }
+
+}  // namespace
 
 ClusterStack::ClusterStack(SimRuntime& rt, Channel& channel, NodeId base,
                            const ProtocolConfig& cfg,
@@ -190,21 +196,6 @@ void ClusterStack::replan(NodeId declared, route::RoutingEngine& engine) {
   head_->plans_changed();
 }
 
-void ClusterStack::reset_stats(Time now) {
-  head_->reset_stats(now);
-  for (auto& s : sensors_) s->reset_stats(now);
-}
-
-void ClusterStack::export_nodes(std::uint64_t field_base) {
-  const Time now = rt_.sim().now();
-  for (NodeId s = 0; s < num_sensors(); ++s) {
-    SensorAgent& agent = *sensors_[s];
-    agent.settle(now);
-    rt_.export_node(field_base + s, agent.meter(), agent.packets_relayed(),
-                    agent.frames_sent());
-  }
-}
-
 void ClusterStack::add_cache_stats(OracleCacheStats& out) const {
   if (cache_ != nullptr) out.add(*cache_);
   for (const auto& retired : retired_caches_) out.add(*retired);
@@ -216,27 +207,211 @@ std::uint64_t ClusterStack::generated() const {
   return total;
 }
 
-void sample_clusters(SimRuntime& rt,
-                     std::span<const std::unique_ptr<ClusterStack>> stacks) {
-  MetricsSampler* sp = rt.sampler();
-  if (sp == nullptr) return;
-  sp->add_refresh_hook([&rt, stacks](Time now) {
-    std::uint64_t alive = 0, delivered = 0, generated = 0;
-    double energy = 0.0;
-    for (const auto& stack : stacks) {
-      for (NodeId s = 0; s < stack->num_sensors(); ++s) {
-        if (!stack->sensor(s).dead()) ++alive;
-        energy += stack->sensor(s).meter().total_energy_j();
-      }
-      delivered += stack->delivered();
-      generated += stack->generated();
+ClusterField::ClusterField(ProtocolConfig cfg, const RuntimeOptions& rt_opts,
+                           FieldSpans spans)
+    : cfg_(std::move(cfg)),
+      rt_(cfg_.seed, rt_opts),
+      route_workers_(rt_opts.route_workers),
+      spans_(spans) {}
+
+void ClusterField::set_up(std::span<const FieldCluster> clusters,
+                          std::uint64_t head_stream, Time stagger) {
+  rt_.adopt_propagation(make_propagation(cfg_));
+
+  // One Channel per group, nodes concatenated cluster by cluster.
+  const std::size_t num_groups =
+      std::ranges::max(clusters, {}, &FieldCluster::group).group + 1;
+  std::vector<NodeId> base;  // each cluster's first id on its channel
+  std::vector<std::vector<Vec2>> positions(num_groups);
+  std::vector<std::vector<double>> powers(num_groups);
+  for (const FieldCluster& fc : clusters) {
+    const std::vector<Vec2>& dep = fc.deployment->positions;
+    MHP_REQUIRE(fc.rates_bps.size() == fc.deployment->num_sensors(),
+                "one rate per sensor required");
+    base.push_back(static_cast<NodeId>(positions[fc.group].size()));
+    for (std::size_t i = 0; i < dep.size(); ++i) {
+      positions[fc.group].push_back(fc.origin + dep[i]);
+      powers[fc.group].push_back(i + 1 == dep.size()
+                                     ? RadioParams::kHeadTxPowerW
+                                     : RadioParams::kSensorTxPowerW);
     }
-    MetricsRegistry& reg = rt.metrics();
-    reg.gauge(sample::kAliveNodes).set(now, static_cast<double>(alive));
-    reg.gauge(sample::kEnergyJ).set(now, energy);
-    reg.gauge(sample::kDelivered).set(now, static_cast<double>(delivered));
-    reg.gauge(sample::kGenerated).set(now, static_cast<double>(generated));
-  });
+  }
+  {
+    MHP_SPAN("channel");
+    for (std::size_t g = 0; g < num_groups; ++g)
+      rt_.add_channel(cfg_.radio, std::move(positions[g]),
+                      std::move(powers[g]));
+    span_channel_counters(rt_.channel_stats());
+  }
+
+  // Per-cluster topology and routing demand (sequential: the
+  // connectivity predicate probes the shared channels).
+  {
+    MHP_SPAN("topology");
+    for (std::size_t c = 0; c < clusters.size(); ++c)
+      stacks_.push_back(std::make_unique<ClusterStack>(
+          rt_, rt_.channel(clusters[c].group), base[c], cfg_,
+          clusters[c].rates_bps));
+  }
+
+  // Every cluster's routing plan in one batch — each solve is a pure
+  // function of its job, so fanning out on route_workers threads yields
+  // byte-identical plans in cluster order for any worker count.
+  std::vector<MinMaxLoadResult> solutions;
+  {
+    MHP_SPAN("routing");
+    std::vector<route::ClusterRouteJob> jobs;
+    for (const auto& stack : stacks_) jobs.push_back(stack->route_job());
+    solutions = route::solve_clusters(jobs, route_workers_);
+  }
+
+  // Sector/ack plans, oracles and agents (sequential: shared uid source
+  // and deterministic event order).
+  for (std::size_t c = 0; c < stacks_.size(); ++c)
+    stacks_[c]->build(std::move(solutions[c]), head_stream + c, c * 1000);
+
+  // When the runtime has a sampler, push the live gauges it watches
+  // (sample::) before each tick: the standard counters reach the registry
+  // only at the end of a run.
+  if (MetricsSampler* sampler = rt_.sampler())
+    sampler->add_refresh_hook([this](Time now) {
+      std::uint64_t alive = 0;
+      double energy = 0.0;
+      for (const auto& stack : stacks_)
+        for (NodeId s = 0; s < stack->num_sensors(); ++s) {
+          if (!stack->sensor(s).dead()) ++alive;
+          energy += stack->sensor(s).meter().total_energy_j();
+        }
+      MetricsRegistry& reg = rt_.metrics();
+      reg.gauge(sample::kAliveNodes).set(now, static_cast<double>(alive));
+      reg.gauge(sample::kEnergyJ).set(now, energy);
+      reg.gauge(sample::kDelivered).set(now, static_cast<double>(delivered()));
+      reg.gauge(sample::kGenerated).set(now, static_cast<double>(generated()));
+    });
+
+  // Faults are armed before the heads start: a death scripted at a
+  // head's start time fires first.
+  wire_faults();
+  for (std::size_t c = 0; c < stacks_.size(); ++c)
+    stacks_[c]->head().start(Time::ms(10) +
+                             stagger * static_cast<std::int64_t>(c));
+}
+
+void ClusterField::wire_faults() {
+  if (!cfg_.faults.empty()) {
+    FaultInjector& inj = rt_.install_faults(cfg_.faults);
+    inj.set_death_handler([this](const NodeDeath& d) {
+      sensor(d.node).fail();
+      ledger_.on_death(generated(), delivered());
+    });
+    for (const auto& d : cfg_.faults.deaths()) {
+      SensorAgent& victim = sensor(d.node);  // throws outside the field
+      if (d.cause == NodeDeath::Cause::kBattery)
+        victim.set_battery(d.battery_j, [this, node = d.node] {
+          rt_.faults()->battery_exhausted(node);
+        });
+    }
+    if (!cfg_.faults.degradations().empty())
+      for (const auto& stack : stacks_) {
+        stack->head().set_fault_injector(rt_.faults());
+        for (NodeId s = 0; s < stack->num_sensors(); ++s)
+          stack->sensor(s).set_fault_injector(rt_.faults());
+      }
+    inj.arm();
+  }
+  // Repair is per cluster: each head detects and re-routes only its own
+  // members.
+  if (cfg_.recovery.enabled)
+    for (const auto& stack : stacks_)
+      stack->head().set_replan_handler(
+          [this, &cluster = *stack](NodeId declared) {
+            MHP_SPAN(spans_.replan);
+            cluster.replan(declared, engine_);
+            ledger_.on_repair(generated(), delivered());
+          });
+}
+
+SensorAgent& ClusterField::sensor(NodeId field_id) const {
+  std::size_t c = 0;
+  while (c < stacks_.size() && field_id >= stacks_[c]->num_sensors())
+    field_id -= static_cast<NodeId>(stacks_[c++]->num_sensors());
+  MHP_REQUIRE(c < stacks_.size(),
+              "fault plan kills a node outside the field");
+  return stacks_[c]->sensor(field_id);
+}
+
+std::uint64_t ClusterField::generated() const {
+  std::uint64_t total = 0;
+  for (const auto& stack : stacks_) total += stack->generated();
+  return total;
+}
+
+std::uint64_t ClusterField::delivered() const {
+  std::uint64_t total = 0;
+  for (const auto& stack : stacks_) total += stack->delivered();
+  return total;
+}
+
+void ClusterField::run(Time duration, Time warmup) {
+  MHP_REQUIRE(duration > warmup, "duration must exceed warmup");
+  Simulator& sim = rt_.sim();
+  {
+    MHP_SPAN(spans_.warmup);
+    sim.run_until(warmup);
+  }
+  for (const auto& stack : stacks_) {
+    stack->head().reset_stats(sim.now());
+    for (NodeId s = 0; s < stack->num_sensors(); ++s)
+      stack->sensor(s).reset_stats(sim.now());
+  }
+  rt_.begin_measurement();
+
+  MHP_SPAN(spans_.measured);
+  const std::uint64_t events_before = sim.events_executed();
+  const ChannelStats channel_before = rt_.channel_stats();
+  sim.run_until(duration);
+  MHP_SPAN_COUNTER("events", sim.events_executed() - events_before);
+  span_channel_counters(rt_.channel_stats() - channel_before);
+  MHP_SPAN_COUNTER("oracle_hits",
+                   rt_.metrics().counter(metric::kOracleCacheHit).value());
+  MHP_SPAN_COUNTER("oracle_misses",
+                   rt_.metrics().counter(metric::kOracleCacheMiss).value());
+}
+
+void ClusterField::export_nodes() {
+  // Channel-local ids collide across channel groups, so per-node series
+  // use field-wide ids.
+  const Time now = rt_.sim().now();
+  std::uint64_t field_id = 0;
+  for (const auto& stack : stacks_)
+    for (NodeId s = 0; s < stack->num_sensors(); ++s, ++field_id) {
+      SensorAgent& agent = stack->sensor(s);
+      agent.settle(now);
+      rt_.export_node(field_id, agent.meter(), agent.packets_relayed(),
+                      agent.frames_sent());
+    }
+}
+
+FieldRollup ClusterField::roll_up() {
+  FieldRollup out;
+  // Degradation only when the run could degrade at all, so fault-free
+  // reports (keys and metrics snapshot included) stay byte-identical to
+  // pre-fault builds.
+  if (!cfg_.faults.empty() || cfg_.recovery.enabled) {
+    DegradationReport deg;
+    for (const auto& stack : stacks_) {
+      deg.deaths_detected += stack->head().deaths_detected();
+      deg.replans += stack->head().replans();
+      deg.orphaned_sensors += stack->orphaned();
+    }
+    out.degradation = rt_.collect_degradation(std::move(deg), ledger_,
+                                              generated(), delivered());
+  }
+  if (cfg_.cache_oracle) {
+    out.oracle.emplace();
+    for (const auto& stack : stacks_) stack->add_cache_stats(*out.oracle);
+  }
+  return out;
 }
 
 }  // namespace mhp

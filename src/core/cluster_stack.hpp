@@ -1,16 +1,23 @@
-// One cluster's polling stack, shared by both polling facades.
+// One cluster's polling stack, and the field of stacks both polling
+// facades drive.
 //
 // A ClusterStack performs the head's set-up for one cluster — connectivity
 // discovery over the SINR channel (§V-B), load-balanced routing (§III-A),
 // optional sector partitioning (§IV), ack-collection cover (§V-F) and
 // M-wise interference probing (§V-E) — wires the head and sensor agents,
 // re-plans after the head declares a death, and exports per-node metrics.
-// PollingSimulation drives one stack at channel base 0;
-// MultiClusterSimulation drives one stack per cluster of a §V-G field.
 //
 // The cluster's n sensors and its head sit at channel ids [base, base+n]
 // (the head last).  Topology, routing and sector partitions use local ids
 // (sensor s, head n); sector plans, oracles and agents use channel ids.
+//
+// A ClusterField is a §V-G field: clusters that each run the
+// single-cluster protocol.  It owns the runtime, the channel groups, one
+// stack per cluster, the routing batch, fault wiring by field-wide
+// sensor id, the replan handlers, the warm-up and measured windows and
+// the degradation and oracle-cache roll-ups.  PollingSimulation is a
+// field of one cluster at origin 0 on one channel; MultiClusterSimulation
+// adds colouring and token windows on top.
 #pragma once
 
 #include <cstdint>
@@ -26,15 +33,11 @@
 #include "core/sectors.hpp"
 #include "core/sensor_agent.hpp"
 #include "net/cluster.hpp"
-#include "radio/propagation.hpp"
+#include "net/deployment.hpp"
 #include "route/routing_engine.hpp"
 #include "sim/runtime.hpp"
 
 namespace mhp {
-
-/// The propagation model `cfg.propagation` names, with cfg's shadowing
-/// parameters.
-std::unique_ptr<Propagation> make_propagation(const ProtocolConfig& cfg);
 
 class ClusterStack : public CyclePlanProvider {
  public:
@@ -66,10 +69,6 @@ class ClusterStack : public CyclePlanProvider {
   /// otherwise the stored plans.
   const std::vector<SectorPlan>& plans(std::uint64_t cycle) override;
 
-  void reset_stats(Time now);
-  /// Settle every sensor's meter and export its per-node series under
-  /// field id `field_base + s`.
-  void export_nodes(std::uint64_t field_base);
   /// Add the live cache's counters and every retired one's to `out`.
   void add_cache_stats(OracleCacheStats& out) const;
   std::uint64_t generated() const;
@@ -126,10 +125,86 @@ class ClusterStack : public CyclePlanProvider {
   std::uint64_t orphaned_ = 0;
 };
 
-/// When the runtime has a sampler, push the live gauges it watches
-/// (sample::) from `stacks` before each tick: the standard counters reach
-/// the registry only at the end of a run.  `stacks` must stay valid.
-void sample_clusters(SimRuntime& rt,
-                     std::span<const std::unique_ptr<ClusterStack>> stacks);
+/// One cluster of a field: its deployment (positions in the cluster's own
+/// frame, head last), where that frame sits in the field, the channel
+/// group it polls on, and one data rate per sensor (bytes/s).
+struct FieldCluster {
+  const Deployment* deployment = nullptr;
+  Vec2 origin;
+  std::size_t group = 0;
+  std::vector<double> rates_bps;
+};
+
+/// A facade's span names ("polling/…", "mc/…"): string literals, since
+/// the profiler keys a span by its name's address.
+struct FieldSpans {
+  const char* warmup;
+  const char* measured;
+  const char* replan;
+};
+
+/// The roll-ups a field adds to either facade's report.
+struct FieldRollup {
+  /// Present iff the run had fault injection or recovery enabled
+  /// (cfg.faults non-empty or cfg.recovery.enabled); absent reports keep
+  /// fault-free runs byte-identical to pre-fault builds.  Node ids are
+  /// field-wide; each head repairs only its own cluster.
+  std::optional<DegradationReport> degradation;
+  /// Oracle-cache effectiveness, summed over every cluster's live cache
+  /// and the wrappers retired by replans.  Present iff cfg.cache_oracle;
+  /// deterministic (a pure function of the schedule).
+  std::optional<OracleCacheStats> oracle;
+};
+
+class ClusterField {
+ public:
+  /// Every stack runs `cfg`, as the facade settled it (sectors, path
+  /// rotation); the runtime is seeded from cfg.seed.
+  ClusterField(ProtocolConfig cfg, const RuntimeOptions& rt_opts,
+               FieldSpans spans);
+
+  /// Set-up: one channel per group, nodes concatenated cluster by cluster
+  /// ("channel" span); one stack per cluster ("topology"); every
+  /// cluster's routing in one route::solve_clusters batch on
+  /// RuntimeOptions::route_workers threads ("routing"); each stack's
+  /// sectors, oracle and agents, cluster c's head drawing from
+  /// root.split(head_stream + c) and its sensors from c·1000; the fault
+  /// plan and recovery; then head c starts at 10 ms + c·stagger.
+  void set_up(std::span<const FieldCluster> clusters,
+              std::uint64_t head_stream, Time stagger);
+
+  /// Warm up to `warmup`, reset the statistics, then run the measured
+  /// window to `duration` (its span counts events, frames and oracle use).
+  void run(Time duration, Time warmup);
+  /// Settle every sensor's meter; export its series by field-wide id.
+  void export_nodes();
+  /// Degradation and oracle-cache roll-ups over every cluster.
+  FieldRollup roll_up();
+  std::uint64_t generated() const;
+  std::uint64_t delivered() const;
+
+  const ProtocolConfig& config() const { return cfg_; }
+  SimRuntime& runtime() { return rt_; }
+  std::size_t size() const { return stacks_.size(); }
+  ClusterStack& stack(std::size_t c) const { return *stacks_[c]; }
+
+ private:
+  /// cfg.faults by field-wide sensor id (sensors numbered cluster by
+  /// cluster, heads excluded; a death outside the field throws here),
+  /// then arm(); with cfg.recovery on, each head's replan handler.  An
+  /// empty plan with recovery off installs nothing.
+  void wire_faults();
+  /// Sensor by field-wide id; throws outside the field.
+  SensorAgent& sensor(NodeId field_id) const;
+
+  ProtocolConfig cfg_;  // the stacks and their agents refer to it
+  SimRuntime rt_;
+  std::size_t route_workers_;
+  FieldSpans spans_;
+  /// Arena-reusing engine for replans.
+  route::RoutingEngine engine_;
+  std::vector<std::unique_ptr<ClusterStack>> stacks_;
+  DeliveryLedger ledger_;  // field-wide; untouched when faults are off
+};
 
 }  // namespace mhp

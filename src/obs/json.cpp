@@ -86,7 +86,7 @@ const Json& Json::at(std::size_t index) const {
   return std::get<Array>(v_).at(index);
 }
 
-Json& Json::set(std::string key, Json value) {
+Json& Json::set(std::string key, Json value) & {
   if (is_null()) v_.emplace<Object>();
   if (!is_object()) type_error("an object");
   Object& members = std::get<Object>(v_);
@@ -340,9 +340,8 @@ class Parser {
     skip_ws();
     switch (peek()) {
       case '{':
-        return parse_object();
       case '[':
-        return parse_array();
+        return parse_container();
       case '"':
         return Json(parse_string());
       case 't':
@@ -357,6 +356,16 @@ class Parser {
       default:
         return parse_number();
     }
+  }
+
+  /// An object or array one level deeper; the offset of a level past
+  /// the cap is its opening bracket.
+  Json parse_container() {
+    if (++depth_ > kMaxJsonDepth)
+      fail("nesting deeper than " + std::to_string(kMaxJsonDepth) + " levels");
+    Json out = text_[pos_] == '{' ? parse_object() : parse_array();
+    --depth_;
+    return out;
   }
 
   Json parse_object() {
@@ -515,6 +524,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // arrays and objects open at pos_
 };
 
 }  // namespace

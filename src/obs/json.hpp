@@ -93,7 +93,12 @@ class Json {
 
   // --- object (insertion-ordered) ---
   /// Insert or overwrite; returns *this so reports chain .set() calls.
-  Json& set(std::string key, Json value);
+  /// On a temporary the chain stays an rvalue, so
+  /// `return Json::object().set(..)...;` moves the tree it built.
+  Json& set(std::string key, Json value) &;
+  Json&& set(std::string key, Json value) && {
+    return std::move(set(std::move(key), std::move(value)));
+  }
   /// Insert a key the caller knows is absent (the keys of a std::map, say)
   /// without scanning for it: k appends cost O(k), k sets O(k²).
   Json& append(std::string key, Json value);
@@ -126,8 +131,13 @@ class Json {
 /// JSON string escaping (quotes, backslash, control characters).
 std::string json_escape(std::string_view s);
 
+/// The deepest nesting of arrays and objects parse_json accepts.  The
+/// parser recurses once per level, so the cap bounds its stack use.
+inline constexpr std::size_t kMaxJsonDepth = 256;
+
 /// Strict parse of one JSON document (trailing non-whitespace is an
-/// error).  Throws JsonParseError with position information.
+/// error; so is nesting deeper than kMaxJsonDepth).  Throws
+/// JsonParseError with position information.
 Json parse_json(std::string_view text);
 
 std::ostream& operator<<(std::ostream& os, const Json& value);

@@ -298,6 +298,30 @@ TEST(MultiClusterFault, RepairThatOrphansEverySurvivorRunsToTheEnd) {
   EXPECT_GE(rep.delivery_ratio.at(0), 0.95);
 }
 
+TEST(MultiClusterFault, DeathOutsideTheFieldIsRejectedAtConstruction) {
+  // Two 10-sensor clusters: field-wide ids 0..19.
+  const auto field = [] {
+    std::vector<ClusterSpec> specs;
+    Rng rng(9);
+    for (int i = 0; i < 2; ++i)
+      specs.push_back({deploy_connected_uniform_square(10, 170.0, 60.0, rng),
+                       {i * 400.0, 0.0}});
+    return specs;
+  };
+  ProtocolConfig cfg;
+  cfg.seed = 9;
+  cfg.faults.kill_at(20, Time::sec(20));
+  EXPECT_THROW(MultiClusterSimulation(field(), cfg, InterClusterMode::kColored,
+                                      30.0),
+               ContractViolation);
+  // The last sensor of the field is a valid target.
+  ProtocolConfig last = cfg;
+  last.faults = FaultPlan{};
+  last.faults.kill_at(19, Time::sec(20));
+  EXPECT_NO_THROW(MultiClusterSimulation(field(), last,
+                                         InterClusterMode::kColored, 30.0));
+}
+
 // ---------- S-MAC baseline ----------
 
 TEST(SmacFault, DeathSilencesTheNodeAndIsReported) {

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "baseline/smac_simulation.hpp"
@@ -291,6 +292,43 @@ TEST(Json, ParserIsStrict) {
   EXPECT_EQ(v.at("a").at(1).at("b").type(), Json::Type::kNull);
   EXPECT_EQ(v.at("c").as_string(), "\xc3\xa9");  // UTF-8 é
 }
+
+/// `depth` arrays, or objects keyed "k", nested inside one another.
+std::string nested(std::size_t depth, bool objects) {
+  std::string text;
+  for (std::size_t i = 0; i < depth; ++i) text += objects ? "{\"k\":" : "[";
+  text += "0";
+  text.append(depth, objects ? '}' : ']');
+  return text;
+}
+
+TEST(Json, NestingIsCappedAtTheNamedDepth) {
+  for (const bool objects : {false, true}) {
+    SCOPED_TRACE(objects ? "objects" : "arrays");
+    const Json deepest = parse_json(nested(obs::kMaxJsonDepth, objects));
+    EXPECT_EQ(deepest.size(), 1u);
+    try {
+      parse_json(nested(obs::kMaxJsonDepth + 1, objects));
+      ADD_FAILURE() << "one level past the cap parsed";
+    } catch (const obs::JsonParseError& e) {
+      // The offset is the opening bracket of the level past the cap.
+      const std::size_t per_level = objects ? 5 : 1;
+      EXPECT_EQ(e.offset(), obs::kMaxJsonDepth * per_level);
+      EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+                std::string::npos);
+    }
+  }
+  // Deep enough to overflow the stack of an uncapped recursive parser.
+  EXPECT_THROW(parse_json(std::string(100000, '[')), obs::JsonParseError);
+  EXPECT_THROW(parse_json(nested(100000, true)), obs::JsonParseError);
+}
+
+// A chain of set() calls on a temporary stays an rvalue, so returning it
+// moves the built tree instead of copying it.
+static_assert(
+    std::is_same_v<decltype(Json::object().set("k", Json(1))), Json&&>);
+static_assert(std::is_same_v<decltype(std::declval<Json&>().set("k", Json(1))),
+                             Json&>);
 
 TEST(Json, MalformedNumbersRejectedWholeToken) {
   // The number scanner's character class admits these shapes; the

@@ -562,6 +562,27 @@ TEST(ServeRobustness, OversizedRequestLineIsBadRequestAndClosed) {
   ts.shutdown_via(client);
 }
 
+TEST(ServeRobustness, DeeplyNestedRequestIsBadRequestAndServingGoesOn) {
+  TestServer ts("deep");
+  serve::Socket raw = serve::connect_unix(ts.socket_path());
+  // 100 000 levels: an uncapped recursive parser overflows its stack.
+  ASSERT_TRUE(raw.send_line(std::string(100000, '[')));
+  ASSERT_TRUE(raw.send_line(R"({"op":"status"})"));
+  serve::LineReader reader(raw.fd());
+  const auto rejected = reader.next();
+  ASSERT_TRUE(rejected.has_value());
+  const Json frame = obs::parse_json(*rejected);
+  EXPECT_EQ(frame.at("status").as_string(), "bad_request");
+  EXPECT_NE(frame.at("error").as_string().find("nesting deeper than"),
+            std::string::npos);
+  const auto status = reader.next();
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(obs::parse_json(*status).at("status").as_string(), "ok");
+
+  serve::Client client = ts.connect();
+  ts.shutdown_via(client);
+}
+
 /// Descriptors this process holds open.
 std::size_t open_fds() {
   std::size_t n = 0;
