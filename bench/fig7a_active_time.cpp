@@ -28,14 +28,13 @@ struct Result {
   std::uint64_t events = 0;
 };
 
-Result run_point(const Point& p, const mhp::RuntimeOptions& rt_opts) {
+Result run_point(const Point& p) {
   using namespace mhp;
   using namespace mhp::exp;
   const std::uint64_t seed = p.sensors * 131 +
                              static_cast<std::uint64_t>(p.rate_bps);
   const Deployment dep = eval_deployment(p.sensors, seed);
-  PollingSimulation sim(dep, eval_protocol_config(seed), p.rate_bps,
-                        rt_opts);
+  PollingSimulation sim(dep, eval_protocol_config(seed), p.rate_bps);
   const auto rep = sim.run(Time::sec(40), Time::sec(10));
   return Result{100.0 * rep.mean_active_fraction,
                 100.0 * rep.delivery_ratio, rep.events_processed};
@@ -53,12 +52,8 @@ int main(int argc, char** argv) {
   for (std::size_t n = 10; n <= 100; n += 10)
     for (double r : rates) points.push_back({n, r});
 
-  mhp::exp::SweepOptions sweep_opts;
-  sweep_opts.runtime = mhp::exp::eval_runtime_options();
   const auto results = mhp::exp::sweep<Point, Result>(
-      points,
-      std::function<Result(const Point&, const RuntimeOptions&)>(run_point),
-      sweep_opts);
+      points, std::function<Result(const Point&)>(run_point));
 
   std::printf(
       "Fig 7(a) — percentage of active time vs cluster size and rate\n"

@@ -33,7 +33,7 @@ struct Result {
   std::uint64_t events = 0;
 };
 
-Result run_point(const Point& p, const mhp::RuntimeOptions& rt_opts) {
+Result run_point(const Point& p) {
   using namespace mhp;
   using namespace mhp::exp;
   // One shared deployment as in the paper; average 3 traffic/schedule
@@ -45,7 +45,7 @@ Result run_point(const Point& p, const mhp::RuntimeOptions& rt_opts) {
     const std::uint64_t seed = 42 + static_cast<std::uint64_t>(k);
     if (p.smac_duty < 0.0) {
       PollingSimulation sim(dep, eval_protocol_config(seed),
-                            p.per_sensor_bps, rt_opts);
+                            p.per_sensor_bps);
       const auto rep = sim.run(Time::sec(70), Time::sec(10));
       out.throughput_bps += rep.throughput_bps / kSeeds;
       out.active_pct += 100.0 * rep.mean_active_fraction / kSeeds;
@@ -54,7 +54,7 @@ Result run_point(const Point& p, const mhp::RuntimeOptions& rt_opts) {
       SmacConfig cfg;
       cfg.duty_cycle = p.smac_duty;
       cfg.seed = seed;
-      SmacSimulation sim(dep, cfg, p.per_sensor_bps, rt_opts);
+      SmacSimulation sim(dep, cfg, p.per_sensor_bps);
       const auto rep = sim.run(Time::sec(70), Time::sec(10));
       out.throughput_bps += rep.throughput_bps / kSeeds;
       out.active_pct += 100.0 * rep.mean_active_fraction / kSeeds;
@@ -86,12 +86,8 @@ int main(int argc, char** argv) {
   for (const auto& s : schemes)
     for (double l : loads) points.push_back({l, s.duty});
 
-  mhp::exp::SweepOptions sweep_opts;
-  sweep_opts.runtime = mhp::exp::eval_runtime_options();
   const auto results = mhp::exp::sweep<Point, Result>(
-      points,
-      std::function<Result(const Point&, const RuntimeOptions&)>(run_point),
-      sweep_opts);
+      points, std::function<Result(const Point&)>(run_point));
 
   std::printf(
       "Fig 7(b) — throughput at the sink, 30-sensor cluster\n"

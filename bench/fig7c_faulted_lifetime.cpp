@@ -43,7 +43,7 @@ struct Result {
   std::uint64_t events = 0;
 };
 
-Result run_point(const Point& p, const mhp::RuntimeOptions& rt_opts) {
+Result run_point(const Point& p) {
   using namespace mhp;
   using namespace mhp::exp;
   constexpr double kRate = 20.0;
@@ -54,7 +54,7 @@ Result run_point(const Point& p, const mhp::RuntimeOptions& rt_opts) {
 
   // Fault-free control; its relay plan also tells us whom to kill (the
   // faulted run is seeded identically, so set-up yields the same plan).
-  PollingSimulation clean(dep, eval_protocol_config(seed), kRate, rt_opts);
+  PollingSimulation clean(dep, eval_protocol_config(seed), kRate);
   NodeId victim = 0;
   std::size_t victim_deps = 0;
   for (NodeId s = 0; s < dep.num_sensors(); ++s) {
@@ -69,7 +69,7 @@ Result run_point(const Point& p, const mhp::RuntimeOptions& rt_opts) {
   ProtocolConfig cfg = eval_protocol_config(seed);
   cfg.faults.kill_at(victim, Time::sec(20));
   cfg.recovery.enabled = true;
-  PollingSimulation faulted(dep, cfg, kRate, rt_opts);
+  PollingSimulation faulted(dep, cfg, kRate);
   const auto rf = faulted.run(Time::sec(40), Time::sec(10));
 
   out.victim = static_cast<long long>(victim);
@@ -115,12 +115,8 @@ int main(int argc, char** argv) {
     prof.drain();
     prof.enable();
   }
-  mhp::exp::SweepOptions sweep_opts;
-  sweep_opts.runtime = mhp::exp::eval_runtime_options();
   const auto results = mhp::exp::sweep<Point, Result>(
-      points,
-      std::function<Result(const Point&, const RuntimeOptions&)>(run_point),
-      sweep_opts);
+      points, std::function<Result(const Point&)>(run_point));
   if (profiling) {
     // The sweep has joined: a quiescent point, so one drain collects
     // every worker's spans.

@@ -32,7 +32,7 @@ struct Result {
 
 /// Average over a few deployments per cluster size to smooth topology
 /// noise (the paper plots one curve; we report the mean of 3 seeds).
-Result run_point(const Point& p, const mhp::RuntimeOptions& rt_opts) {
+Result run_point(const Point& p) {
   using namespace mhp;
   using namespace mhp::exp;
   constexpr double kRate = 20.0;  // low rate: both variants deliver 100%
@@ -44,12 +44,11 @@ Result run_point(const Point& p, const mhp::RuntimeOptions& rt_opts) {
                                static_cast<std::uint64_t>(k);
     const Deployment dep = eval_deployment(p.sensors, seed);
 
-    PollingSimulation plain(dep, eval_protocol_config(seed, false), kRate,
-                            rt_opts);
+    PollingSimulation plain(dep, eval_protocol_config(seed, false), kRate);
     const auto rp = plain.run(Time::sec(40), Time::sec(10));
 
     PollingSimulation sectored(dep, eval_protocol_config(seed, true),
-                               kRate, rt_opts);
+                               kRate);
     const auto rs = sectored.run(Time::sec(40), Time::sec(10));
 
     out.events += rp.events_processed + rs.events_processed;
@@ -72,12 +71,8 @@ int main(int argc, char** argv) {
   std::vector<Point> points;
   for (std::size_t n = 10; n <= 50; n += 5) points.push_back({n});
 
-  mhp::exp::SweepOptions sweep_opts;
-  sweep_opts.runtime = mhp::exp::eval_runtime_options();
   const auto results = mhp::exp::sweep<Point, Result>(
-      points,
-      std::function<Result(const Point&, const RuntimeOptions&)>(run_point),
-      sweep_opts);
+      points, std::function<Result(const Point&)>(run_point));
 
   std::printf(
       "Fig 7(c) — lifetime ratio (with sectors vs without), 100%% delivery\n"

@@ -90,7 +90,6 @@ class SmacNode : public ChannelListener {
   std::uint64_t rreqs_sent() const { return rreq_sent_; }
   /// Routing agent state (read-only; for tests and diagnostics).
   const Aodv& aodv() const { return aodv_; }
-  std::size_t queue_length() const { return data_queue_.size(); }
   const EnergyMeter& meter() const { return tracker_.meter(); }
   void settle(Time now) { tracker_.settle(now); }
   void reset_stats(Time now);

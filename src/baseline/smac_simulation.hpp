@@ -47,7 +47,6 @@ class SmacSimulation {
   SmacReport run(Time duration, Time warmup = Time::sec(10));
 
   SimRuntime& runtime() { return rt_; }
-  Trace& trace() { return rt_.trace(); }
   MetricsRegistry& metrics() { return rt_.metrics(); }
   const SmacNode& node(NodeId i) const { return *nodes_.at(i); }
   std::size_t num_sensors() const { return nodes_.size() - 1; }

@@ -207,7 +207,6 @@ void HeadAgent::run_slot() {
     a.is_origin = (s.hop == 0);
     poll.assignments.push_back(a);
   }
-  ++polls_sent_;
   arrived_wire_.clear();
   arrived_acks_.clear();
   broadcast(std::move(poll));
@@ -408,7 +407,6 @@ void HeadAgent::reset_stats(Time now) {
   lost_abort_ = 0;
   lost_retry_ = 0;
   cycles_done_ = 0;
-  polls_sent_ = 0;
   reactivations_ = 0;
   duty_time_s_ = Accumulator{};
   latency_s_ = Accumulator{};

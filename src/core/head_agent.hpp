@@ -100,7 +100,6 @@ class HeadAgent : public ChannelListener {
   std::uint64_t packets_lost_abort() const { return lost_abort_; }
   std::uint64_t packets_lost_retry() const { return lost_retry_; }
   std::uint64_t cycles_completed() const { return cycles_done_; }
-  std::uint64_t polls_sent() const { return polls_sent_; }
   std::uint64_t reactivations() const { return reactivations_; }
   /// Duty time (wake-up to sleep broadcast) per sector drain.
   const Accumulator& duty_time_s() const { return duty_time_s_; }
@@ -196,7 +195,6 @@ class HeadAgent : public ChannelListener {
   std::uint64_t lost_abort_ = 0;
   std::uint64_t lost_retry_ = 0;
   std::uint64_t cycles_done_ = 0;
-  std::uint64_t polls_sent_ = 0;
   std::uint64_t reactivations_ = 0;
   Accumulator duty_time_s_;
   Accumulator latency_s_;

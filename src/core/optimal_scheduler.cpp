@@ -13,7 +13,6 @@ std::optional<OptimalResult> OptimalScheduler::solve(
   MHP_SPAN("sched/optimal");
   MHP_REQUIRE(requests.size() <= 32, "optimal solver capped at 32 requests");
   requests_ = requests;
-  nodes_ = 0;
   best_slots_.clear();
 
   if (requests.empty()) return OptimalResult{Schedule{}, 0};
@@ -55,7 +54,6 @@ std::size_t OptimalScheduler::remaining_hops(
 void OptimalScheduler::dfs(std::uint32_t pending,
                            std::vector<InFlight> in_flight, std::size_t slot,
                            std::vector<std::vector<ScheduledTx>>& current) {
-  ++nodes_;
   if (pending == 0 && in_flight.empty()) {
     if (slot < best_) {
       best_ = slot;

@@ -33,9 +33,6 @@ class OptimalScheduler {
       std::span<const PollingRequest> requests,
       std::size_t slot_budget = SIZE_MAX);
 
-  /// Nodes expanded in the last solve (search effort metric).
-  std::uint64_t nodes_expanded() const { return nodes_; }
-
  private:
   struct InFlight {
     std::uint32_t request;
@@ -52,7 +49,6 @@ class OptimalScheduler {
   std::span<const PollingRequest> requests_;
   std::size_t best_ = SIZE_MAX;
   std::vector<std::vector<ScheduledTx>> best_slots_;
-  std::uint64_t nodes_ = 0;
 };
 
 }  // namespace mhp

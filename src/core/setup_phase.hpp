@@ -35,10 +35,6 @@ struct SetupCost {
   /// slot (receivers report what they decoded).
   std::uint64_t probe_groups = 0;
   std::size_t probe_slots = 0;
-
-  std::size_t total_slots() const {
-    return discovery_slots + connectivity_slots + probe_slots;
-  }
 };
 
 struct SetupResult {

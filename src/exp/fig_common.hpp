@@ -32,12 +32,4 @@ inline ProtocolConfig eval_protocol_config(std::uint64_t seed,
   return cfg;
 }
 
-/// Runtime substrate config for bench sweeps: benches never inspect the
-/// trace, so a small ring keeps thousands of points memory-flat.
-inline RuntimeOptions eval_runtime_options() {
-  RuntimeOptions opts;
-  opts.trace_max_entries = 4096;
-  return opts;
-}
-
 }  // namespace mhp::exp

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "obs/profiler.hpp"
-#include "sim/runtime.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mhp::exp {
@@ -21,29 +20,6 @@ std::vector<Result> sweep(const std::vector<Point>& points,
   pool.parallel_for(points.size(), [&](std::size_t i) {
     MHP_SPAN("sweep/point");
     results[i] = fn(points[i]);
-  });
-  return results;
-}
-
-/// Sweep knobs: worker count plus the RuntimeOptions threaded through to
-/// every simulation a point constructs, so the whole sweep runs on
-/// identically-configured SimRuntimes (bounded traces, optional log
-/// streams) without each bench re-plumbing them.
-struct SweepOptions {
-  std::size_t workers = 0;  // 0 = hardware concurrency
-  RuntimeOptions runtime;
-};
-
-template <typename Point, typename Result>
-std::vector<Result> sweep(
-    const std::vector<Point>& points,
-    const std::function<Result(const Point&, const RuntimeOptions&)>& fn,
-    const SweepOptions& opts) {
-  std::vector<Result> results(points.size());
-  ThreadPool pool(opts.workers);
-  pool.parallel_for(points.size(), [&](std::size_t i) {
-    MHP_SPAN("sweep/point");
-    results[i] = fn(points[i], opts.runtime);
   });
   return results;
 }

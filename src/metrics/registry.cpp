@@ -70,11 +70,6 @@ double MetricsSnapshot::gauge_last(const std::string& name) const {
   return it == gauges.end() ? 0.0 : it->second.last;
 }
 
-double MetricsSnapshot::gauge_mean(const std::string& name) const {
-  const auto it = gauges.find(name);
-  return it == gauges.end() ? 0.0 : it->second.mean;
-}
-
 MetricsSnapshot::HistogramValue MetricsSnapshot::histogram(
     const std::string& name) const {
   const auto it = histograms.find(name);

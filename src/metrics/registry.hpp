@@ -53,8 +53,6 @@ class Gauge {
   /// Start a new averaging window at `now`, keeping the current value.
   void restart(Time now);
 
-  bool ever_set() const { return ever_set_; }
-
  private:
   bool ever_set_ = false;
   double value_ = 0.0;
@@ -137,7 +135,6 @@ struct MetricsSnapshot {
   /// 0 for absent names (absent and never-incremented are equivalent).
   std::uint64_t counter(const std::string& name) const;
   double gauge_last(const std::string& name) const;
-  double gauge_mean(const std::string& name) const;
   /// Zero-filled for absent names.
   HistogramValue histogram(const std::string& name) const;
 
@@ -162,10 +159,6 @@ class MetricsRegistry {
   const Counter* find_counter(const std::string& name) const;
   const Gauge* find_gauge(const std::string& name) const;
   const HistogramMetric* find_histogram(const std::string& name) const;
-
-  std::size_t num_counters() const { return counters_.size(); }
-  std::size_t num_gauges() const { return gauges_.size(); }
-  std::size_t num_histograms() const { return histograms_.size(); }
 
   /// Zero every counter, restart every gauge window at `now` and forget
   /// every histogram's samples: the registry then covers the measurement

@@ -15,8 +15,6 @@ class Graph {
 
   std::size_t size() const { return adj_.size(); }
 
-  void add_node() { adj_.emplace_back(); }
-
   /// Add an undirected edge; duplicate edges are ignored.
   void add_edge(NodeId a, NodeId b);
 

@@ -16,9 +16,10 @@
 //     (the owning thread publishes a count with release semantics and
 //     never moves written events, so a quiescent-point collector reads
 //     them race-free and merges across any worker count);
-//   * span paths are interned once (global table behind a mutex, misses
-//     only) and cached per thread, so a span costs two clock reads plus
-//     a thread-local hash lookup.
+//   * span paths are interned in one global table behind a mutex: every
+//     span open takes that mutex and probes the table (a miss also adds
+//     the path), so a span costs two clock reads plus one locked hash
+//     lookup.
 //
 // Collection happens at quiescent points only (after parallel work has
 // joined): drain() hands back every event recorded since the previous

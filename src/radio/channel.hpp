@@ -10,8 +10,10 @@
 // Two interfaces are exposed:
 //  * an event-driven one (`transmit` + ChannelListener) used by the
 //    protocol agents and the S-MAC baseline, and
-//  * a slot-level oracle (`concurrent_outcome`) used for interference
-//    probing (§V-E) and by the schedule validator.
+//  * a slot-level reference (`concurrent_outcome`): the ground truth
+//    that the ChannelOracle differential tests and micro_sim compare
+//    against.  Probing (§V-E) goes through ChannelOracle, and the
+//    schedule validator takes any CompatibilityOracle.
 //
 // Cost of a frame, and memory.  SINR sums every concurrent transmission,
 // however weak, so a frame adds its sender's whole power row to a dense

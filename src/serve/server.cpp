@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdarg>
@@ -75,7 +76,8 @@ Json stats_to_json(const ServeStats& s) {
       .set("points_ok", Json(s.points_ok))
       .set("points_failed", Json(s.points_failed))
       .set("points_skipped", Json(s.points_skipped))
-      .set("points_cancelled", Json(s.points_cancelled));
+      .set("points_cancelled", Json(s.points_cancelled))
+      .set("jobs_evicted", Json(s.jobs_evicted));
 }
 
 }  // namespace
@@ -508,22 +510,37 @@ void Server::finish_job(const std::shared_ptr<Job>& job) {
   // were flushed as they were appended, so once the client sees the
   // done frame the durable record is complete.
   job->log->write_summary(job->name, job->total);
-  job->client->send(Json::object()
-                        .set("frame", Json("done"))
-                        .set("job", Json(job->id))
-                        .set("total", Json(job->total))
-                        .set("ok", Json(ok))
-                        .set("failed", Json(failed))
-                        .set("skipped", Json(skipped))
-                        .set("cancelled", Json(cancelled)));
+  std::shared_ptr<Connection> client;
   {
     // The job keeps its counters for status; its point documents, its
     // files and its claim on the client's socket go.
     const std::lock_guard lock(job->mu);
     job->runnable = {};
     job->log.reset();
-    job->client.reset();
+    client = std::move(job->client);
   }
+  {
+    // Bounded history, settled before the done frame goes out so a
+    // client that has seen it also sees the eviction in status.
+    const std::lock_guard lock(mu_);
+    job->finished = true;
+    if (++finished_jobs_ > kFinishedJobHistory) {
+      const auto oldest = std::find_if(
+          jobs_.begin(), jobs_.end(),
+          [](const std::shared_ptr<Job>& j) { return j->finished; });
+      jobs_.erase(oldest);
+      --finished_jobs_;
+      ++stats_.jobs_evicted;
+    }
+  }
+  client->send(Json::object()
+                   .set("frame", Json("done"))
+                   .set("job", Json(job->id))
+                   .set("total", Json(job->total))
+                   .set("ok", Json(ok))
+                   .set("failed", Json(failed))
+                   .set("skipped", Json(skipped))
+                   .set("cancelled", Json(cancelled)));
   log_line("serve: %s done (%zu ok, %zu failed, %zu skipped, %zu cancelled)",
            job->id.c_str(), ok, failed, skipped, cancelled);
 }

@@ -39,6 +39,11 @@
 
 namespace mhp::serve {
 
+/// Finished jobs the server keeps in memory for status and cancel; older
+/// ones are dropped (their directories stay, so resubmitting one resumes
+/// from its manifest).
+inline constexpr std::size_t kFinishedJobHistory = 64;
+
 struct ServeConfig {
   /// UNIX socket path to listen on.
   std::string socket_path;
@@ -67,6 +72,7 @@ struct ServeStats {
   std::uint64_t points_failed = 0;
   std::uint64_t points_skipped = 0;    // replayed from a manifest
   std::uint64_t points_cancelled = 0;  // cancel op or server stop
+  std::uint64_t jobs_evicted = 0;      // finished jobs dropped from memory
 };
 
 class Server {
@@ -115,7 +121,8 @@ class Server {
     std::string dir;   // durable output directory (stable across restarts)
     // The points to execute and their durable record; finish_job
     // releases both, and the client, so a finished job keeps only the
-    // counters status reports.
+    // counters status reports, until kFinishedJobHistory newer jobs have
+    // finished.
     std::vector<scenario::CampaignPoint> runnable;
     std::optional<scenario::JobLog> log;
     std::size_t total = 0;  // expansion size incl. skipped points
@@ -123,6 +130,7 @@ class Server {
     std::mutex mu;  // guards counters + the log
     std::size_t done = 0, ok = 0, failed = 0, skipped = 0, cancelled = 0;
     std::atomic<bool> cancel{false};
+    bool finished = false;  // guarded by Server::mu_
   };
 
   /// One accepted connection and the thread serving it.
@@ -155,7 +163,8 @@ class Server {
   mutable std::mutex mu_;  // engine state: pending count, jobs, stats
   std::condition_variable drained_cv_;
   std::size_t pending_ = 0;  // admitted, unfinished points (in-system)
-  std::vector<std::shared_ptr<Job>> jobs_;
+  std::vector<std::shared_ptr<Job>> jobs_;  // oldest first
+  std::size_t finished_jobs_ = 0;           // of jobs_
   std::uint64_t next_job_id_ = 1;
   ServeStats stats_;
 

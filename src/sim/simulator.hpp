@@ -39,7 +39,6 @@ class Simulator {
   void stop() { stopped_ = true; }
 
   bool pending() const { return !queue_.empty(); }
-  std::size_t queue_size() const { return queue_.size(); }
   std::uint64_t events_executed() const { return executed_; }
 
  private:

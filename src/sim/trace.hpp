@@ -16,9 +16,6 @@ namespace mhp {
 enum class TraceCat : std::uint8_t {
   kProtocol,  // duty-cycle phases, polling messages
   kChannel,   // transmissions, receptions, losses
-  kEnergy,    // radio state changes
-  kRouting,   // path computation
-  kMac,       // baseline MAC events
 };
 
 struct TraceEntry {

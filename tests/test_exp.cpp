@@ -67,22 +67,6 @@ TEST(Sweep, FixedSeedSweepIsByteIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(blobs[0], blobs[2]);
 }
 
-TEST(Sweep, RuntimeOptionsReachEveryPoint) {
-  mhp::exp::SweepOptions opts;
-  opts.workers = 3;
-  opts.runtime.trace_max_entries = 123;
-  std::vector<int> points{1, 2, 3, 4, 5};
-  const auto results = mhp::exp::sweep<int, std::size_t>(
-      points,
-      std::function<std::size_t(const int&, const RuntimeOptions&)>(
-          [](const int&, const RuntimeOptions& rt) {
-            return rt.trace_max_entries;
-          }),
-      opts);
-  ASSERT_EQ(results.size(), points.size());
-  for (const auto r : results) EXPECT_EQ(r, 123u);
-}
-
 TEST(Sweep, EmptyPoints) {
   const auto results = mhp::exp::sweep<int, int>(
       {}, std::function<int(const int&)>([](const int&) { return 0; }));

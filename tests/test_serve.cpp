@@ -675,5 +675,40 @@ TEST(ServeRobustness, AcceptBacksOffWhenOutOfDescriptors) {
   ts.shutdown_via(client);
 }
 
+TEST(ServeRobustness, FinishedJobHistoryIsBounded) {
+  TestServer ts("history");
+  serve::Client client = ts.connect();
+  constexpr std::size_t kExtra = 5;
+  std::string first_job;
+  for (std::size_t i = 0; i < serve::kFinishedJobHistory + kExtra; ++i) {
+    const Json response =
+        client.submit(quick_scenario("hist" + std::to_string(i)));
+    ASSERT_EQ(response.at("status").as_string(), "ok") << "submission " << i;
+    const std::string job = response.at("job").as_string();
+    if (i == 0) first_job = job;
+    ASSERT_EQ(stream_job(client, job).done.at("ok").as_int(), 1);
+  }
+
+  const Json status = client.request(kStatus);
+  EXPECT_LE(status.at("jobs").size(), serve::kFinishedJobHistory);
+  EXPECT_EQ(status.at("stats").at("jobs_evicted").as_uint(), kExtra);
+  for (std::size_t i = 0; i < status.at("jobs").size(); ++i)
+    EXPECT_NE(status.at("jobs").at(i).at("job").as_string(), first_job);
+
+  // A dropped job is gone from memory only: cancel no longer knows it,
+  // and resubmitting it resumes from its manifest on disk.
+  const Json cancel = client.request(
+      Json::object().set("op", Json("cancel")).set("job", Json(first_job)));
+  EXPECT_EQ(cancel.at("status").as_string(), "unknown_job");
+  const Json again = client.submit(quick_scenario("hist0"));
+  ASSERT_EQ(again.at("status").as_string(), "ok");
+  EXPECT_EQ(again.at("skipped").as_int(), 1);
+  EXPECT_EQ(stream_job(client, again.at("job").as_string())
+                .done.at("skipped")
+                .as_int(),
+            1);
+  ts.shutdown_via(client);
+}
+
 }  // namespace
 }  // namespace mhp

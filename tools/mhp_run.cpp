@@ -77,22 +77,22 @@ std::string read_file(const std::string& path) {
 }
 
 int dump_defaults(const std::string& stack_name) {
-  scenario::StackKind stack = scenario::StackKind::kPolling;
-  if (stack_name == "multi_cluster")
-    stack = scenario::StackKind::kMultiCluster;
-  else if (stack_name == "smac")
-    stack = scenario::StackKind::kSmac;
-  else if (stack_name != "polling") {
-    std::fprintf(stderr,
-                 "mhp_run: unknown stack \"%s\" (polling, multi_cluster, "
-                 "smac)\n",
-                 stack_name.c_str());
-    return 2;
+  using scenario::StackKind;
+  std::string known;
+  for (const StackKind stack :
+       {StackKind::kPolling, StackKind::kMultiCluster, StackKind::kSmac}) {
+    if (stack_name == scenario::to_string(stack)) {
+      const obs::Json doc =
+          scenario::scenario_to_json(scenario::default_scenario(stack));
+      std::printf("%s\n", doc.dump(2).c_str());
+      return 0;
+    }
+    if (!known.empty()) known += ", ";
+    known += scenario::to_string(stack);
   }
-  const obs::Json doc =
-      scenario::scenario_to_json(scenario::default_scenario(stack));
-  std::printf("%s\n", doc.dump(2).c_str());
-  return 0;
+  std::fprintf(stderr, "mhp_run: unknown stack \"%s\" (%s)\n",
+               stack_name.c_str(), known.c_str());
+  return 2;
 }
 
 int validate_only(const std::vector<std::string>& paths) {
