@@ -159,8 +159,8 @@ struct SinrField {
 };
 
 void BM_AckCover(benchmark::State& state) {
-  // The per-cycle §V-F step of a rotating single-cluster run: pick the
-  // ack cover among the sensors' data paths of the cycle.
+  // The per-rotation-period §V-F step of a rotating single-cluster run:
+  // pick the ack cover among the sensors' data paths of one phase.
   const auto n = static_cast<std::size_t>(state.range(0));
   const BigCluster c(n);
   std::vector<NodeId> members(n);

@@ -80,9 +80,14 @@ SectorPlan ClusterStack::flat_sector(std::uint64_t cycle) const {
 }
 
 const std::vector<SectorPlan>& ClusterStack::plans(std::uint64_t cycle) {
-  if (rotating_ && cycle != plans_cycle_) {
+  // path_for_cycle reads the cycle only through cycle mod a window that
+  // divides the period.  Past uint64, every cycle is its own phase.
+  const bool new_phase = period_ ? cycle % *period_ != plans_cycle_ % *period_
+                                 : cycle != plans_cycle_;
+  if (rotating_ && new_phase) {
     plans_ = {flat_sector(cycle)};
     plans_cycle_ = cycle;
+    ++plan_builds_;
   }
   return plans_;
 }
@@ -93,6 +98,7 @@ void ClusterStack::build(MinMaxLoadResult routes, std::uint64_t head_stream,
   plan_ = std::make_unique<RelayPlan>(topo_, std::move(routes));
   truth_ = std::make_unique<ChannelOracle>(channel_, cfg_.oracle_order);
   rotating_ = cfg_.rotate_paths && !cfg_.use_sectors;
+  period_ = plan_->rotation_period();
 
   // Sector plans: the §IV partition's trees, or one flat sector.
   std::vector<int> sector_of(n, 0);
@@ -162,6 +168,8 @@ void ClusterStack::probe() {
   MHP_SPAN("oracle_probe");
   oracle_ = std::make_unique<MeasuredOracle>(
       *truth_, transmissions_of_paths(paths), cfg_.oracle_order);
+  MHP_SPAN_COUNTER("universe", oracle_->universe_size());
+  MHP_SPAN_COUNTER("groups", oracle_->probes());
 }
 
 const CompatibilityOracle& ClusterStack::scheduling_oracle() {
@@ -352,6 +360,12 @@ std::uint64_t ClusterField::delivered() const {
   return total;
 }
 
+std::uint64_t ClusterField::plan_builds() const {
+  std::uint64_t total = 0;
+  for (const auto& stack : stacks_) total += stack->plan_builds();
+  return total;
+}
+
 void ClusterField::run(Time duration, Time warmup) {
   MHP_REQUIRE(duration > warmup, "duration must exceed warmup");
   Simulator& sim = rt_.sim();
@@ -369,8 +383,10 @@ void ClusterField::run(Time duration, Time warmup) {
   MHP_SPAN(spans_.measured);
   const std::uint64_t events_before = sim.events_executed();
   const ChannelStats channel_before = rt_.channel_stats();
+  const std::uint64_t builds_before = plan_builds();
   sim.run_until(duration);
   MHP_SPAN_COUNTER("events", sim.events_executed() - events_before);
+  MHP_SPAN_COUNTER("plan_builds", plan_builds() - builds_before);
   span_channel_counters(rt_.channel_stats() - channel_before);
   MHP_SPAN_COUNTER("oracle_hits",
                    rt_.metrics().counter(metric::kOracleCacheHit).value());

@@ -66,8 +66,12 @@ class ClusterStack : public CyclePlanProvider {
   void replan(NodeId declared, route::RoutingEngine& engine);
 
   /// While rotating (§V-D), the flat sector over cycle `cycle`'s paths;
-  /// otherwise the stored plans.
+  /// otherwise the stored plans.  The rotating plan is rebuilt only when
+  /// `cycle` falls in another phase of the relay plan's rotation period
+  /// than the plan it holds, so with one path per sensor never.
   const std::vector<SectorPlan>& plans(std::uint64_t cycle) override;
+  /// Flat sectors rebuilt by plans() for a new rotation phase.
+  std::uint64_t plan_builds() const { return plan_builds_; }
 
   /// Add the live cache's counters and every retired one's to `out`.
   void add_cache_stats(OracleCacheStats& out) const;
@@ -114,6 +118,9 @@ class ClusterStack : public CyclePlanProvider {
   std::vector<SectorPlan> plans_;
   bool rotating_ = false;
   std::uint64_t plans_cycle_ = 0;  // the cycle plans_ holds while rotating
+  /// The set-up plan's rotation period; nullopt if it exceeds uint64.
+  std::optional<std::uint64_t> period_;
+  std::uint64_t plan_builds_ = 0;
   std::unique_ptr<ChannelOracle> truth_;
   std::unique_ptr<MeasuredOracle> oracle_;
   std::unique_ptr<CachedOracle> cache_;
@@ -174,7 +181,8 @@ class ClusterField {
               std::uint64_t head_stream, Time stagger);
 
   /// Warm up to `warmup`, reset the statistics, then run the measured
-  /// window to `duration` (its span counts events, frames and oracle use).
+  /// window to `duration` (its span counts events, frames, oracle use
+  /// and rotating-plan rebuilds).
   void run(Time duration, Time warmup);
   /// Settle every sensor's meter; export its series by field-wide id.
   void export_nodes();
@@ -196,6 +204,7 @@ class ClusterField {
   void wire_faults();
   /// Sensor by field-wide id; throws outside the field.
   SensorAgent& sensor(NodeId field_id) const;
+  std::uint64_t plan_builds() const;
 
   ProtocolConfig cfg_;  // the stacks and their agents refer to it
   SimRuntime rt_;

@@ -140,6 +140,8 @@ class MeasuredOracle : public CompatibilityOracle {
   std::uint64_t probes() const {
     return probe_count(universe_.size(), order_);
   }
+  /// Distinct transmissions in the probed universe.
+  std::size_t universe_size() const { return universe_.size(); }
 
   /// The number of groups a full probe of a universe of `u` transmissions
   /// at order M would need (the paper's 1320-vs-85320 argument).

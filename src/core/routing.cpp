@@ -1,6 +1,7 @@
 #include "core/routing.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/assertx.hpp"
 
@@ -48,6 +49,19 @@ const UnitPath& RelayPlan::path_for_cycle(NodeId s,
   }
   MHP_ENSURE(false, "rotation phase out of window");
   return list.front();
+}
+
+std::optional<std::uint64_t> RelayPlan::rotation_period() const {
+  std::uint64_t period = 1;
+  for (const auto& list : paths_) {
+    if (list.size() < 2) continue;
+    std::uint64_t window = 0;
+    for (const auto& p : list) window += static_cast<std::uint64_t>(p.units);
+    if (__builtin_mul_overflow(period / std::gcd(period, window), window,
+                               &period))
+      return std::nullopt;
+  }
+  return period;
 }
 
 std::map<NodeId, NodeId> RelayPlan::one_hop_table(NodeId r,

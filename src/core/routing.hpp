@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "net/cluster.hpp"
@@ -53,6 +54,12 @@ class RelayPlan {
   /// over its paths in proportion to their flow units (§V-D).  Sensors
   /// with one path always get it.  Requires the sensor to have demand.
   const UnitPath& path_for_cycle(NodeId s, std::uint64_t cycle) const;
+
+  /// The number of cycles after which every sensor's path_for_cycle
+  /// repeats: the lcm of the multi-path sensors' windows (Σ units over
+  /// their paths), 1 when no sensor has two paths.  nullopt when that lcm
+  /// exceeds uint64: then no two distinct uint64 cycles share a phase.
+  std::optional<std::uint64_t> rotation_period() const;
 
   /// One-hop routing table for relay `r`: origin sensor → next hop, for
   /// every dependent whose cycle-`cycle` path passes through r (§V-C).

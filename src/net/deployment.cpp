@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <optional>
+#include <string>
 
 #include "net/point_grid.hpp"
+#include "obs/profiler.hpp"
 #include "util/assertx.hpp"
 
 namespace mhp {
@@ -250,19 +253,31 @@ Deployment deploy_connected_uniform_square(std::size_t n, double side,
                                            double sensor_range, Rng& rng,
                                            int max_tries) {
   MHP_REQUIRE(sensor_range > 0.0, "sensor range must be positive");
-  for (int t = 0; t < max_tries; ++t) {
+  int draws = 0;
+  int stranded_draws = 0;
+  std::optional<Deployment> connected;
+  while (!connected && draws < max_tries) {
+    ++draws;
     Deployment d = deploy_uniform_square(n, side, rng);
     // A stranded sensor (no link at all) is found in O(n) and rejects the
     // draw before the topology is built; the full check rejects it too,
     // so the draws and the accepted deployment are unchanged.
     const CellGrid grid(d, sensor_range);
-    if (grid.has_stranded_sensor(sensor_range, d.head_pos())) continue;
-    if (grid_topology(d, grid, sensor_range, sensor_range).fully_connected())
-      return d;
+    if (grid.has_stranded_sensor(sensor_range, d.head_pos()))
+      ++stranded_draws;
+    else if (grid_topology(d, grid, sensor_range, sensor_range)
+                 .fully_connected())
+      connected = std::move(d);
   }
+  MHP_SPAN_COUNTER("draws", draws);
+  MHP_SPAN_COUNTER("stranded_draws", stranded_draws);
+  if (connected) return *std::move(connected);
   throw ContractViolation(
-      "deploy_connected_uniform_square: no connected deployment found; "
-      "sensor_range too small for this density");
+      "deploy_connected_uniform_square: no connected deployment in " +
+      std::to_string(draws) + " draws (max_tries " +
+      std::to_string(max_tries) + "), " + std::to_string(stranded_draws) +
+      " of them with a stranded sensor; sensor_range too small for this "
+      "density");
 }
 
 }  // namespace mhp

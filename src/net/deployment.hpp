@@ -62,7 +62,10 @@ ClusterTopology topology_from_predicate(
     std::size_t n, const std::function<bool(NodeId, NodeId)>& hears);
 
 /// Draw uniform-square deployments until the disc topology is fully
-/// connected (every sensor has a relay path).  Throws after `max_tries`.
+/// connected (every sensor has a relay path).  Throws after `max_tries`
+/// draws, saying how many of them had a stranded sensor.  Adds the
+/// counters `draws` (draws tried) and `stranded_draws` (rejected by the
+/// stranded-sensor check) to the innermost open profiler span.
 Deployment deploy_connected_uniform_square(std::size_t n, double side,
                                            double sensor_range, Rng& rng,
                                            int max_tries = 1000);

@@ -98,6 +98,17 @@ struct ThreadState {
   };
 
   explicit ThreadState(std::uint32_t id) : tid(id) {}
+  ThreadState(const ThreadState&) = delete;
+  ThreadState& operator=(const ThreadState&) = delete;
+  /// `head` owns the first chunk; the later ones hang off `next`.
+  ~ThreadState() {
+    Chunk* c = head ? head->next.load(std::memory_order_relaxed) : nullptr;
+    while (c != nullptr) {
+      Chunk* next = c->next.load(std::memory_order_relaxed);
+      delete c;
+      c = next;
+    }
+  }
 
   std::uint32_t tid;
 

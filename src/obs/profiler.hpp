@@ -51,7 +51,7 @@ struct ProfileEvent {
   /// Attached counters (name pointer is the macro's string literal;
   /// nullptr marks unused slots).  At most kMaxCounters distinct names
   /// per span; further names are dropped and tallied by the profiler.
-  static constexpr std::size_t kMaxCounters = 8;
+  static constexpr std::size_t kMaxCounters = 9;
   struct Counter {
     const char* name = nullptr;
     std::uint64_t value = 0;

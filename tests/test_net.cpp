@@ -4,12 +4,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "util/assertx.hpp"
 #include "net/cluster.hpp"
 #include "net/deployment.hpp"
 #include "net/graph.hpp"
 #include "net/packet.hpp"
+#include "obs/profiler.hpp"
 #include "util/rng.hpp"
 
 namespace mhp {
@@ -200,6 +202,70 @@ TEST(ConnectedDeployment, PrefilterKeepsTheDrawsAndTheAcceptedDeployment) {
       most_draws = std::max(most_draws, want.draw);
     }
   EXPECT_GE(most_draws, 20);
+}
+
+// Replays the rejection loop for `tries` draws: (draws until the first
+// connected one, or `tries`; how many of them left a sensor with no
+// link at all).
+std::pair<int, int> replay_draws(std::size_t n, double side, double range,
+                                 Rng& rng, int tries) {
+  int stranded = 0;
+  for (int t = 1; t <= tries; ++t) {
+    const Deployment d = deploy_uniform_square(n, side, rng);
+    const ClusterTopology topo = disc_topology_brute_force(d, range);
+    if (topo.fully_connected()) return {t, stranded};
+    for (NodeId v = 0; v < n; ++v)
+      if (topo.sensor_links().neighbors(v).empty() && !topo.head_hears(v)) {
+        ++stranded;
+        break;
+      }
+  }
+  return {tries, stranded};
+}
+
+TEST(ConnectedDeployment, EnclosingSpanCountsDrawsAndStrandedDraws) {
+  // 1000 sensors at Fig. 7(a) density take several draws, some of them
+  // rejected by the stranded-sensor check and some only by the full one.
+  const std::size_t n = 1000;
+  const double side = std::sqrt(1333.0 * static_cast<double>(n));
+  Rng want_rng(4), got_rng(4);
+  const auto [draws, stranded] = replay_draws(n, side, 60.0, want_rng, 1000);
+  ASSERT_GT(stranded, 0);
+  ASSERT_LT(stranded + 1, draws);
+
+  obs::Profiler& profiler = obs::Profiler::instance();
+  profiler.drain();
+  profiler.enable();
+  {
+    MHP_SPAN("deploy");
+    deploy_connected_uniform_square(n, side, 60.0, got_rng);
+  }
+  profiler.disable();
+  const obs::ProfileSummary sum = obs::summarize_profile(profiler.drain());
+  const auto& counters = sum.spans.at("deploy").counters;
+  EXPECT_EQ(counters.at("draws"), static_cast<std::uint64_t>(draws));
+  EXPECT_EQ(counters.at("stranded_draws"),
+            static_cast<std::uint64_t>(stranded));
+  EXPECT_EQ(got_rng.next(), want_rng.next());
+}
+
+TEST(ConnectedDeployment, ExhaustedTriesNameDrawsAndStrandedDraws) {
+  const std::size_t n = 1000;
+  const double side = std::sqrt(1333.0 * static_cast<double>(n));
+  Rng want_rng(4), got_rng(4);
+  const auto [draws, stranded] = replay_draws(n, side, 60.0, want_rng, 4);
+  ASSERT_EQ(draws, 4);  // none of the first four draws is connected
+  ASSERT_GT(stranded, 0);
+  try {
+    deploy_connected_uniform_square(n, side, 60.0, got_rng, 4);
+    FAIL() << "four draws cannot succeed";
+  } catch (const ContractViolation& e) {
+    const std::string want = "no connected deployment in 4 draws (max_tries "
+                             "4), " + std::to_string(stranded) +
+                             " of them with a stranded sensor";
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << "got: " << e.what();
+  }
 }
 
 // ---------- Grid vs brute-force topology ----------

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/polling_simulation.hpp"
 #include "core/routing.hpp"
 #include "net/deployment.hpp"
 #include "obs/json.hpp"
@@ -315,19 +316,35 @@ scenario::Scenario small_field_scenario() {
   return s;
 }
 
+/// The StackPins cluster (24 sensors in a 200 m square, seed 1) at two
+/// packets a cycle: some sensors split their flow over two paths, so the
+/// rotating plan changes from cycle to cycle.
+scenario::Scenario rotating_polling_scenario() {
+  scenario::Scenario s = small_polling_scenario();
+  s.deployment.kind = scenario::DeploymentSpec::Kind::kConnectedUniformSquare;
+  s.deployment.n_sensors = 24;
+  s.deployment.side = 200.0;
+  s.deployment.seed = 1;
+  s.traffic.rate_bps = 160.0;
+  return s;
+}
+
 /// Both polling facades, profiled: the facade-level spans run once each,
-/// and the measured window's event counter is the report's event count.
+/// the measured window's event counter is the report's event count, and
+/// its plan_builds counter shows whether the rotating plan was rebuilt.
 TEST(ScenarioProfile, ProfileEmbedsSummaryWithoutPerturbingReport) {
   struct Case {
     scenario::Scenario scenario;
     std::string prefix;
     std::vector<std::string> run_path;  // where the report keeps RunStats
+    bool rebuilds;  // multi-path sensors under path rotation
   };
   const std::vector<Case> cases = {
-      {small_polling_scenario(), "polling", {"report", "run"}},
-      {small_field_scenario(), "mc", {"report", "totals", "run"}}};
+      {small_polling_scenario(), "polling", {"report", "run"}, false},
+      {rotating_polling_scenario(), "polling", {"report", "run"}, true},
+      {small_field_scenario(), "mc", {"report", "totals", "run"}, false}};
   for (const Case& c : cases) {
-    SCOPED_TRACE(c.prefix);
+    SCOPED_TRACE(c.prefix + (c.rebuilds ? " at 160 B/s" : ""));
     scenario::Scenario s = c.scenario;
     const std::string plain = scenario::run_scenario(s).dump();
 
@@ -350,17 +367,38 @@ TEST(ScenarioProfile, ProfileEmbedsSummaryWithoutPerturbingReport) {
 
     const obs::Json* run = &doc;
     for (const std::string& key : c.run_path) run = &run->at(key);
-    EXPECT_EQ(spans->at(c.prefix + "/measured")
-                  .at("counters")
-                  .at("events")
-                  .as_uint(),
+    const obs::Json& measured =
+        spans->at(c.prefix + "/measured").at("counters");
+    EXPECT_EQ(measured.at("events").as_uint(),
               run->at("events_processed").as_uint());
+    // One path per sensor (20 B/s is one packet a cycle), or no rotation
+    // (a field): the plan built at set-up serves every cycle.
+    if (c.rebuilds)
+      EXPECT_GT(measured.at("plan_builds").as_uint(), 0u);
+    else
+      EXPECT_EQ(measured.at("plan_builds").as_uint(), 0u);
 
     // The rest of the envelope is exactly the unprofiled document.
     obs::Json expected = obs::parse_json(plain);
     expected.set("profile", *profile);
     EXPECT_EQ(doc.dump(), expected.dump());
   }
+}
+
+TEST_F(ProfilerTest, OracleProbeSpanCountsUniverseAndGroups) {
+  const Deployment dep = deploy_rings(2, 4, 40.0);
+  Profiler::instance().enable();
+  const PollingSimulation sim(dep, ProtocolConfig{}, 20.0);
+  Profiler::instance().disable();
+  const obs::ProfileSummary sum = obs::summarize_profile(
+      Profiler::instance().drain());
+  const auto& probe = sum.spans.at("polling/setup/oracle_probe");
+  EXPECT_EQ(probe.count, 1u);
+  const std::uint64_t universe = probe.counters.at("universe");
+  EXPECT_GT(universe, 0u);
+  EXPECT_EQ(universe, sim.oracle().universe_size());
+  EXPECT_EQ(probe.counters.at("groups"),
+            MeasuredOracle::probe_count(universe, sim.oracle().order()));
 }
 
 TEST(ScenarioProfile, TraceSinkReceivesValidChromeTrace) {

@@ -2,7 +2,10 @@
 // the discrete-event channel (cluster head + sensor agents).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <set>
 
 #include "core/polling_simulation.hpp"
 #include "metrics/lifetime.hpp"
@@ -248,6 +251,62 @@ TEST(Protocol, MisuseIsRejected) {
   Deployment lonely;
   lonely.positions = {{0, 0}, {500, 0}, {0, 0}};  // sensor 1 unreachable
   EXPECT_THROW(PollingSimulation(lonely, cfg, 20.0), ContractViolation);
+}
+
+TEST(ClusterStack, RotatingPlansRepeatEveryRotationPeriod) {
+  // The StackPins geometry at two and three packets a cycle (160 and
+  // 240 B/s): multi-path sensors rotate over windows of 2 and 3 cycles,
+  // so the plan's period (6) exceeds every single window.
+  Rng rng(1);
+  const Deployment dep = deploy_connected_uniform_square(24, 200.0, 60.0, rng);
+  std::vector<double> rates;
+  for (std::size_t s = 0; s < dep.num_sensors(); ++s)
+    rates.push_back(s % 2 == 0 ? 160.0 : 240.0);
+  ClusterField field(ProtocolConfig{}, RuntimeOptions{},
+                     {"test/warmup", "test/measured", "test/replan"});
+  const FieldCluster cluster{&dep, Vec2{}, 0, rates};
+  field.set_up(std::span(&cluster, 1), 0, Time{});
+  ClusterStack& stack = field.stack(0);
+  const RelayPlan& plan = stack.relay_plan();
+
+  std::set<std::uint64_t> windows;
+  for (NodeId s = 0; s < stack.num_sensors(); ++s) {
+    if (plan.paths(s).size() < 2) continue;
+    std::uint64_t window = 0;
+    for (const UnitPath& p : plan.paths(s))
+      window += static_cast<std::uint64_t>(p.units);
+    windows.insert(window);
+  }
+  ASSERT_GE(windows.size(), 2u) << "need multi-path sensors of two windows";
+  const std::uint64_t period = std::accumulate(
+      windows.begin(), windows.end(), std::uint64_t{1},
+      [](std::uint64_t a, std::uint64_t b) { return std::lcm(a, b); });
+  ASSERT_GT(period, *windows.rbegin());
+  EXPECT_EQ(plan.rotation_period(), period);
+
+  // Cluster 0 sits at channel base 0, so local ids are channel ids.
+  auto fresh = [&](std::uint64_t cycle) {
+    std::vector<NodeId> members;
+    std::vector<std::vector<NodeId>> paths;
+    for (NodeId s = 0; s < stack.num_sensors(); ++s) {
+      members.push_back(s);
+      paths.push_back(plan.path_for_cycle(s, cycle).hops);
+    }
+    return make_sector(std::move(members), std::move(paths));
+  };
+  // Every ordered pair of cycles, so a plan held from any earlier cycle,
+  // in the same phase or not, is caught if it is stale.
+  for (std::uint64_t from = 0; from <= 2 * period + 1; ++from)
+    for (std::uint64_t to = 0; to <= 2 * period + 1; ++to) {
+      SCOPED_TRACE(testing::Message() << "cycle " << from << " then " << to);
+      stack.plans(from);
+      const std::vector<SectorPlan>& got = stack.plans(to);
+      ASSERT_EQ(got.size(), 1u);
+      const SectorPlan want = fresh(to);
+      EXPECT_EQ(got.front().members, want.members);
+      EXPECT_EQ(got.front().data_path, want.data_path);
+      EXPECT_EQ(got.front().ack_paths, want.ack_paths);
+    }
 }
 
 TEST(Lifetime, FirstAndMedianDeath) {
