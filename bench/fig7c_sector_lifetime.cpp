@@ -13,7 +13,6 @@
 #include "exp/fig_common.hpp"
 #include "exp/csv_out.hpp"
 #include "exp/sweep.hpp"
-#include "metrics/lifetime.hpp"
 #include "util/table.hpp"
 #include "exp/flags.hpp"
 

@@ -576,7 +576,6 @@ void SmacNode::on_frame_end(const Frame& frame, NodeId from, bool phy_ok) {
     if (data.final_dest == id_) {
       ++delivered_;
       bytes_delivered_ += cfg_.data_bytes;
-      latency_s_.add((sim_.now() - data.generated_at).to_seconds());
       if (latency_hist_ != nullptr)
         latency_hist_->observe((sim_.now() - data.generated_at).to_seconds());
     } else {
@@ -616,7 +615,6 @@ void SmacNode::reset_stats(Time now) {
   mac_failures_ = 0;
   rreq_sent_ = 0;
   relayed_ = 0;
-  latency_s_ = Accumulator{};
 }
 
 }  // namespace mhp

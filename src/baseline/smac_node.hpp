@@ -30,7 +30,6 @@
 #include "radio/energy.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace mhp {
 
@@ -93,7 +92,6 @@ class SmacNode : public ChannelListener {
   const EnergyMeter& meter() const { return tracker_.meter(); }
   void settle(Time now) { tracker_.settle(now); }
   void reset_stats(Time now);
-  const Accumulator& latency_s() const { return latency_s_; }
   /// Data frames this node forwarded for other origins.
   std::uint64_t packets_relayed() const { return relayed_; }
 
@@ -191,7 +189,6 @@ class SmacNode : public ChannelListener {
   std::uint64_t mac_failures_ = 0;
   std::uint64_t rreq_sent_ = 0;
   std::uint64_t relayed_ = 0;
-  Accumulator latency_s_;
   HistogramMetric* latency_hist_ = nullptr;
   HistogramMetric* queue_hist_ = nullptr;
 };

@@ -133,8 +133,7 @@ SmacReport SmacSimulation::run(Time duration, Time warmup) {
   m.gauge(metric::kMeanActiveFraction)
       .set(sim.now(), active_sum / static_cast<double>(num_sensors()));
   m.gauge(metric::kMeanLatencyS)
-      .set(sim.now(),
-           sink.latency_s().empty() ? 0.0 : sink.latency_s().mean());
+      .set(sim.now(), m.histogram(metric::kLatencyHistS).mean());
 
   // No head-driven detection or replanning here: those counters stay
   // zero and AODV re-discovery is the only recovery.

@@ -126,7 +126,7 @@ void ClusterStack::build(MinMaxLoadResult routes, std::uint64_t head_stream,
   Rng& root = rt_.root_rng();
   const NodeId head_id = base_ + static_cast<NodeId>(n);
   head_ = std::make_unique<HeadAgent>(head_id, rt_.sim(), channel_,
-                                      rt_.uids(), cfg_, scheduling_oracle(),
+                                      rt_.uids(), cfg_, oracle_->cached,
                                       *this, root.split(head_stream),
                                       &rt_.trace());
   // Distribution instrumentation: delivery latency at the head, queue
@@ -166,23 +166,10 @@ void ClusterStack::probe() {
         paths.push_back(to_channel(p.hops));
   if (oracle_ != nullptr) retired_oracles_.push_back(std::move(oracle_));
   MHP_SPAN("oracle_probe");
-  oracle_ = std::make_unique<MeasuredOracle>(
+  oracle_ = std::make_unique<ProbedOracle>(
       *truth_, transmissions_of_paths(paths), cfg_.oracle_order);
-  MHP_SPAN_COUNTER("universe", oracle_->universe_size());
-  MHP_SPAN_COUNTER("groups", oracle_->probes());
-}
-
-const CompatibilityOracle& ClusterStack::scheduling_oracle() {
-  if (!cfg_.cache_oracle) return *oracle_;
-  if (cache_ != nullptr) retired_caches_.push_back(std::move(cache_));
-  // Pair screening is sound here: the measured oracle inherits SINR
-  // monotonicity (an interfering pair interferes in every superset).
-  cache_ = std::make_unique<CachedOracle>(*oracle_,
-                                          CachedOracle::PairScreen::kOn);
-  MetricsRegistry& m = rt_.metrics();
-  cache_->bind_counters(&m.counter(metric::kOracleCacheHit),
-                        &m.counter(metric::kOracleCacheMiss));
-  return *cache_;
+  MHP_SPAN_COUNTER("universe", oracle_->measured.universe().size());
+  MHP_SPAN_COUNTER("groups", oracle_->measured.probes());
 }
 
 void ClusterStack::replan(NodeId declared, route::RoutingEngine& engine) {
@@ -200,13 +187,13 @@ void ClusterStack::replan(NodeId declared, route::RoutingEngine& engine) {
   plans_ = {flat_sector(0)};
   for (NodeId s : plans_.front().members) sensors_[s - base_]->set_sector(0);
   probe();
-  head_->set_oracle(scheduling_oracle());
+  head_->set_oracle(oracle_->cached);
   head_->plans_changed();
 }
 
 void ClusterStack::add_cache_stats(OracleCacheStats& out) const {
-  if (cache_ != nullptr) out.add(*cache_);
-  for (const auto& retired : retired_caches_) out.add(*retired);
+  out.add(oracle_->cached);
+  for (const auto& retired : retired_oracles_) out.add(retired->cached);
 }
 
 std::uint64_t ClusterStack::generated() const {
@@ -366,6 +353,12 @@ std::uint64_t ClusterField::plan_builds() const {
   return total;
 }
 
+OracleCacheStats ClusterField::cache_stats() const {
+  OracleCacheStats total;
+  for (const auto& stack : stacks_) stack->add_cache_stats(total);
+  return total;
+}
+
 void ClusterField::run(Time duration, Time warmup) {
   MHP_REQUIRE(duration > warmup, "duration must exceed warmup");
   Simulator& sim = rt_.sim();
@@ -384,14 +377,18 @@ void ClusterField::run(Time duration, Time warmup) {
   const std::uint64_t events_before = sim.events_executed();
   const ChannelStats channel_before = rt_.channel_stats();
   const std::uint64_t builds_before = plan_builds();
+  const OracleCacheStats cache_before = cache_stats();
   sim.run_until(duration);
+  const OracleCacheStats cache_after = cache_stats();
+  const std::uint64_t hits = cache_after.hits - cache_before.hits;
+  const std::uint64_t misses = cache_after.misses - cache_before.misses;
+  rt_.metrics().counter(metric::kOracleCacheHit).add(hits);
+  rt_.metrics().counter(metric::kOracleCacheMiss).add(misses);
   MHP_SPAN_COUNTER("events", sim.events_executed() - events_before);
   MHP_SPAN_COUNTER("plan_builds", plan_builds() - builds_before);
   span_channel_counters(rt_.channel_stats() - channel_before);
-  MHP_SPAN_COUNTER("oracle_hits",
-                   rt_.metrics().counter(metric::kOracleCacheHit).value());
-  MHP_SPAN_COUNTER("oracle_misses",
-                   rt_.metrics().counter(metric::kOracleCacheMiss).value());
+  MHP_SPAN_COUNTER("oracle_hits", hits);
+  MHP_SPAN_COUNTER("oracle_misses", misses);
 }
 
 void ClusterField::export_nodes() {
@@ -423,10 +420,7 @@ FieldRollup ClusterField::roll_up() {
     out.degradation = rt_.collect_degradation(std::move(deg), ledger_,
                                               generated(), delivered());
   }
-  if (cfg_.cache_oracle) {
-    out.oracle.emplace();
-    for (const auto& stack : stacks_) stack->add_cache_stats(*out.oracle);
-  }
+  out.oracle = cache_stats();
   return out;
 }
 

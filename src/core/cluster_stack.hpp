@@ -15,7 +15,10 @@
 // single-cluster protocol.  It owns the runtime, the channel groups, one
 // stack per cluster, the routing batch, fault wiring by field-wide
 // sensor id, the replan handlers, the warm-up and measured windows and
-// the degradation and oracle-cache roll-ups.  PollingSimulation is a
+// the degradation and oracle-cache roll-ups.  Every stack schedules
+// through a pair-screening CachedOracle over its MeasuredOracle; the
+// field publishes the caches' measured-window hits and misses into the
+// registry once, when the window ends.  PollingSimulation is a
 // field of one cluster at origin 0 on one channel; MultiClusterSimulation
 // adds colouring and token windows on top.
 #pragma once
@@ -85,7 +88,7 @@ class ClusterStack : public CyclePlanProvider {
   const std::optional<SectorPartition>& sector_partition() const {
     return partition_;
   }
-  const MeasuredOracle& oracle() const { return *oracle_; }
+  const MeasuredOracle& oracle() const { return oracle_->measured; }
   HeadAgent& head() { return *head_; }
   /// Sensor by local id.
   SensorAgent& sensor(NodeId s) { return *sensors_.at(s); }
@@ -93,18 +96,30 @@ class ClusterStack : public CyclePlanProvider {
   std::uint64_t orphaned() const { return orphaned_; }
 
  private:
+  /// One probe's knowledge (§V-E): the measured oracle and the
+  /// pair-screening cache over it that the head schedules through.  Pair
+  /// screening is sound here: the measured oracle inherits SINR
+  /// monotonicity (an interfering pair interferes in every superset).
+  struct ProbedOracle {
+    ProbedOracle(const CompatibilityOracle& truth,
+                 std::span<const Tx> universe, int order)
+        : measured(truth, universe, order),
+          cached(measured, CachedOracle::PairScreen::kOn) {}
+    ProbedOracle(const ProbedOracle&) = delete;
+    ProbedOracle& operator=(const ProbedOracle&) = delete;
+
+    MeasuredOracle measured;
+    CachedOracle cached;  // refers to `measured`
+  };
+
   /// One sector over every sensor that has a path in the current plan,
   /// with its cycle-`cycle` path.
   SectorPlan flat_sector(std::uint64_t cycle) const;
   std::vector<NodeId> to_channel(std::vector<NodeId> path) const;
   /// §V-E: measure interference over the transmissions the plans use
-  /// (every unit path while rotating).  A replaced oracle retires rather
-  /// than dies: the head's current phase may still hold it.
+  /// (every unit path while rotating).  A replaced probe retires rather
+  /// than dies: the head's current phase may still hold its cache.
   void probe();
-  /// The oracle the head schedules through: the measured one, or a fresh
-  /// CachedOracle over it (counters bound to the runtime registry) when
-  /// cfg.cache_oracle is on.  Call after every probe().
-  const CompatibilityOracle& scheduling_oracle();
 
   SimRuntime& rt_;
   Channel& channel_;
@@ -122,10 +137,8 @@ class ClusterStack : public CyclePlanProvider {
   std::optional<std::uint64_t> period_;
   std::uint64_t plan_builds_ = 0;
   std::unique_ptr<ChannelOracle> truth_;
-  std::unique_ptr<MeasuredOracle> oracle_;
-  std::unique_ptr<CachedOracle> cache_;
-  std::vector<std::unique_ptr<MeasuredOracle>> retired_oracles_;
-  std::vector<std::unique_ptr<CachedOracle>> retired_caches_;
+  std::unique_ptr<ProbedOracle> oracle_;
+  std::vector<std::unique_ptr<ProbedOracle>> retired_oracles_;
   std::unique_ptr<HeadAgent> head_;
   std::vector<std::unique_ptr<SensorAgent>> sensors_;
   std::vector<NodeId> declared_dead_;  // local ids, in declaration order
@@ -157,10 +170,10 @@ struct FieldRollup {
   /// fault-free runs byte-identical to pre-fault builds.  Node ids are
   /// field-wide; each head repairs only its own cluster.
   std::optional<DegradationReport> degradation;
-  /// Oracle-cache effectiveness, summed over every cluster's live cache
-  /// and the wrappers retired by replans.  Present iff cfg.cache_oracle;
+  /// Oracle-cache effectiveness over the whole run, summed over every
+  /// cluster's live cache and the caches retired by replans;
   /// deterministic (a pure function of the schedule).
-  std::optional<OracleCacheStats> oracle;
+  OracleCacheStats oracle;
 };
 
 class ClusterField {
@@ -182,7 +195,8 @@ class ClusterField {
 
   /// Warm up to `warmup`, reset the statistics, then run the measured
   /// window to `duration` (its span counts events, frames, oracle use
-  /// and rotating-plan rebuilds).
+  /// and rotating-plan rebuilds).  The window's cache hits and misses
+  /// are then added to metric::kOracleCacheHit / kOracleCacheMiss.
   void run(Time duration, Time warmup);
   /// Settle every sensor's meter; export its series by field-wide id.
   void export_nodes();
@@ -205,6 +219,8 @@ class ClusterField {
   /// Sensor by field-wide id; throws outside the field.
   SensorAgent& sensor(NodeId field_id) const;
   std::uint64_t plan_builds() const;
+  /// Every stack's cache counters, live and retired.
+  OracleCacheStats cache_stats() const;
 
   ProtocolConfig cfg_;  // the stacks and their agents refer to it
   SimRuntime rt_;

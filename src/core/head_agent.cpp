@@ -169,6 +169,7 @@ void HeadAgent::run_slot() {
       window_end()) {
     lost_abort_ += phase_.is_ack ? 0 : (phase_.total - phase_.delivered -
                                         phase_.abandoned);
+    ++window_overruns_;
     if (tracing(trace_, TraceCat::kProtocol))
       trace_->record(sim_.now(), TraceCat::kProtocol,
                      "window overrun: sector aborted");
@@ -377,7 +378,6 @@ void HeadAgent::on_frame_end(const Frame& frame, NodeId from, bool phy_ok) {
       note_arrival(p.request);
       ++packets_received_;
       bytes_received_ += frame.size_bytes;
-      latency_s_.add((sim_.now() - p.generated_at).to_seconds());
       if (latency_hist_ != nullptr)
         latency_hist_->observe((sim_.now() - p.generated_at).to_seconds());
       break;
@@ -408,8 +408,8 @@ void HeadAgent::reset_stats(Time now) {
   lost_retry_ = 0;
   cycles_done_ = 0;
   reactivations_ = 0;
+  window_overruns_ = 0;
   duty_time_s_ = Accumulator{};
-  latency_s_ = Accumulator{};
 }
 
 }  // namespace mhp

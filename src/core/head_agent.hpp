@@ -101,15 +101,14 @@ class HeadAgent : public ChannelListener {
   std::uint64_t packets_lost_retry() const { return lost_retry_; }
   std::uint64_t cycles_completed() const { return cycles_done_; }
   std::uint64_t reactivations() const { return reactivations_; }
+  /// Sectors aborted because their next slot would overrun the window.
+  std::uint64_t window_overruns() const { return window_overruns_; }
   /// Duty time (wake-up to sleep broadcast) per sector drain.
   const Accumulator& duty_time_s() const { return duty_time_s_; }
-  /// Mean packet delivery latency (generation to head reception).
-  const Accumulator& latency_s() const { return latency_s_; }
   const EnergyMeter& meter() const { return tracker_.meter(); }
 
-  /// Mirror each delivery latency into `h` as well (nullptr = off), so
-  /// the registry gains a full distribution beside the Accumulator mean.
-  /// Pure observation — never perturbs behaviour.
+  /// Observe each delivery latency (generation to head reception) into
+  /// `h` (nullptr = off).  Pure observation — never perturbs behaviour.
   void set_latency_histogram(HistogramMetric* h) { latency_hist_ = h; }
 
   void reset_stats(Time now);
@@ -196,8 +195,8 @@ class HeadAgent : public ChannelListener {
   std::uint64_t lost_retry_ = 0;
   std::uint64_t cycles_done_ = 0;
   std::uint64_t reactivations_ = 0;
+  std::uint64_t window_overruns_ = 0;
   Accumulator duty_time_s_;
-  Accumulator latency_s_;
   HistogramMetric* latency_hist_ = nullptr;
 };
 

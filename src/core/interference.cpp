@@ -231,7 +231,6 @@ bool CachedOracle::compatible(std::span<const Tx> txs) const {
         if (s.length != 0 && !s.verdict) {
           ++hits_;
           ++screened_;
-          if (hit_counter_) hit_counter_->add();
           return false;
         }
       }
@@ -239,11 +238,9 @@ bool CachedOracle::compatible(std::span<const Tx> txs) const {
   const std::uint64_t hash = group_hash(g);
   if (const Slot& s = slots_[find_slot(g, hash)]; s.length != 0) {
     ++hits_;
-    if (hit_counter_) hit_counter_->add();
     return s.verdict;
   }
   ++misses_;
-  if (miss_counter_) miss_counter_->add();
   const bool ok = inner_.compatible(g);
   remember(g, hash, ok);
   if (screen_ == PairScreen::kOn && ok && g.size() > 2) {

@@ -15,7 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "metrics/registry.hpp"
 #include "net/cluster.hpp"
 #include "net/ids.hpp"
 #include "radio/channel.hpp"
@@ -118,9 +117,8 @@ class ChannelOracle : public CompatibilityOracle {
 /// only for the groups the scheduler actually queries: a group with a
 /// member outside the universe was never probed and is incompatible;
 /// any other group gets `truth`'s verdict, which is what probing it would
-/// have measured.  Memoizing repeated queries is CachedOracle's job, so
-/// with ProtocolConfig::cache_oracle off every query runs one truth test
-/// (one SINR evaluation for a ChannelOracle).
+/// have measured.  Every query runs one truth test (one SINR evaluation
+/// for a ChannelOracle); memoizing repeated queries is CachedOracle's job.
 ///
 /// Invariant: `truth` outlives the oracle and its verdicts do not change
 /// while the oracle lives, so answering late equals probing up front.
@@ -140,8 +138,8 @@ class MeasuredOracle : public CompatibilityOracle {
   std::uint64_t probes() const {
     return probe_count(universe_.size(), order_);
   }
-  /// Distinct transmissions in the probed universe.
-  std::size_t universe_size() const { return universe_.size(); }
+  /// The probed universe: distinct transmissions, sorted.
+  std::span<const Tx> universe() const { return universe_; }
 
   /// The number of groups a full probe of a universe of `u` transmissions
   /// at order M would need (the paper's 1320-vs-85320 argument).
@@ -220,13 +218,6 @@ class CachedOracle : public CompatibilityOracle {
 
   bool compatible(std::span<const Tx> txs) const override;
 
-  /// Additionally tally every hit/miss into registry counters (the sims
-  /// bind metric::kOracleCacheHit / kOracleCacheMiss).  nullptr unbinds.
-  void bind_counters(Counter* hits, Counter* misses) {
-    hit_counter_ = hits;
-    miss_counter_ = misses;
-  }
-
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   /// Hits answered by the pair screen (subset of hits()).
@@ -269,8 +260,6 @@ class CachedOracle : public CompatibilityOracle {
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;
   mutable std::uint64_t screened_ = 0;
-  Counter* hit_counter_ = nullptr;
-  Counter* miss_counter_ = nullptr;
 };
 
 /// Cache-effectiveness roll-up reports carry: one CachedOracle's tallies,

@@ -18,7 +18,7 @@
 // report.
 //
 // The protocol config applies as in PollingSimulation (routing,
-// propagation, oracle order and cache, faults, recovery), except that
+// propagation, oracle order, faults, recovery), except that
 // heads poll fixed cycle-0 paths: rotate_paths does not apply here, and
 // use_sectors and link-degradation windows are rejected.
 #pragma once

@@ -65,7 +65,7 @@ SimulationReport PollingSimulation::run(Time duration, Time warmup) {
   m.gauge(metric::kMeanActiveFraction).set(now, active_sum / n);
   m.gauge("sensors.mean_power_w").set(now, rep.mean_sensor_power_w);
   m.gauge(metric::kMeanLatencyS)
-      .set(now, head.latency_s().empty() ? 0.0 : head.latency_s().mean());
+      .set(now, m.histogram(metric::kLatencyHistS).mean());
 
   static_cast<FieldRollup&>(rep) = field_.roll_up();
   static_cast<RunStats&>(rep) = field_.runtime().collect_run_stats(

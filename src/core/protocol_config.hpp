@@ -61,12 +61,6 @@ struct ProtocolConfig {
   /// Compatibility knowledge order M (§III-B suggests 2 or 3).
   int oracle_order = 3;
 
-  /// Wrap the measured oracle in a CachedOracle (memoized verdicts).
-  /// Verdicts are unchanged — this is purely a hot-path speedup — so
-  /// reports are identical either way; off exists for A/B measurement
-  /// and runs one SINR test per scheduler query.
-  bool cache_oracle = true;
-
   /// Relaying-path computation (kBalancedMaxFlow is the paper's §III-A
   /// scheme; kShortestPath the ablation baseline).
   RoutingPolicy routing = RoutingPolicy::kBalancedMaxFlow;

@@ -3,11 +3,9 @@
 // §III-E models a sensor's power consumption rate as α·(transmission load)
 // + β·(polling time); measured simulations integrate the radio energy
 // meters instead.  Cluster lifetime uses the first-death criterion: the
-// battery of the worst-drained sensor bounds the network's useful life.
+// battery of the worst-drained sensor bounds the network's useful life
+// (SimulationReport::lifetime_s divides a capacity by the largest draw).
 #pragma once
-
-#include <span>
-#include <vector>
 
 namespace mhp {
 
@@ -15,18 +13,5 @@ struct BatteryModel {
   /// Energy budget in joules.  Default ≈ one CR2477 coin cell.
   double capacity_j = 2400.0;
 };
-
-/// Time (seconds) until the first sensor dies, given per-sensor average
-/// power draws in watts.
-double lifetime_first_death_s(std::span<const double> sensor_power_w,
-                              const BatteryModel& battery = {});
-
-/// Time until half the sensors have died (median-death criterion).
-double lifetime_median_death_s(std::span<const double> sensor_power_w,
-                               const BatteryModel& battery = {});
-
-/// The paper's analytic power consumption rate: α·load + β·polling_time.
-double analytic_power_rate(double alpha, double beta, double load,
-                           double polling_time);
 
 }  // namespace mhp

@@ -1,5 +1,6 @@
 #include "obs/json.hpp"
 
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -77,7 +78,7 @@ void Json::push_back(Json value) {
 
 std::size_t Json::size() const {
   if (is_array()) return std::get<Array>(v_).size();
-  if (is_object()) return std::get<Object>(v_).size();
+  if (is_object()) return std::get<Object>(v_).members.size();
   return 0;
 }
 
@@ -86,32 +87,62 @@ const Json& Json::at(std::size_t index) const {
   return std::get<Array>(v_).at(index);
 }
 
+std::size_t Json::Object::slot(std::string_view key) const {
+  const Index& slots = *index;
+  const std::size_t mask = slots.size() - 1;
+  std::size_t i = std::hash<std::string_view>{}(key) & mask;
+  while (slots[i] != 0 && members[slots[i] - 1].first != key)
+    i = (i + 1) & mask;
+  return i;
+}
+
+std::size_t Json::Object::position(std::string_view key) const {
+  if (index == nullptr) {
+    for (std::size_t i = 0; i < members.size(); ++i)
+      if (members[i].first == key) return i;
+    return members.size();
+  }
+  const std::uint32_t s = (*index)[slot(key)];
+  return s != 0 ? s - 1 : members.size();
+}
+
+void Json::Object::push(std::string key, Json value) {
+  members.emplace_back(std::move(key), std::move(value));
+  std::size_t from = members.size() - 1;  // the members still to index
+  if (index == nullptr || 2 * members.size() > index->size()) {
+    if (members.size() < kIndexFrom) return;
+    index = std::make_unique<Index>(std::bit_ceil(2 * members.size()));
+    from = 0;
+  }
+  for (std::size_t k = from; k < members.size(); ++k) {
+    std::uint32_t& s = (*index)[slot(members[k].first)];
+    if (s == 0) s = static_cast<std::uint32_t>(k + 1);
+  }
+}
+
 Json& Json::set(std::string key, Json value) & {
   if (is_null()) v_.emplace<Object>();
   if (!is_object()) type_error("an object");
-  Object& members = std::get<Object>(v_);
-  for (auto& [k, v] : members) {
-    if (k == key) {
-      v = std::move(value);
-      return *this;
-    }
-  }
-  members.emplace_back(std::move(key), std::move(value));
+  Object& object = std::get<Object>(v_);
+  if (const std::size_t i = object.position(key); i < object.members.size())
+    object.members[i].second = std::move(value);
+  else
+    object.push(std::move(key), std::move(value));
   return *this;
 }
 
 Json& Json::append(std::string key, Json value) {
   if (is_null()) v_.emplace<Object>();
   if (!is_object()) type_error("an object");
-  std::get<Object>(v_).emplace_back(std::move(key), std::move(value));
+  std::get<Object>(v_).push(std::move(key), std::move(value));
   return *this;
 }
 
 const Json* Json::find(const std::string& key) const {
   if (!is_object()) return nullptr;
-  for (const auto& [k, v] : std::get<Object>(v_))
-    if (k == key) return &v;
-  return nullptr;
+  const Object& object = std::get<Object>(v_);
+  const std::size_t i = object.position(key);
+  return i < object.members.size() ? &object.members[i].second : nullptr;
 }
 
 Json* Json::find(const std::string& key) {
@@ -127,7 +158,7 @@ const Json& Json::at(const std::string& key) const {
 
 const std::vector<std::pair<std::string, Json>>& Json::items() const {
   if (!is_object()) type_error("an object");
-  return std::get<Object>(v_);
+  return std::get<Object>(v_).members;
 }
 
 std::string json_escape(std::string_view s) {
@@ -241,7 +272,7 @@ void Json::write_impl(std::ostream& os, int indent, int depth) const {
       break;
     }
     case Type::kObject: {
-      const Object& members = std::get<Object>(v_);
+      const auto& members = std::get<Object>(v_).members;
       if (members.empty()) {
         os << "{}";
         break;

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -100,7 +101,7 @@ class Json {
     return std::move(set(std::move(key), std::move(value)));
   }
   /// Insert a key the caller knows is absent (the keys of a std::map, say)
-  /// without scanning for it: k appends cost O(k), k sets O(k²).
+  /// without looking it up first.
   Json& append(std::string key, Json value);
   /// nullptr when absent (or not an object).
   const Json* find(const std::string& key) const;
@@ -117,7 +118,33 @@ class Json {
 
  private:
   using Array = std::vector<Json>;
-  using Object = std::vector<std::pair<std::string, Json>>;
+  using Index = std::vector<std::uint32_t>;
+
+  /// Members in insertion order.  From kIndexFrom members on, `index`
+  /// holds their positions + 1 in an open-addressing table (0 = empty,
+  /// power-of-two size, at most half full), so a lookup costs O(1) and
+  /// k sets O(k) rather than O(k²).  A key's first member wins a lookup.
+  struct Object {
+    static constexpr std::size_t kIndexFrom = 16;
+    std::vector<std::pair<std::string, Json>> members;
+    std::unique_ptr<Index> index;
+
+    Object() = default;
+    Object(const Object& o)
+        : members(o.members),
+          index(o.index ? std::make_unique<Index>(*o.index) : nullptr) {}
+    Object& operator=(const Object& o) { return *this = Object(o); }
+    Object(Object&&) noexcept = default;
+    Object& operator=(Object&&) noexcept = default;
+
+    /// The position of `key`'s first member, or members.size().
+    std::size_t position(std::string_view key) const;
+    void push(std::string key, Json value);
+    /// The index slot holding `key`, or the empty slot where it belongs.
+    std::size_t slot(std::string_view key) const;
+  };
+  // Vector plus pointer: an object node is no larger than a string node.
+  static_assert(sizeof(Object) <= sizeof(std::string));
 
   void write_impl(std::ostream& os, int indent, int depth) const;
 

@@ -127,8 +127,7 @@ Json to_json(const SimulationReport& report) {
   // byte-identical to pre-fault builds.
   if (report.degradation)
     body.set("degradation", to_json(*report.degradation));
-  // Likewise, only cached-oracle runs carry the cache block.
-  if (report.oracle) body.set("oracle", to_json(*report.oracle));
+  body.set("oracle", to_json(report.oracle));
   return report_envelope("polling", std::move(body));
 }
 
@@ -162,7 +161,7 @@ Json to_json(const MultiClusterReport& report) {
                   .set("totals", to_json(report.totals));
   if (report.degradation)
     body.set("degradation", to_json(*report.degradation));
-  if (report.oracle) body.set("oracle", to_json(*report.oracle));
+  body.set("oracle", to_json(report.oracle));
   return report_envelope("multi_cluster", std::move(body));
 }
 

@@ -140,7 +140,6 @@ void fields(V& v, P& p) {
   v("wake_margin", p.wake_margin);
   v("wake_jitter", p.wake_jitter);
   v("oracle_order", p.oracle_order);
-  v("cache_oracle", p.cache_oracle);
   v("routing", p.routing);
   v("use_sectors", p.use_sectors);
   v("rotate_paths", p.rotate_paths);

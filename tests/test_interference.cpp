@@ -610,21 +610,6 @@ TEST(CachedOracle, TrivialGroupsBypassTheMemo) {
   EXPECT_EQ(cached.hits() + cached.misses(), 0u);
 }
 
-TEST(CachedOracle, BindCountersTalliesIntoRegistry) {
-  MetricsRegistry m;
-  ExplicitOracle inner(2);
-  const Tx a{0, 1}, b{2, 3};
-  inner.allow_pair(a, b);
-  CachedOracle cached(inner);
-  cached.bind_counters(&m.counter("oracle.cache_hit"),
-                       &m.counter("oracle.cache_miss"));
-  cached.compatible(std::vector<Tx>{a, b});
-  cached.compatible(std::vector<Tx>{a, b});
-  cached.compatible(std::vector<Tx>{a, b});
-  EXPECT_EQ(m.counter("oracle.cache_miss").value(), 1u);
-  EXPECT_EQ(m.counter("oracle.cache_hit").value(), 2u);
-}
-
 // ---------- CachedOracle pair screen ----------
 
 // Three link clusters on a line: 0→1 and 2→3 collide (20 m apart with an

@@ -74,6 +74,45 @@ TEST(Json, AppendSkipsTheScanAndSetStillOverwrites) {
   EXPECT_THROW(Json::array().append("k", Json(1)), std::logic_error);
 }
 
+TEST(Json, LargeObjectsLookUpEveryKeyLikeAScan) {
+  // Past a few members an object looks keys up through a hash index;
+  // every lookup must still answer as a scan from the front would.
+  Json o = Json::object();
+  for (int k = 0; k < 1000; ++k) o.set(std::to_string(k), Json(k));
+  for (int k = 0; k < 1000; k += 3) o.set(std::to_string(k), Json(-k));
+  o.append("7", Json("dup"));  // a duplicate: the first "7" still wins
+  ASSERT_EQ(o.size(), 1001u);
+  for (int k = 0; k < 1000; ++k) {
+    EXPECT_EQ(o.items()[k].first, std::to_string(k));
+    EXPECT_EQ(o.at(std::to_string(k)).as_int(), k % 3 == 0 ? -k : k);
+  }
+  EXPECT_EQ(o.find("1000"), nullptr);
+
+  Json copy = o;  // the copy's lookups see the copy's own members
+  copy.set("1", Json("changed")).set("new", Json(true));
+  EXPECT_EQ(o.at("1").as_int(), 1);
+  EXPECT_EQ(o.find("new"), nullptr);
+  EXPECT_EQ(copy.at("1").as_string(), "changed");
+  EXPECT_TRUE(copy.at("new").as_bool());
+  EXPECT_EQ(copy.items().back().first, "new");
+
+  Json taken = std::move(copy);
+  EXPECT_EQ(taken.at("998").as_int(), 998);
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state is pinned
+  copy.set("a", Json(1));
+  EXPECT_EQ(copy.at("a").as_int(), 1);
+
+  // Parsing a duplicate key keeps its first position and its last value.
+  std::string text = "{";
+  for (int k = 0; k < 40; ++k)
+    text.append(1, '"').append(std::to_string(k)).append("\":0,");
+  text += "\"5\":1}";
+  const Json parsed = parse_json(text);
+  ASSERT_EQ(parsed.size(), 40u);
+  EXPECT_EQ(parsed.items()[5].first, "5");
+  EXPECT_EQ(parsed.at("5").as_int(), 1);
+}
+
 TEST(Json, ReportBlocksKeepEveryMapKeyInOrder) {
   // The counters and per-node blocks append their std::map keys; the dump
   // still lists each key once, in map order, with its value.

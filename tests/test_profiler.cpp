@@ -396,7 +396,7 @@ TEST_F(ProfilerTest, OracleProbeSpanCountsUniverseAndGroups) {
   EXPECT_EQ(probe.count, 1u);
   const std::uint64_t universe = probe.counters.at("universe");
   EXPECT_GT(universe, 0u);
-  EXPECT_EQ(universe, sim.oracle().universe_size());
+  EXPECT_EQ(universe, sim.oracle().universe().size());
   EXPECT_EQ(probe.counters.at("groups"),
             MeasuredOracle::probe_count(universe, sim.oracle().order()));
 }
@@ -454,17 +454,13 @@ TEST(OracleReport, PollingReportCarriesCacheBlock) {
   const obs::Json* body = doc.find("report");
   ASSERT_NE(body, nullptr);
   const obs::Json* oracle = body->find("oracle");
-  ASSERT_NE(oracle, nullptr);  // cache_oracle defaults on
+  ASSERT_NE(oracle, nullptr);
   EXPECT_GT(oracle->at("hits").as_uint() + oracle->at("misses").as_uint(),
             0u);
   const double rate = oracle->at("hit_rate").as_double();
   EXPECT_GE(rate, 0.0);
   EXPECT_LE(rate, 1.0);
   EXPECT_LE(oracle->at("screened").as_uint(), oracle->at("hits").as_uint());
-
-  s.protocol.cache_oracle = false;
-  const obs::Json uncached = scenario::run_scenario(s);
-  EXPECT_EQ(uncached.at("report").find("oracle"), nullptr);
 }
 
 }  // namespace

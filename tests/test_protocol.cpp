@@ -6,9 +6,9 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <span>
 
 #include "core/polling_simulation.hpp"
-#include "metrics/lifetime.hpp"
 #include "net/deployment.hpp"
 #include "util/rng.hpp"
 
@@ -193,18 +193,12 @@ TEST(Protocol, PathRotationBalancesRelays) {
 TEST(Protocol, TraceRecordsCycleTransitions) {
   ProtocolConfig cfg;
   PollingSimulation sim(small_cluster(13), cfg, 20.0);
-  sim.trace().enable(TraceCat::kProtocol);
   sim.run(Time::sec(12), Time::sec(2));
-  const auto texts = sim.trace().texts(TraceCat::kProtocol);
-  ASSERT_FALSE(texts.empty());
-  int wakes = 0, sleeps = 0;
-  for (const auto& t : texts) {
-    if (t.find("wake") != std::string::npos) ++wakes;
-    if (t.find("sleep") != std::string::npos) ++sleeps;
-  }
-  // ~12 cycles ran; each produces one wake and one sleep entry.
-  EXPECT_GE(wakes, 10);
-  EXPECT_GE(sleeps, 10);
+  // 10 cycles start in the 10 s window; each wakes the one flat sector
+  // and puts it back to sleep once (one duty-time sample per drain).
+  const HeadAgent& head = sim.head();
+  EXPECT_EQ(head.cycles_completed(), 10u);
+  EXPECT_EQ(head.duty_time_s().count(), head.cycles_completed());
 }
 
 TEST(Protocol, SectorWindowOverrunCountsLosses) {
@@ -215,14 +209,12 @@ TEST(Protocol, SectorWindowOverrunCountsLosses) {
   cfg.use_sectors = true;
   cfg.cycle_period = Time::ms(300);
   PollingSimulation sim(small_cluster(14, 20), cfg, 800.0);
-  sim.trace().enable(TraceCat::kProtocol);
   const auto rep = sim.run(Time::sec(30), Time::sec(5));
-  EXPECT_GT(rep.packets_lost, 0u);
-  EXPECT_GT(sim.head().cycles_completed(), 50u);  // cycles keep running
-  bool saw_abort = false;
-  for (const auto& t : sim.trace().texts(TraceCat::kProtocol))
-    if (t.find("overrun") != std::string::npos) saw_abort = true;
-  EXPECT_TRUE(saw_abort);
+  const HeadAgent& head = sim.head();
+  EXPECT_GT(head.window_overruns(), 0u);
+  EXPECT_GT(head.packets_lost_abort(), 0u);
+  EXPECT_GE(rep.packets_lost, head.packets_lost_abort());
+  EXPECT_GT(head.cycles_completed(), 50u);  // cycles keep running
 }
 
 TEST(Protocol, AckLossSkipsSensorForOneCycleOnly) {
@@ -309,12 +301,34 @@ TEST(ClusterStack, RotatingPlansRepeatEveryRotationPeriod) {
     }
 }
 
-TEST(Lifetime, FirstAndMedianDeath) {
-  const std::vector<double> powers = {1.0, 2.0, 4.0};
-  BatteryModel battery{100.0};
-  EXPECT_DOUBLE_EQ(lifetime_first_death_s(powers, battery), 25.0);
-  EXPECT_DOUBLE_EQ(lifetime_median_death_s(powers, battery), 50.0);
-  EXPECT_DOUBLE_EQ(analytic_power_rate(2.0, 3.0, 4.0, 5.0), 23.0);
+TEST(CachedOracle, PairScreenAgreesWithMeasuredOracleOnAProbedUniverse) {
+  // The StackPins cluster at two packets a cycle, M = 3: with rotation
+  // every unit path is in the universe the head probes.
+  Rng rng(1);
+  const Deployment dep = deploy_connected_uniform_square(24, 200.0, 60.0, rng);
+  const PollingSimulation sim(dep, ProtocolConfig{}, 160.0);
+  const MeasuredOracle& measured = sim.oracle();
+  ASSERT_EQ(measured.order(), 3);
+  const std::span<const Tx> u = measured.universe();
+  ASSERT_GE(u.size(), 3u);
+
+  // Each pair, then every triple grown from it, so later pairs are
+  // answered from subset closure and later triples by the pair screen.
+  const CachedOracle cached(measured, CachedOracle::PairScreen::kOn);
+  const auto agree = [&](std::vector<Tx> group) {
+    return cached.compatible(group) == measured.compatible(group);
+  };
+  for (std::size_t i = 0; i < u.size(); ++i) {
+    ASSERT_TRUE(agree({u[i]}));
+    for (std::size_t j = i + 1; j < u.size(); ++j) {
+      ASSERT_TRUE(agree({u[i], u[j]})) << "pair " << i << "," << j;
+      for (std::size_t k = j + 1; k < u.size(); ++k)
+        ASSERT_TRUE(agree({u[i], u[j], u[k]}))
+            << "triple " << i << "," << j << "," << k;
+    }
+  }
+  EXPECT_GT(cached.screened(), 0u);
+  EXPECT_GT(cached.hits(), cached.screened());
 }
 
 TEST(Lifetime, ReportLifetimeIsInfiniteWhenNoPowerWasDrawn) {

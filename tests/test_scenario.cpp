@@ -200,6 +200,11 @@ TEST(ScenarioValidation, UnknownKeysArePathQualified) {
   expect_rejected(
       R"({"stack": "polling", "protocol": {"radio": {"bandwidth": 1.0}}})",
       "scenario.protocol.radio.bandwidth: unknown key");
+  // The scheduler always runs through the oracle cache; the switch that
+  // once turned it off is gone, not ignored.
+  expect_rejected(
+      R"({"stack": "polling", "protocol": {"cache_oracle": false}})",
+      "scenario.protocol.cache_oracle: unknown key");
 }
 
 TEST(ScenarioValidation, WrongTypesArePathQualified) {

@@ -369,7 +369,7 @@ TEST(ServeEquivalence, CampaignRecordsMatchLocalRunner) {
   const std::string dir = response.at("dir").as_string();
   // The directory name hashes the canonical submission: a moved byte
   // would strand every job recorded before it.
-  EXPECT_EQ(fs::path(dir).filename().string(), "executors-a228c4fc416f824b");
+  EXPECT_EQ(fs::path(dir).filename().string(), "executors-09f3c9730bb64248");
   JobStream stream = stream_job(client, response.at("job").as_string());
   EXPECT_EQ(stream.done.at("ok").as_int(), 3);
   ts.shutdown_via(client);

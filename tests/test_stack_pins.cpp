@@ -125,12 +125,6 @@ TEST(StackPins, PollingFreeSpace) {
   EXPECT_EQ(polling_pin(pin_deployment(), cfg, kPinRate), "c855e2e1680a9d46");
 }
 
-TEST(StackPins, PollingNoCache) {
-  ProtocolConfig cfg;
-  cfg.cache_oracle = false;
-  EXPECT_EQ(polling_pin(pin_deployment(), cfg, kPinRate), "6fed893f082f6465");
-}
-
 TEST(StackPins, PollingSampled) {
   EXPECT_EQ(polling_pin(pin_deployment(), ProtocolConfig{}, kPinRate, true),
             "c3e61a75a8652e94");
@@ -228,12 +222,6 @@ TEST(StackPins, FieldSampled) {
             "a44d9a82fbab4832");
 }
 
-TEST(StackPins, FieldNoCache) {
-  ProtocolConfig cfg = field_config();
-  cfg.cache_oracle = false;
-  EXPECT_EQ(field_pin(cfg, InterClusterMode::kColored), "908e0164c7cbe0a6");
-}
-
 TEST(StackPins, FieldDeathsRecoveryColored) {
   EXPECT_EQ(field_pin(faulted_field_config(), InterClusterMode::kColored),
             "7bd6635bb4e10b86");
@@ -315,13 +303,13 @@ std::string file_dump_pin(const std::string& file) {
 
 TEST(DumpPins, DefaultsPolling) {
   EXPECT_EQ(dump_pin(scenario::default_scenario(scenario::StackKind::kPolling)),
-            "d8a5c132832fabb1");
+            "e6ed8e970b65c162");
 }
 
 TEST(DumpPins, DefaultsMultiCluster) {
   EXPECT_EQ(dump_pin(scenario::default_scenario(
                 scenario::StackKind::kMultiCluster)),
-            "e9fb1a9f65e94fc6");
+            "6864acbaee187e7f");
 }
 
 TEST(DumpPins, DefaultsSmac) {
@@ -343,7 +331,7 @@ TEST(DumpPins, NonDefaultEnumsPolling) {
   s.protocol.faults.kill_at(1, Time::sec(20));
   s.protocol.faults.kill_on_battery(2, 0.5);
   s.protocol.faults.degrade_link(0, 1, Time::sec(5), Time::sec(9), 0.25);
-  EXPECT_EQ(dump_pin(s), "617ade03c402ad6f");
+  EXPECT_EQ(dump_pin(s), "c3fde1a781ffcc86");
 }
 
 TEST(DumpPins, NonDefaultEnumsMultiCluster) {
@@ -352,16 +340,16 @@ TEST(DumpPins, NonDefaultEnumsMultiCluster) {
   s.deployment.kind = scenario::DeploymentSpec::Kind::kRings;
   s.protocol.propagation = PropagationModel::kFreeSpace;
   s.clusters.mode = InterClusterMode::kToken;
-  EXPECT_EQ(dump_pin(s), "5eb96718fe4015e1");
+  EXPECT_EQ(dump_pin(s), "5d6f87c0966a2cdc");
   s.deployment.kind = scenario::DeploymentSpec::Kind::kUniformSquare;
   s.clusters.mode = InterClusterMode::kShared;
-  EXPECT_EQ(dump_pin(s), "0c3ede8c9152af19");
+  EXPECT_EQ(dump_pin(s), "d174c02e0b3b2b56");
   s.deployment.kind = scenario::DeploymentSpec::Kind::kGrid;
-  EXPECT_EQ(dump_pin(s), "061f9f21d5a1158f");
+  EXPECT_EQ(dump_pin(s), "d8cbfceca26a855c");
 }
 
 TEST(DumpPins, ShippedFig7a) {
-  EXPECT_EQ(file_dump_pin("fig7a.json"), "40a99e1ad2a5a8b3");
+  EXPECT_EQ(file_dump_pin("fig7a.json"), "b72dcb57b323781c");
 }
 
 TEST(DumpPins, ShippedFig7bSmac) {
@@ -369,15 +357,15 @@ TEST(DumpPins, ShippedFig7bSmac) {
 }
 
 TEST(DumpPins, ShippedFig7cFaulted) {
-  EXPECT_EQ(file_dump_pin("fig7c_faulted.json"), "25d03e9b363d59c0");
+  EXPECT_EQ(file_dump_pin("fig7c_faulted.json"), "e4680db29ceff813");
 }
 
 TEST(DumpPins, ShippedFig7cSectors) {
-  EXPECT_EQ(file_dump_pin("fig7c_sectors.json"), "ee42658602780694");
+  EXPECT_EQ(file_dump_pin("fig7c_sectors.json"), "db47bd1333116c2d");
 }
 
 TEST(DumpPins, ShippedMultiClusterColored) {
-  EXPECT_EQ(file_dump_pin("multi_cluster_colored.json"), "e7c8fa505e08849b");
+  EXPECT_EQ(file_dump_pin("multi_cluster_colored.json"), "2b8a696ed905dd8a");
 }
 
 TEST(DumpPins, ShippedCampaignFig7aBase) {
@@ -386,7 +374,7 @@ TEST(DumpPins, ShippedCampaignFig7aBase) {
       read_scenario_file);
   // The base is fig7a.json, so its canonical form is that file's dump.
   EXPECT_EQ(serve::content_hash_hex(campaign.base.dump()),
-            "40a99e1ad2a5a8b3");
+            "b72dcb57b323781c");
 }
 
 }  // namespace
