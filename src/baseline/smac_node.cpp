@@ -72,9 +72,7 @@ void SmacNode::set_battery(double budget_j,
 bool SmacNode::maybe_die() {
   if (dead_ || battery_j_ <= 0.0) return false;
   tracker_.settle(sim_.now());
-  const double used =
-      consumed_before_reset_ + tracker_.meter().total_energy_j();
-  if (used < battery_j_) return false;
+  if (tracker_.lifetime_energy_j() < battery_j_) return false;
   fail();
   if (on_battery_exhausted_) on_battery_exhausted_();
   return true;
@@ -602,9 +600,6 @@ void SmacNode::on_frame_end(const Frame& frame, NodeId from, bool phy_ok) {
 }
 
 void SmacNode::reset_stats(Time now) {
-  // Rebase the meter but keep the battery's view of lifetime consumption.
-  tracker_.settle(now);
-  consumed_before_reset_ += tracker_.meter().total_energy_j();
   tracker_.reset(now);
   generated_ = 0;
   delivered_ = 0;

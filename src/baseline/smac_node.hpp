@@ -1,9 +1,13 @@
 // One node running S-MAC with an AODV routing agent on top.
 //
 // Mechanisms modelled (Ye/Heidemann/Estrin, INFOCOM 2002):
-//  * periodic listen/sleep with a configurable duty cycle (schedules are
-//    assumed synchronised — the virtual-cluster steady state; SYNC packet
-//    overhead is not modelled),
+//  * periodic listen/sleep with a configurable duty cycle; each node keeps
+//    one of `schedule_groups` schedule phases (virtual clusters) assigned
+//    at start-up, so a neighbour on another phase may sleep while the
+//    sender is awake,
+//  * a SYNC broadcast every `sync_every_frames` frames: it contends for
+//    the medium like any frame, but receivers adopt no schedule from it
+//    (phases stay as assigned),
 //  * physical carrier sense (energy detect) + random backoff contention,
 //  * RTS/CTS/DATA/ACK unicast handshake with retry limit,
 //  * virtual carrier sense (NAV) from overheard RTS/CTS and the S-MAC
@@ -153,7 +157,6 @@ class SmacNode : public ChannelListener {
   Time nav_until_;
   double battery_j_ = 0.0;  // 0 = unlimited
   std::function<void()> on_battery_exhausted_;
-  double consumed_before_reset_ = 0.0;
 
   // Outgoing queues: broadcasts (RREQ) first, then reliable routing
   // unicasts (RREP), then data.

@@ -2,7 +2,7 @@
 // and channel as the polling simulation, but every node contends with
 // S-MAC and routes with AODV toward the cluster head (sink).
 //
-// Substrate (simulator, channel, trace, metrics, RNG) comes from the
+// Substrate (simulator, channel, metrics, RNG) comes from the
 // same SimRuntime layer the polling stacks use, so cross-stack features
 // and report cores stay uniform.
 #pragma once

@@ -127,8 +127,7 @@ void ClusterStack::build(MinMaxLoadResult routes, std::uint64_t head_stream,
   const NodeId head_id = base_ + static_cast<NodeId>(n);
   head_ = std::make_unique<HeadAgent>(head_id, rt_.sim(), channel_,
                                       rt_.uids(), cfg_, oracle_->cached,
-                                      *this, root.split(head_stream),
-                                      &rt_.trace());
+                                      *this, root.split(head_stream));
   // Distribution instrumentation: delivery latency at the head, queue
   // depth at every sensor.  Every stack on a runtime shares the two
   // histograms; registry metrics reset in place on begin_window, so

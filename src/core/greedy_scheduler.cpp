@@ -124,7 +124,6 @@ const std::vector<ScheduledTx>& GreedyPollingScheduler::plan_slot() {
     }
     id = next;
   }
-  attempts_ += future_[0].size();
   return future_[0];
 }
 
@@ -211,7 +210,7 @@ OfflineRunResult run_offline(const CompatibilityOracle& oracle,
     if (sched.current_slot() >= max_slots) {
       result.slots = sched.current_slot();
       result.schedule = sched.history();
-      result.transmissions = sched.total_attempted_transmissions();
+      result.transmissions = result.schedule.total_transmissions();
       result.reactivations = sched.reactivations();
       return result;  // all_delivered stays false
     }
@@ -229,7 +228,7 @@ OfflineRunResult run_offline(const CompatibilityOracle& oracle,
   result.schedule = sched.history();
   result.slots = sched.current_slot();
   result.all_delivered = true;
-  result.transmissions = sched.total_attempted_transmissions();
+  result.transmissions = result.schedule.total_transmissions();
   result.reactivations = sched.reactivations();
   MHP_SPAN_COUNTER("slots", result.slots);
   MHP_SPAN_COUNTER("transmissions", result.transmissions);

@@ -65,8 +65,6 @@ class GreedyPollingScheduler {
   /// Slots holding at least one transmission so far (committed history).
   const Schedule& history() const { return history_; }
 
-  std::size_t total_attempted_transmissions() const { return attempts_; }
-
   /// How many times requests were re-activated after a loss.
   std::size_t reactivations() const { return reactivations_; }
 
@@ -111,7 +109,6 @@ class GreedyPollingScheduler {
   std::size_t slot_ = 0;
   std::size_t pending_active_ = 0;
   std::size_t in_flight_ = 0;
-  std::size_t attempts_ = 0;
   std::size_t reactivations_ = 0;
   bool planned_ = false;
 };

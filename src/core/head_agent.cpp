@@ -1,7 +1,6 @@
 #include "core/head_agent.hpp"
 
 #include <algorithm>
-#include <string>
 
 #include "core/ack_collection.hpp"
 #include "obs/profiler.hpp"
@@ -24,7 +23,7 @@ SectorPlan make_sector(std::vector<NodeId> members,
 HeadAgent::HeadAgent(NodeId id, Simulator& sim, Channel& channel,
                      FrameUidSource& uids, const ProtocolConfig& cfg,
                      const CompatibilityOracle& oracle,
-                     CyclePlanProvider& provider, Rng rng, Trace* trace)
+                     CyclePlanProvider& provider, Rng rng)
     : id_(id),
       sim_(sim),
       channel_(channel),
@@ -33,7 +32,6 @@ HeadAgent::HeadAgent(NodeId id, Simulator& sim, Channel& channel,
       oracle_(&oracle),
       provider_(provider),
       rng_(rng),
-      trace_(trace),
       tracker_(cfg.head_energy, sim.now(), RadioState::kIdle) {
   channel_.set_listener(id_, this);
   init_windows();
@@ -97,10 +95,6 @@ void HeadAgent::begin_sector(std::size_t k) {
     end_sector();
     return;
   }
-  if (tracing(trace_, TraceCat::kProtocol))
-    trace_->record(sim_.now(), TraceCat::kProtocol,
-                   "cycle " + std::to_string(cycle_) + " sector " +
-                       std::to_string(k) + " wake");
   broadcast(WakeupMsg{cycle_, static_cast<int>(k)});
   const Time setup = channel_.airtime(cfg_.control_bytes) + cfg_.turnaround +
                      cfg_.slot_guard;
@@ -170,9 +164,6 @@ void HeadAgent::run_slot() {
     lost_abort_ += phase_.is_ack ? 0 : (phase_.total - phase_.delivered -
                                         phase_.abandoned);
     ++window_overruns_;
-    if (tracing(trace_, TraceCat::kProtocol))
-      trace_->record(sim_.now(), TraceCat::kProtocol,
-                     "window overrun: sector aborted");
     end_sector();
     return;
   }
@@ -274,13 +265,6 @@ void HeadAgent::finish_slot() {
 
 void HeadAgent::end_sector() {
   duty_time_s_.add((sim_.now() - sector_began_).to_seconds());
-  if (tracing(trace_, TraceCat::kProtocol))
-    trace_->record(sim_.now(), TraceCat::kProtocol,
-                   "cycle " + std::to_string(cycle_) + " sector " +
-                       std::to_string(sector_) + " sleep (drained in " +
-                       std::to_string(
-                           (sim_.now() - sector_began_).to_millis()) +
-                       " ms)");
   SleepMsg sleep;
   sleep.cycle = cycle_;
   sleep.sector = static_cast<int>(sector_);
@@ -324,11 +308,6 @@ void HeadAgent::evaluate_suspects() {
   // Sensors already asleep keep their pre-repair wake times for one
   // cycle; do not read their silence as death.
   suspicion_resume_cycle_ = cycle_ + 2;
-  if (tracing(trace_, TraceCat::kProtocol))
-    trace_->record(sim_.now(), TraceCat::kProtocol,
-                   "head declares node " + std::to_string(worst) +
-                       " dead (" + std::to_string(votes) +
-                       " failed polls), replanning routes");
   if (replan_handler_) replan_handler_(worst);
 }
 
@@ -391,7 +370,6 @@ void HeadAgent::on_frame_end(const Frame& frame, NodeId from, bool phy_ok) {
     default:
       break;
   }
-  (void)from;
 }
 
 void HeadAgent::note_arrival(std::uint32_t wire) {

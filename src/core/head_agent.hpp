@@ -27,7 +27,6 @@
 #include "radio/channel.hpp"
 #include "radio/energy.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 #include "util/stats.hpp"
 
 namespace mhp {
@@ -59,11 +58,10 @@ class CyclePlanProvider {
 class HeadAgent : public ChannelListener {
  public:
   /// Paths come from `provider` each cycle; the provider must outlive
-  /// the agent.  `trace` (optional) receives kProtocol entries for
-  /// cycle/phase transitions.
+  /// the agent.
   HeadAgent(NodeId id, Simulator& sim, Channel& channel, FrameUidSource& uids,
             const ProtocolConfig& cfg, const CompatibilityOracle& oracle,
-            CyclePlanProvider& provider, Rng rng, Trace* trace = nullptr);
+            CyclePlanProvider& provider, Rng rng);
 
   /// Kick off the first duty cycle at `first_cycle_start`.
   void start(Time first_cycle_start);
@@ -150,7 +148,6 @@ class HeadAgent : public ChannelListener {
   const CompatibilityOracle* oracle_;  // swappable after a repair
   CyclePlanProvider& provider_;
   Rng rng_;
-  Trace* trace_ = nullptr;
   RadioTracker tracker_;
 
   std::uint64_t cycle_ = 0;

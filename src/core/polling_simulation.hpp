@@ -73,8 +73,6 @@ class PollingSimulation {
     return stack().sector_partition();
   }
   const MeasuredOracle& oracle() const { return stack().oracle(); }
-  /// Protocol trace (enable categories before run() to collect entries).
-  Trace& trace() { return field_.runtime().trace(); }
   MetricsRegistry& metrics() { return field_.runtime().metrics(); }
   const HeadAgent& head() const { return stack().head(); }
   const SensorAgent& sensor(NodeId s) const { return stack().sensor(s); }

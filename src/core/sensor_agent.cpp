@@ -97,7 +97,6 @@ void SensorAgent::on_frame_end(const Frame& frame, NodeId from, bool phy_ok) {
     default:
       break;  // probes / baseline traffic: not ours
   }
-  (void)from;
 }
 
 void SensorAgent::handle_control(const ControlPayload& ctrl) {
@@ -235,17 +234,13 @@ void SensorAgent::set_battery(double budget_j,
 bool SensorAgent::maybe_die() {
   if (dead_ || battery_j_ <= 0.0) return false;
   tracker_.settle(sim_.now());
-  const double used =
-      consumed_before_reset_ + tracker_.meter().total_energy_j();
-  if (used < battery_j_) return false;
+  if (tracker_.lifetime_energy_j() < battery_j_) return false;
   fail();
   if (on_battery_exhausted_) on_battery_exhausted_();
   return true;
 }
 
 void SensorAgent::reset_stats(Time now) {
-  tracker_.settle(now);
-  consumed_before_reset_ += tracker_.meter().total_energy_j();
   tracker_.reset(now);
   generated_ = 0;
   dropped_ = 0;

@@ -115,9 +115,6 @@ class SensorAgent : public ChannelListener {
   const FaultInjector* faults_ = nullptr;
   double battery_j_ = 0.0;  // 0 = unlimited
   std::function<void()> on_battery_exhausted_;
-  /// Energy spent before the last reset_stats() — the meter is rebased
-  /// at warmup but the battery drains over the node's whole life.
-  double consumed_before_reset_ = 0.0;
 
   std::deque<DataPayload> queue_;              // sampled, not yet polled
   std::map<std::uint32_t, DataPayload> in_flight_;  // polled this cycle

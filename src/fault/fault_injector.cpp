@@ -1,14 +1,14 @@
 #include "fault/fault_injector.hpp"
 
 #include <algorithm>
-#include <string>
+#include <utility>
 
 #include "util/assertx.hpp"
 
 namespace mhp {
 
-FaultInjector::FaultInjector(Simulator& sim, FaultPlan plan, Trace* trace)
-    : sim_(sim), plan_(std::move(plan)), trace_(trace) {}
+FaultInjector::FaultInjector(Simulator& sim, FaultPlan plan)
+    : sim_(sim), plan_(std::move(plan)) {}
 
 void FaultInjector::arm() {
   MHP_REQUIRE(!armed_, "fault injector armed twice");
@@ -36,10 +36,6 @@ void FaultInjector::battery_exhausted(NodeId node) {
 void FaultInjector::fire(const NodeDeath& d) {
   if (is_dead(d.node)) return;
   dead_.push_back(d.node);
-  if (tracing(trace_, TraceCat::kProtocol))
-    trace_->record(sim_.now(), TraceCat::kProtocol,
-                   "fault: node " + std::to_string(d.node) + " died (" +
-                       to_string(d.cause) + ")");
   if (on_death_) on_death_(d);
 }
 

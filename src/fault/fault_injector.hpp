@@ -13,14 +13,12 @@
 
 #include "fault/fault_plan.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace mhp {
 
 class FaultInjector {
  public:
-  /// `trace` (optional) receives kProtocol entries for each death.
-  FaultInjector(Simulator& sim, FaultPlan plan, Trace* trace = nullptr);
+  FaultInjector(Simulator& sim, FaultPlan plan);
 
   using DeathHandler = std::function<void(const NodeDeath&)>;
   /// Install before arm(); invoked exactly once per node that dies.
@@ -47,7 +45,6 @@ class FaultInjector {
 
   Simulator& sim_;
   FaultPlan plan_;
-  Trace* trace_ = nullptr;
   DeathHandler on_death_;
   bool armed_ = false;
   std::vector<NodeId> dead_;

@@ -4,16 +4,6 @@
 
 namespace mhp {
 
-const char* to_string(NodeDeath::Cause cause) {
-  switch (cause) {
-    case NodeDeath::Cause::kScripted:
-      return "scripted";
-    case NodeDeath::Cause::kBattery:
-      return "battery";
-  }
-  return "?";
-}
-
 FaultPlan& FaultPlan::kill_at(NodeId node, Time at) {
   MHP_REQUIRE(node != kNoNode, "death needs a node");
   NodeDeath d;

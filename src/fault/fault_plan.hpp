@@ -29,8 +29,6 @@ struct NodeDeath {
   double battery_j = 0.0;  // kBattery only; counted from boot
 };
 
-const char* to_string(NodeDeath::Cause cause);
-
 /// Extra frame loss on a symmetric node pair during [begin, end).
 struct LinkDegradation {
   NodeId a = kNoNode;

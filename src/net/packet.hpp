@@ -7,7 +7,6 @@
 
 #include <any>
 #include <cstdint>
-#include <string>
 
 #include "net/ids.hpp"
 
@@ -25,8 +24,6 @@ enum class FrameKind : std::uint8_t {
   kProbe,     // interference-pattern probing
 };
 
-const char* to_string(FrameKind kind);
-
 struct Frame {
   std::uint64_t uid = 0;  // unique per transmission attempt
   FrameKind kind = FrameKind::kData;
@@ -35,11 +32,9 @@ struct Frame {
   NodeId origin = kNoNode;    // node that generated the payload
   std::uint32_t size_bytes = 0;
   std::any payload;           // protocol-defined
-
-  std::string describe() const;
 };
 
-/// Allocate frame uids (one counter per simulation keeps traces stable).
+/// Allocate frame uids (one counter per simulation keeps them reproducible).
 class FrameUidSource {
  public:
   std::uint64_t next() { return ++last_; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "net/point_grid.hpp"
 #include "util/assertx.hpp"
@@ -232,8 +231,6 @@ void Channel::transmit(NodeId from, Frame frame) {
   ++frames_tx_;
   const Time start = sim_.now();
   const Time end = start + airtime(frame.size_bytes);
-  if (tracing(trace_, TraceCat::kChannel))
-    trace_->record(start, TraceCat::kChannel, "tx " + frame.describe());
 
   const auto heard = audible(from);
   ActiveTx tx{frame, from, nullptr, nullptr,
@@ -273,11 +270,6 @@ void Channel::finish(std::uint64_t uid) {
     const double sinr =
         tx.power_at[r] / (params_.noise_w + tx.max_other[i]);
     const bool phy_ok = sinr >= params_.sinr_threshold;
-    if (!phy_ok && tracing(trace_, TraceCat::kChannel) &&
-        (tx.frame.dst == kBroadcast || tx.frame.dst == r))
-      trace_->record(sim_.now(), TraceCat::kChannel,
-                     "sinr fail at " + std::to_string(r) + ": " +
-                         tx.frame.describe());
     listeners_[r]->on_frame_end(tx.frame, tx.from, phy_ok);
   }
 }

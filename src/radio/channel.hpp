@@ -48,7 +48,6 @@
 #include "net/packet.hpp"
 #include "radio/propagation.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 #include "util/geometry.hpp"
 
 namespace mhp {
@@ -119,9 +118,6 @@ class Channel {
   // a copy's frames would point into the original's.
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
-
-  /// Record kChannel entries (transmissions, SINR failures) into `trace`.
-  void set_trace(Trace* trace) { trace_ = trace; }
 
   std::size_t num_nodes() const { return positions_.size(); }
   const RadioParams& params() const { return params_; }
@@ -216,7 +212,6 @@ class Channel {
   std::vector<ActiveTx> active_;
   std::vector<double> field_;  // sum of active powers per node
   std::uint64_t frames_tx_ = 0;
-  Trace* trace_ = nullptr;
 };
 
 /// The interference-free topology of the cluster whose n sensors are

@@ -4,20 +4,6 @@
 
 namespace mhp {
 
-const char* to_string(RadioState s) {
-  switch (s) {
-    case RadioState::kSleep:
-      return "sleep";
-    case RadioState::kIdle:
-      return "idle";
-    case RadioState::kRx:
-      return "rx";
-    case RadioState::kTx:
-      return "tx";
-  }
-  return "?";
-}
-
 double EnergyModel::power(RadioState s) const {
   switch (s) {
     case RadioState::kSleep:

@@ -17,8 +17,6 @@ namespace mhp {
 enum class RadioState : std::uint8_t { kSleep, kIdle, kRx, kTx };
 inline constexpr std::size_t kNumRadioStates = 4;
 
-const char* to_string(RadioState s);
-
 struct EnergyModel {
   double tx_w;
   double rx_w;
@@ -78,16 +76,25 @@ class RadioTracker {
   /// Account time up to `now` without changing state.
   void settle(Time now);
 
-  /// Settle, then zero the meter (end of a warm-up period).
+  /// Settle, then zero the meter (end of a warm-up period).  The
+  /// lifetime total keeps what the meter held.
   void reset(Time now) {
     settle(now);
+    before_reset_j_ += meter_.total_energy_j();
     meter_.reset();
   }
 
   const EnergyMeter& meter() const { return meter_; }
 
+  /// Energy spent since construction, across reset()s: what a battery
+  /// drains.  Covers time up to the last settle().
+  double lifetime_energy_j() const {
+    return before_reset_j_ + meter_.total_energy_j();
+  }
+
  private:
   EnergyMeter meter_;
+  double before_reset_j_ = 0.0;
   Time last_;
   RadioState state_;
 };

@@ -45,7 +45,6 @@ namespace {
 RuntimeOptions runtime_options(const Scenario& s,
                                const RunScenarioOptions& opts) {
   RuntimeOptions rt;
-  rt.trace_max_entries = s.trace_max_entries;
   rt.route_workers = s.route_workers;
   if (opts.samples_out != nullptr && s.sample_period > Time::zero()) {
     rt.samples_stream = opts.samples_out;

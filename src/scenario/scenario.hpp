@@ -27,7 +27,6 @@
 #include "core/protocol_config.hpp"
 #include "net/deployment.hpp"
 #include "obs/json.hpp"
-#include "sim/trace.hpp"
 #include "util/geometry.hpp"
 
 namespace mhp::scenario {
@@ -120,7 +119,11 @@ struct Scenario {
   TrafficSpec traffic;
   RunSpec run;
   /// "runtime" section (SimRuntime substrate knobs expressible in JSON).
-  std::size_t trace_max_entries = Trace::kDefaultMaxEntries;
+  /// runtime.trace_max_entries: parsed, checked >= 1 and dumped, but has
+  /// no effect.  It stays until the benchmark re-pin (ROADMAP direction
+  /// 1) deletes it together with perfbench/src/workloads.cpp's copy of it
+  /// into RuntimeOptions, so --dump-defaults keeps its bytes until then.
+  std::size_t trace_max_entries = std::size_t{1} << 20;
   /// Worker threads for routing solves (0 = all cores): per-cluster
   /// fan-out on the multi_cluster stack; the polling stack routes its one
   /// cluster serially.  Reports are byte-identical for any value.

@@ -16,7 +16,6 @@ void DeliveryLedger::on_death(std::uint64_t generated,
 
 SimRuntime::SimRuntime(std::uint64_t seed, const RuntimeOptions& opts)
     : root_rng_(seed), wall_begin_(std::chrono::steady_clock::now()) {
-  trace_.set_max_entries(opts.trace_max_entries);
   if (opts.samples_stream != nullptr) {
     MetricsSampler& sp = install_sampler(
         {.period = opts.sample_period, .out = opts.samples_stream});
@@ -48,7 +47,7 @@ const Propagation& SimRuntime::propagation() const {
 
 FaultInjector& SimRuntime::install_faults(const FaultPlan& plan) {
   MHP_REQUIRE(faults_ == nullptr, "runtime already has a fault injector");
-  faults_ = std::make_unique<FaultInjector>(sim_, plan, &trace_);
+  faults_ = std::make_unique<FaultInjector>(sim_, plan);
   return *faults_;
 }
 
@@ -67,7 +66,6 @@ Channel& SimRuntime::add_channel(RadioParams params,
   channels_.push_back(std::make_unique<Channel>(sim_, *propagation_, params,
                                                 std::move(positions),
                                                 std::move(tx_power_w)));
-  channels_.back()->set_trace(&trace_);
   return *channels_.back();
 }
 

@@ -1,6 +1,6 @@
 // The shared simulation runtime: one object owning the substrate every
 // simulation stack needs — discrete-event Simulator, SINR Channel(s),
-// propagation model, Trace, MetricsRegistry, frame uid source and the
+// propagation model, MetricsRegistry, frame uid source and the
 // root Rng — so PollingSimulation, MultiClusterSimulation and
 // SmacSimulation assemble protocol agents on top of identical plumbing
 // instead of hand-wiring their own.  Cross-stack features (metrics,
@@ -26,7 +26,6 @@
 #include "radio/propagation.hpp"
 #include "sim/sampler.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 #include "util/geometry.hpp"
 #include "util/rng.hpp"
 
@@ -36,8 +35,10 @@ namespace mhp {
 /// The experiment harness threads one of these through to every
 /// simulation it constructs (see exp/fig_common.hpp).
 struct RuntimeOptions {
-  /// In-memory trace ring capacity (oldest entries evicted beyond it).
-  std::size_t trace_max_entries = Trace::kDefaultMaxEntries;
+  /// No effect: nothing reads it.  perfbench/src/workloads.cpp copies
+  /// Scenario::trace_max_entries into it; the benchmark re-pin (ROADMAP
+  /// direction 1) deletes both members together with that line.
+  std::size_t trace_max_entries = std::size_t{1} << 20;
   /// Worker threads for routing solves (0 = hardware concurrency).  The
   /// multi-cluster stack fans whole-cluster solves across them; a
   /// single-cluster run solves serially and ignores it.  Results are
@@ -136,8 +137,6 @@ class SimRuntime {
 
   Simulator& sim() { return sim_; }
   const Simulator& sim() const { return sim_; }
-  Trace& trace() { return trace_; }
-  const Trace& trace() const { return trace_; }
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
   FrameUidSource& uids() { return uids_; }
@@ -149,7 +148,7 @@ class SimRuntime {
   Propagation& adopt_propagation(std::unique_ptr<Propagation> propagation);
   const Propagation& propagation() const;
 
-  /// Construct a channel on this runtime's simulator/propagation/trace.
+  /// Construct a channel on this runtime's simulator and propagation.
   /// Multi-cluster stacks add one per isolated frequency; most stacks
   /// add exactly one.  References stay valid for the runtime's lifetime.
   Channel& add_channel(RadioParams params, std::vector<Vec2> positions,
@@ -159,10 +158,10 @@ class SimRuntime {
   /// Work and memory counters summed over every channel.
   ChannelStats channel_stats() const;
 
-  /// Install the fault injector for `plan` on this runtime's simulator
-  /// and trace.  At most one per runtime; stacks call this only for a
-  /// non-empty plan so fault-free runs carry no injector at all.  The
-  /// caller wires its death handler and battery budgets, then arm()s it.
+  /// Install the fault injector for `plan` on this runtime's simulator.
+  /// At most one per runtime; stacks call this only for a non-empty plan
+  /// so fault-free runs carry no injector at all.  The caller wires its
+  /// death handler and battery budgets, then arm()s it.
   FaultInjector& install_faults(const FaultPlan& plan);
   /// The installed injector, or nullptr when faults are off.
   FaultInjector* faults() { return faults_.get(); }
@@ -203,7 +202,6 @@ class SimRuntime {
 
  private:
   Simulator sim_;
-  Trace trace_;
   MetricsRegistry metrics_;
   FrameUidSource uids_;
   Rng root_rng_;

@@ -343,6 +343,27 @@ TEST(SmacFault, DeathSilencesTheNodeAndIsReported) {
   EXPECT_NE(json.find("\"degradation\""), std::string::npos);
 }
 
+TEST(SmacFault, BatteryDeathCountsWarmupEnergy) {
+  // The battery drains over the node's whole life.  The budget exceeds
+  // what node 2 spends in the measured window of a fault-free run, so it
+  // is reached only because the warm-up's energy counts too.
+  Rng rng(11);
+  const Deployment dep = deploy_connected_uniform_square(8, 150.0, 60.0, rng);
+  SmacConfig cfg;
+  cfg.seed = 11;
+  SmacSimulation clean(dep, cfg, 20.0);
+  clean.run(Time::sec(40), Time::sec(10));
+  const double window_j = clean.node(2).meter().total_energy_j();
+
+  cfg.faults.kill_on_battery(2, 1.1 * window_j);
+  SmacSimulation sim(dep, cfg, 20.0);
+  const SmacReport rep = sim.run(Time::sec(40), Time::sec(10));
+  ASSERT_TRUE(rep.degradation.has_value());
+  EXPECT_EQ(rep.degradation->deaths, 1u);
+  EXPECT_EQ(rep.degradation->dead_nodes, std::vector<NodeId>{2});
+  EXPECT_TRUE(sim.node(2).dead());
+}
+
 TEST(SmacFault, LinkDegradationIsRejected) {
   Rng rng(12);
   const Deployment dep = deploy_connected_uniform_square(6, 150.0, 60.0, rng);

@@ -350,19 +350,6 @@ TEST(DiscTopologyGrid, SparseSpreadLayoutUsesCappedCells) {
 
 // ---------- Frames ----------
 
-TEST(Frame, DescribeMentionsKindAndEndpoints) {
-  Frame f;
-  f.uid = 7;
-  f.kind = FrameKind::kControl;
-  f.src = 3;
-  f.dst = kBroadcast;
-  f.size_bytes = 16;
-  const std::string s = f.describe();
-  EXPECT_NE(s.find("control"), std::string::npos);
-  EXPECT_NE(s.find("#7"), std::string::npos);
-  EXPECT_NE(s.find("*"), std::string::npos);
-}
-
 TEST(FrameUidSource, MonotonicallyIncreasing) {
   FrameUidSource uids;
   const auto a = uids.next();

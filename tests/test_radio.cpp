@@ -125,6 +125,9 @@ TEST(RadioTracker, ResetClearsMeter) {
                  RadioState::kIdle);
   t.reset(Time::sec(5));
   EXPECT_EQ(t.meter().total_time(), Time::zero());
+  // The lifetime total keeps what the reset cleared.
+  EXPECT_DOUBLE_EQ(t.lifetime_energy_j(),
+                   5.0 * EnergyModel::typical_sensor().idle_w);
 }
 
 // ---------- Channel ----------

@@ -261,19 +261,6 @@ TEST(OracleReport, RegistryCountersAreTheCacheBlockOverTheWindow) {
   }
 }
 
-// ---------- Runtime options through the facades ----------
-
-TEST(Runtime, BoundedTraceOptionLimitsSimulationTrace) {
-  ProtocolConfig cfg;
-  RuntimeOptions opts;
-  opts.trace_max_entries = 16;
-  PollingSimulation sim(golden_polling_deployment(), cfg, 20.0, opts);
-  sim.trace().enable_all();
-  sim.run(Time::sec(20), Time::sec(5));
-  EXPECT_LE(sim.trace().entries().size(), 16u);
-  EXPECT_GT(sim.trace().dropped(), 0u);
-}
-
 // ---------- Metric reference stability across windows ----------
 
 TEST(Metrics, CachedCounterReferenceSurvivesBeginWindow) {

@@ -245,6 +245,9 @@ TEST(ScenarioValidation, SemanticRangesAreChecked) {
       "scenario.run.warmup: must be shorter than duration");
   expect_rejected(R"({"stack": "smac", "smac": {"duty_cycle": 1.5}})",
                   "scenario.smac.duty_cycle: must be in (0, 1]");
+  expect_rejected(
+      R"({"stack": "polling", "runtime": {"trace_max_entries": 0}})",
+      "scenario.runtime.trace_max_entries: must be >= 1");
 }
 
 TEST(ScenarioValidation, SectionsAreGatedByStack) {

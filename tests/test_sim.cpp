@@ -7,7 +7,6 @@
 #include "util/assertx.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace mhp {
 namespace {
@@ -237,68 +236,6 @@ TEST(Simulator, EventsCanScheduleMoreEvents) {
   sim.after(Time::us(1), recurse);
   sim.run();
   EXPECT_EQ(depth, 100);
-}
-
-// ---------- Trace ----------
-
-TEST(Trace, DisabledCategoriesRecordNothing) {
-  Trace tr;
-  tr.record(Time::ms(1), TraceCat::kProtocol, "x");
-  EXPECT_TRUE(tr.entries().empty());
-}
-
-TEST(Trace, EnabledCategoryRecords) {
-  Trace tr;
-  tr.enable(TraceCat::kChannel);
-  tr.record(Time::ms(1), TraceCat::kChannel, "tx");
-  tr.record(Time::ms(2), TraceCat::kProtocol, "poll");  // still disabled
-  ASSERT_EQ(tr.entries().size(), 1u);
-  EXPECT_EQ(tr.entries()[0].text, "tx");
-  EXPECT_EQ(tr.texts(TraceCat::kChannel),
-            std::vector<std::string>{"tx"});
-}
-
-TEST(Trace, RingStaysBoundedAndKeepsNewestEntries) {
-  Trace tr;
-  tr.enable_all();
-  tr.set_max_entries(64);
-  for (int i = 0; i < 1000; ++i)
-    tr.record(Time::us(i), TraceCat::kChannel, "e" + std::to_string(i));
-  ASSERT_EQ(tr.entries().size(), 64u);
-  EXPECT_EQ(tr.dropped(), 1000u - 64u);
-  // Every survivor, oldest first, in recording order.
-  for (std::size_t i = 0; i < tr.entries().size(); ++i) {
-    EXPECT_EQ(tr.entries()[i].text, "e" + std::to_string(936 + i));
-    EXPECT_EQ(tr.entries()[i].when, Time::us(936 + static_cast<int>(i)));
-  }
-}
-
-TEST(Trace, ShrinkingCapEvictsExistingOldest) {
-  Trace tr;
-  tr.enable_all();
-  tr.set_max_entries(10);
-  for (int i = 0; i < 10; ++i)
-    tr.record(Time::us(i), TraceCat::kChannel, "e" + std::to_string(i));
-  EXPECT_EQ(tr.dropped(), 0u);  // filling the ring exactly evicts nothing
-  tr.set_max_entries(3);
-  ASSERT_EQ(tr.entries().size(), 3u);
-  EXPECT_EQ(tr.dropped(), 7u);
-  EXPECT_EQ(tr.entries()[0].text, "e7");
-  EXPECT_EQ(tr.entries()[1].text, "e8");
-  EXPECT_EQ(tr.entries()[2].text, "e9");
-}
-
-TEST(Trace, ClearResetsEntriesAndDropCounter) {
-  Trace tr;
-  tr.enable_all();
-  tr.set_max_entries(2);
-  for (int i = 0; i < 5; ++i)
-    tr.record(Time::us(i), TraceCat::kChannel, "x");
-  tr.clear();
-  EXPECT_TRUE(tr.entries().empty());
-  EXPECT_EQ(tr.dropped(), 0u);
-  tr.record(Time::us(9), TraceCat::kChannel, "fresh");
-  EXPECT_EQ(tr.entries().size(), 1u);
 }
 
 }  // namespace
