@@ -22,7 +22,7 @@ SmacNode::SmacNode(NodeId id, NodeId sink, Simulator& sim, Channel& channel,
       rng_(rng),
       always_on_(always_on),
       phase_(phase),
-      tracker_(cfg.energy, sim.now(), RadioState::kIdle),
+      radio_(cfg.energy, sim.now(), RadioState::kIdle),
       aodv_(id) {
   channel_.set_listener(id_, this);
 }
@@ -43,11 +43,8 @@ void SmacNode::start_cbr(double rate_bytes_per_s) {
 }
 
 void SmacNode::fail() {
-  if (dead_) return;
-  dead_ = true;
-  asleep_ = true;
-  transmitting_ = false;
-  rx_depth_ = 0;
+  if (radio_.dead()) return;
+  radio_.kill(sim_.now());
   contending_ = false;
   discovering_ = false;
   cancel_timer();
@@ -59,27 +56,10 @@ void SmacNode::fail() {
   op_peer_.reset();
   op_data_.reset();
   op_frame_.reset();
-  tracker_.set_state(sim_.now(), RadioState::kSleep);
-}
-
-void SmacNode::set_battery(double budget_j,
-                           std::function<void()> on_exhausted) {
-  MHP_REQUIRE(budget_j > 0.0, "battery budget must be positive");
-  battery_j_ = budget_j;
-  on_battery_exhausted_ = std::move(on_exhausted);
-}
-
-bool SmacNode::maybe_die() {
-  if (dead_ || battery_j_ <= 0.0) return false;
-  tracker_.settle(sim_.now());
-  if (tracker_.lifetime_energy_j() < battery_j_) return false;
-  fail();
-  if (on_battery_exhausted_) on_battery_exhausted_();
-  return true;
 }
 
 void SmacNode::generate_packet() {
-  if (dead_) return;  // stops the CBR reschedule chain
+  if (radio_.dead()) return;  // stops the CBR reschedule chain
   ++generated_;
   BaselineData d;
   d.final_dest = sink_;
@@ -104,9 +84,9 @@ bool SmacNode::in_listen(Time t) const {
 }
 
 void SmacNode::on_frame_boundary() {
-  if (dead_) return;  // stops the duty-cycle reschedule chain
+  if (radio_.dead()) return;  // stops the duty-cycle reschedule chain
   const Time boundary = sim_.now();
-  radio_wake();
+  radio_.wake(sim_.now());
   if (maybe_die()) return;
   // Periodic SYNC maintenance (schedule broadcast) — pure overhead in
   // the steady state, but it contends for the medium like everything
@@ -130,35 +110,27 @@ void SmacNode::on_frame_boundary() {
     const Time next_boundary = boundary + cfg_.frame_period;
     sim_.after(listen, [this, next_boundary] {
       // Listen period over: sleep unless an exchange keeps us up.
-      if (op_ == Op::kNone && !transmitting_)
+      if (op_ == Op::kNone && !radio_.transmitting())
         radio_sleep_until(next_boundary);
     });
   }
   sim_.after(cfg_.frame_period, [this] { on_frame_boundary(); });
 }
 
-void SmacNode::radio_wake() {
-  if (dead_ || !asleep_) return;
-  asleep_ = false;
-  tracker_.set_state(sim_.now(), RadioState::kIdle);
-}
-
 void SmacNode::radio_sleep_until(Time until) {
   if (always_on_) return;
-  if (asleep_ || until <= sim_.now()) return;
-  asleep_ = true;
-  rx_depth_ = 0;
+  if (radio_.asleep() || until <= sim_.now()) return;
+  radio_.sleep(sim_.now());
   if (contending_) {
     contending_ = false;
     cancel_timer();
   }
-  tracker_.set_state(sim_.now(), RadioState::kSleep);
   sim_.at(until, [this] {
-    if (!asleep_) return;
+    if (!radio_.asleep()) return;
     // Wake only if we are inside a listen period (NAV sleep ending) —
     // otherwise stay down until the next frame boundary wakes us.
     if (in_listen(sim_.now())) {
-      radio_wake();
+      radio_.wake(sim_.now());
       try_send();
     }
   });
@@ -177,7 +149,8 @@ void SmacNode::arm_timer(Time delay, EventFn fn) {
 }
 
 void SmacNode::try_send() {
-  if (dead_ || asleep_ || transmitting_ || op_ != Op::kNone || contending_)
+  if (radio_.asleep() || radio_.transmitting() || op_ != Op::kNone ||
+      contending_)
     return;
   if (ctrl_queue_.empty() && reliable_queue_.empty() && data_queue_.empty())
     return;
@@ -200,7 +173,7 @@ void SmacNode::try_send() {
 
 void SmacNode::contention_step() {
   timer_.reset();
-  if (dead_ || asleep_ || transmitting_ || op_ != Op::kNone) {
+  if (radio_.asleep() || radio_.transmitting() || op_ != Op::kNone) {
     contending_ = false;
     return;
   }
@@ -224,7 +197,7 @@ void SmacNode::contention_step() {
 void SmacNode::contention_fire() {
   contending_ = false;
   timer_.reset();
-  if (dead_ || asleep_ || transmitting_ || op_ != Op::kNone) return;
+  if (radio_.asleep() || radio_.transmitting() || op_ != Op::kNone) return;
   if (!ctrl_queue_.empty()) {
     Frame f = std::move(ctrl_queue_.front());
     ctrl_queue_.pop_front();
@@ -336,17 +309,13 @@ void SmacNode::send_mac(MacCtrl::Type type, NodeId to, Time nav, Time delay) {
 void SmacNode::transmit(Frame f, Time delay) {
   const auto bytes = f.size_bytes;
   sim_.after(delay, [this, f = std::move(f), bytes]() mutable {
-    if (dead_ || asleep_) return;
-    if (transmitting_) return;  // should not happen; drop defensively
-    transmitting_ = true;
-    tracker_.set_state(sim_.now(), RadioState::kTx);
+    if (radio_.asleep()) return;
+    if (radio_.transmitting()) return;  // should not happen; drop defensively
+    radio_.begin_tx(sim_.now());
     channel_.transmit(id_, std::move(f));
     sim_.after(channel_.airtime(bytes), [this] {
-      if (dead_) return;
-      transmitting_ = false;
-      if (!asleep_)
-        tracker_.set_state(sim_.now(), rx_depth_ > 0 ? RadioState::kRx
-                                                     : RadioState::kIdle);
+      if (radio_.dead()) return;
+      radio_.end_tx(sim_.now());
       if (maybe_die()) return;
       if (op_ == Op::kNone) try_send();
     });
@@ -450,7 +419,7 @@ void SmacNode::handle_rreq(const RreqMsg& rreq, NodeId from) {
     const Time jitter = Time::ns(static_cast<std::int64_t>(
         rng_.uniform(0.0, static_cast<double>(cfg_.rreq_jitter.nanos()))));
     sim_.after(jitter, [this, fwd = action.fwd] {
-      if (dead_) return;
+      if (radio_.dead()) return;
       Frame f;
       f.uid = uids_.next();
       f.kind = FrameKind::kRouting;
@@ -489,17 +458,13 @@ void SmacNode::handle_rrep(const RrepMsg& rrep, NodeId from) {
 }
 
 void SmacNode::on_frame_begin(const Frame&, NodeId, double, Time) {
-  if (dead_ || asleep_ || transmitting_) return;
-  if (rx_depth_++ == 0) tracker_.set_state(sim_.now(), RadioState::kRx);
+  radio_.frame_begin(sim_.now());
 }
 
 void SmacNode::on_frame_end(const Frame& frame, NodeId from, bool phy_ok) {
-  if (dead_) return;
-  if (!asleep_ && !transmitting_ && rx_depth_ > 0) {
-    if (--rx_depth_ == 0) tracker_.set_state(sim_.now(), RadioState::kIdle);
-  }
+  radio_.frame_end(sim_.now());
   if (maybe_die()) return;
-  if (asleep_ || transmitting_) return;
+  if (radio_.asleep() || radio_.transmitting()) return;
   if (!phy_ok) return;
 
   const bool mine = frame.dst == id_ || frame.dst == kBroadcast;
@@ -600,7 +565,7 @@ void SmacNode::on_frame_end(const Frame& frame, NodeId from, bool phy_ok) {
 }
 
 void SmacNode::reset_stats(Time now) {
-  tracker_.reset(now);
+  radio_.reset(now);
   generated_ = 0;
   delivered_ = 0;
   bytes_delivered_ = 0;

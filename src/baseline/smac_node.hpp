@@ -18,6 +18,8 @@
 // routes with RREQ floods and RREP unicasts, re-discovering after MAC
 // failures — the control traffic the paper blames for S-MAC+AODV's poor
 // throughput (§VI-B).
+// The radio's state rule and battery are the node's `RadioTracker`, as in
+// the polling agents; this class keeps the MAC and routing logic.
 #pragma once
 
 #include <cstdint>
@@ -59,8 +61,6 @@ class SmacNode : public ChannelListener {
            FrameUidSource& uids, const SmacConfig& cfg, Rng rng,
            bool always_on, Time phase = Time::zero());
 
-  NodeId id() const { return id_; }
-
   /// Begin duty cycling (call once, at t=0).
   void start();
 
@@ -72,10 +72,12 @@ class SmacNode : public ChannelListener {
   /// callback becomes a no-op.  Idempotent.  Neighbors recover through
   /// AODV's normal link-failure re-discovery — no extra signalling.
   void fail();
-  bool dead() const { return dead_; }
+  bool dead() const { return radio_.dead(); }
   /// Finite battery (joules across reset_stats() rebasing); exhaustion
-  /// fail()s the node and fires `on_exhausted` once.  0 = unlimited.
-  void set_battery(double budget_j, std::function<void()> on_exhausted);
+  /// fail()s the node and fires `on_exhausted` once.
+  void set_battery(double budget_j, std::function<void()> on_exhausted) {
+    radio_.set_battery(budget_j, std::move(on_exhausted));
+  }
 
   // --- ChannelListener ---
   void on_frame_begin(const Frame& frame, NodeId from, double rx_power_w,
@@ -91,10 +93,8 @@ class SmacNode : public ChannelListener {
   std::uint64_t data_frames_sent() const { return data_sent_; }
   std::uint64_t mac_failures() const { return mac_failures_; }
   std::uint64_t rreqs_sent() const { return rreq_sent_; }
-  /// Routing agent state (read-only; for tests and diagnostics).
-  const Aodv& aodv() const { return aodv_; }
-  const EnergyMeter& meter() const { return tracker_.meter(); }
-  void settle(Time now) { tracker_.settle(now); }
+  const EnergyMeter& meter() const { return radio_.meter(); }
+  void settle(Time now) { radio_.settle(now); }
   void reset_stats(Time now);
   /// Data frames this node forwarded for other origins.
   std::uint64_t packets_relayed() const { return relayed_; }
@@ -113,7 +113,6 @@ class SmacNode : public ChannelListener {
   // Duty cycle.
   void on_frame_boundary();
   bool in_listen(Time t) const;
-  void radio_wake();
   void radio_sleep_until(Time until);
 
   // Send pipeline.
@@ -137,7 +136,9 @@ class SmacNode : public ChannelListener {
   void handle_rreq(const RreqMsg& rreq, NodeId from);
   void handle_rrep(const RrepMsg& rrep, NodeId from);
   void generate_packet();
-  bool maybe_die();
+  bool maybe_die() {
+    return radio_.check_battery(sim_.now(), [this] { fail(); });
+  }
 
   NodeId id_;
   NodeId sink_;
@@ -148,15 +149,8 @@ class SmacNode : public ChannelListener {
   Rng rng_;
   bool always_on_;
   Time phase_;
-  RadioTracker tracker_;
-
-  bool asleep_ = false;
-  bool transmitting_ = false;
-  bool dead_ = false;
-  int rx_depth_ = 0;
+  RadioTracker radio_;
   Time nav_until_;
-  double battery_j_ = 0.0;  // 0 = unlimited
-  std::function<void()> on_battery_exhausted_;
 
   // Outgoing queues: broadcasts (RREQ) first, then reliable routing
   // unicasts (RREP), then data.

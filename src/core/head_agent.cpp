@@ -32,7 +32,7 @@ HeadAgent::HeadAgent(NodeId id, Simulator& sim, Channel& channel,
       oracle_(&oracle),
       provider_(provider),
       rng_(rng),
-      tracker_(cfg.head_energy, sim.now(), RadioState::kIdle) {
+      radio_(cfg.head_energy, sim.now(), RadioState::kIdle) {
   channel_.set_listener(id_, this);
   init_windows();
 }
@@ -320,23 +320,18 @@ void HeadAgent::broadcast(ControlPayload msg) {
   f.origin = id_;
   f.size_bytes = cfg_.control_bytes;
   f.payload = std::move(msg);
-  tracker_.set_state(sim_.now(), RadioState::kTx);
+  radio_.begin_tx(sim_.now());
   channel_.transmit(id_, f);
-  sim_.after(channel_.airtime(cfg_.control_bytes), [this] {
-    tracker_.set_state(sim_.now(),
-                       rx_depth_ > 0 ? RadioState::kRx : RadioState::kIdle);
-  });
+  sim_.after(channel_.airtime(cfg_.control_bytes),
+             [this] { radio_.end_tx(sim_.now()); });
 }
 
 void HeadAgent::on_frame_begin(const Frame&, NodeId, double, Time) {
-  if (tracker_.state() == RadioState::kTx) return;
-  if (rx_depth_++ == 0) tracker_.set_state(sim_.now(), RadioState::kRx);
+  radio_.frame_begin(sim_.now());
 }
 
 void HeadAgent::on_frame_end(const Frame& frame, NodeId from, bool phy_ok) {
-  if (tracker_.state() != RadioState::kTx && rx_depth_ > 0) {
-    if (--rx_depth_ == 0) tracker_.set_state(sim_.now(), RadioState::kIdle);
-  }
+  radio_.frame_end(sim_.now());
   if (!phy_ok) return;
   // Any frame decoded at the head vouches for its sender — including
   // overheard relay traffic addressed elsewhere.
@@ -379,7 +374,7 @@ void HeadAgent::note_arrival(std::uint32_t wire) {
 }
 
 void HeadAgent::reset_stats(Time now) {
-  tracker_.reset(now);
+  radio_.reset(now);
   packets_received_ = 0;
   bytes_received_ = 0;
   lost_abort_ = 0;

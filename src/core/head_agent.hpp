@@ -103,7 +103,7 @@ class HeadAgent : public ChannelListener {
   std::uint64_t window_overruns() const { return window_overruns_; }
   /// Duty time (wake-up to sleep broadcast) per sector drain.
   const Accumulator& duty_time_s() const { return duty_time_s_; }
-  const EnergyMeter& meter() const { return tracker_.meter(); }
+  const EnergyMeter& meter() const { return radio_.meter(); }
 
   /// Observe each delivery latency (generation to head reception) into
   /// `h` (nullptr = off).  Pure observation — never perturbs behaviour.
@@ -148,7 +148,7 @@ class HeadAgent : public ChannelListener {
   const CompatibilityOracle* oracle_;  // swappable after a repair
   CyclePlanProvider& provider_;
   Rng rng_;
-  RadioTracker tracker_;
+  RadioTracker radio_;
 
   std::uint64_t cycle_ = 0;
   std::size_t sector_ = 0;
@@ -159,7 +159,6 @@ class HeadAgent : public ChannelListener {
   std::uint32_t next_wire_ = 1;
   PhaseState phase_;
   std::uint32_t slot_in_sector_ = 0;
-  int rx_depth_ = 0;
 
   /// Record a wire request id arriving at the head this slot.
   void note_arrival(std::uint32_t wire);

@@ -15,10 +15,9 @@ SensorAgent::SensorAgent(NodeId id, Simulator& sim, Channel& channel,
       uids_(uids),
       cfg_(cfg),
       rng_(rng),
-      tracker_(cfg.sensor_energy, sim.now(), RadioState::kIdle) {
+      radio_(cfg.sensor_energy, sim.now(), RadioState::kIdle) {
   // Sensors boot awake (initialisation phase); the first SleepMsg puts
   // them on the duty-cycle regime.
-  asleep_ = false;
   channel_.set_listener(id_, this);
 }
 
@@ -34,7 +33,7 @@ void SensorAgent::start_sampling(double rate_bytes_per_s) {
 }
 
 void SensorAgent::generate_packet() {
-  if (dead_) return;  // a dead node stops sampling (and rescheduling)
+  if (radio_.dead()) return;  // a dead node stops sampling (and rescheduling)
   ++generated_;
   if (queue_.size() >= cfg_.queue_capacity) {
     // Overflow: drop the oldest sample (freshest data is worth more).
@@ -58,18 +57,14 @@ std::uint32_t SensorAgent::backlog() const {
 }
 
 void SensorAgent::on_frame_begin(const Frame&, NodeId, double, Time) {
-  if (dead_ || asleep_ || transmitting_) return;
-  if (rx_depth_++ == 0) tracker_.set_state(sim_.now(), RadioState::kRx);
+  radio_.frame_begin(sim_.now());
 }
 
 void SensorAgent::on_frame_end(const Frame& frame, NodeId from, bool phy_ok) {
-  if (dead_) return;
-  if (!asleep_ && !transmitting_ && rx_depth_ > 0) {
-    if (--rx_depth_ == 0) tracker_.set_state(sim_.now(), RadioState::kIdle);
-  }
-  if (maybe_die()) return;    // receiving spent the last of the battery
-  if (asleep_) return;        // radio off: frame never decoded
-  if (transmitting_) return;  // half-duplex
+  radio_.frame_end(sim_.now());
+  if (maybe_die()) return;  // receiving spent the last of the battery
+  // Radio off (or dead): frame never decoded; transmitting: half-duplex.
+  if (radio_.asleep() || radio_.transmitting()) return;
   if (!phy_ok) return;
   if (faults_ != nullptr) {
     const double loss = faults_->link_loss(from, id_, sim_.now());
@@ -165,7 +160,7 @@ void SensorAgent::send_frame(FrameKind kind, NodeId dst, std::uint32_t bytes,
   // Transmit after the radio turnaround.
   sim_.after(cfg_.turnaround, [this, kind, dst, bytes,
                                payload = std::move(payload)]() mutable {
-    if (dead_ || asleep_) return;
+    if (radio_.asleep()) return;  // also when dead
     Frame f;
     f.uid = uids_.next();
     f.kind = kind;
@@ -174,25 +169,19 @@ void SensorAgent::send_frame(FrameKind kind, NodeId dst, std::uint32_t bytes,
     f.origin = id_;
     f.size_bytes = bytes;
     f.payload = std::move(payload);
-    transmitting_ = true;
-    tracker_.set_state(sim_.now(), RadioState::kTx);
+    radio_.begin_tx(sim_.now());
     ++frames_sent_;
     channel_.transmit(id_, f);
     sim_.after(channel_.airtime(bytes), [this] {
-      if (dead_) return;
-      transmitting_ = false;
-      if (!asleep_)
-        tracker_.set_state(sim_.now(),
-                           rx_depth_ > 0 ? RadioState::kRx : RadioState::kIdle);
+      if (radio_.dead()) return;
+      radio_.end_tx(sim_.now());
       maybe_die();  // transmitting may have spent the last of the battery
     });
   });
 }
 
 void SensorAgent::go_to_sleep(const SleepMsg& sleep) {
-  asleep_ = true;
-  rx_depth_ = 0;
-  tracker_.set_state(sim_.now(), RadioState::kSleep);
+  radio_.sleep(sim_.now());
   // Unconfirmed in-flight packets die with the cycle (§II: the head
   // re-polls within a cycle only).
   in_flight_.clear();
@@ -208,40 +197,12 @@ void SensorAgent::go_to_sleep(const SleepMsg& sleep) {
 }
 
 void SensorAgent::wake_up() {
-  if (dead_ || !asleep_) return;
-  if (maybe_die()) return;  // battery emptied during the night
-  asleep_ = false;
-  awake_since_ = sim_.now();
-  tracker_.set_state(sim_.now(), RadioState::kIdle);
-}
-
-void SensorAgent::fail() {
-  if (dead_) return;
-  dead_ = true;
-  asleep_ = true;
-  transmitting_ = false;
-  rx_depth_ = 0;
-  tracker_.set_state(sim_.now(), RadioState::kSleep);
-}
-
-void SensorAgent::set_battery(double budget_j,
-                              std::function<void()> on_exhausted) {
-  MHP_REQUIRE(budget_j > 0.0, "battery budget must be positive");
-  battery_j_ = budget_j;
-  on_battery_exhausted_ = std::move(on_exhausted);
-}
-
-bool SensorAgent::maybe_die() {
-  if (dead_ || battery_j_ <= 0.0) return false;
-  tracker_.settle(sim_.now());
-  if (tracker_.lifetime_energy_j() < battery_j_) return false;
-  fail();
-  if (on_battery_exhausted_) on_battery_exhausted_();
-  return true;
+  if (!radio_.asleep() || maybe_die()) return;  // battery ran out asleep
+  radio_.wake(sim_.now());
 }
 
 void SensorAgent::reset_stats(Time now) {
-  tracker_.reset(now);
+  radio_.reset(now);
   generated_ = 0;
   dropped_ = 0;
   frames_sent_ = 0;

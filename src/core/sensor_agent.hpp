@@ -2,7 +2,8 @@
 //
 // Sensors are deliberately dumb: they sample data on their own schedule,
 // sleep whenever told to, and transmit only when a polling message names
-// them.  All coordination lives in the cluster head.
+// them.  All coordination lives in the cluster head.  The radio's state
+// rule and battery are the agent's `RadioTracker`.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +29,6 @@ class SensorAgent : public ChannelListener {
   SensorAgent(NodeId id, Simulator& sim, Channel& channel,
               FrameUidSource& uids, const ProtocolConfig& cfg, Rng rng);
 
-  NodeId id() const { return id_; }
-
   /// Start periodic data generation at `rate_bytes_per_s` (0 = no data).
   void start_sampling(double rate_bytes_per_s);
 
@@ -37,7 +36,6 @@ class SensorAgent : public ChannelListener {
   /// head assigns it during cluster set-up and the sensor filters
   /// wake/sleep messages by it.
   void set_sector(int sector) { sector_ = sector; }
-  int sector() const { return sector_; }
 
   /// Accept control messages only from this cluster head (needed when
   /// several clusters share a radio channel, §V-G).  kNoNode = any.
@@ -50,12 +48,14 @@ class SensorAgent : public ChannelListener {
   /// Kill the node: radio off for good, every pending callback becomes a
   /// no-op.  Idempotent.  The head only learns of it from unanswered
   /// polls — there is no out-of-band death notification.
-  void fail();
-  bool dead() const { return dead_; }
+  void fail() { radio_.kill(sim_.now()); }
+  bool dead() const { return radio_.dead(); }
   /// Give the node a finite battery; once its total consumed energy
   /// (across reset_stats() rebasing) reaches `budget_j` it fail()s and
-  /// `on_exhausted` fires once.  0 = unlimited (the default).
-  void set_battery(double budget_j, std::function<void()> on_exhausted);
+  /// `on_exhausted` fires once.
+  void set_battery(double budget_j, std::function<void()> on_exhausted) {
+    radio_.set_battery(budget_j, std::move(on_exhausted));
+  }
   /// Consult `f`'s link-degradation windows on frame reception
   /// (nullptr = off).  Draws from this agent's rng only while a matching
   /// window is active, so an empty plan perturbs nothing.
@@ -67,9 +67,9 @@ class SensorAgent : public ChannelListener {
   void on_frame_end(const Frame& frame, NodeId from, bool phy_ok) override;
 
   // --- accounting ---
-  const EnergyMeter& meter() const { return tracker_.meter(); }
-  /// Settle the tracker at `now` (call before reading the meter).
-  void settle(Time now) { tracker_.settle(now); }
+  const EnergyMeter& meter() const { return radio_.meter(); }
+  /// Settle the radio at `now` (call before reading the meter).
+  void settle(Time now) { radio_.settle(now); }
   /// Zero counters and energy after a warm-up period.
   void reset_stats(Time now);
 
@@ -78,7 +78,6 @@ class SensorAgent : public ChannelListener {
   std::uint64_t frames_sent() const { return frames_sent_; }
   /// Data frames this sensor forwarded on behalf of other origins.
   std::uint64_t packets_relayed() const { return relayed_; }
-  bool asleep() const { return asleep_; }
 
   /// Observe each post-sample queue depth into `h` (nullptr = off).  Safe
   /// across begin_window: the registry resets metrics in place, so the
@@ -97,7 +96,9 @@ class SensorAgent : public ChannelListener {
                   std::any payload);
   /// Settle energy and fail() if the battery budget is spent.  Returns
   /// true when the node (just) died.
-  bool maybe_die();
+  bool maybe_die() {
+    return radio_.check_battery(sim_.now(), [this] { fail(); });
+  }
 
   NodeId id_;
   Simulator& sim_;
@@ -106,15 +107,8 @@ class SensorAgent : public ChannelListener {
   const ProtocolConfig& cfg_;
   Rng rng_;
 
-  RadioTracker tracker_;
-  bool asleep_ = true;
-  bool transmitting_ = false;
-  bool dead_ = false;
-  int rx_depth_ = 0;
-  Time awake_since_ = Time::zero();
+  RadioTracker radio_;
   const FaultInjector* faults_ = nullptr;
-  double battery_j_ = 0.0;  // 0 = unlimited
-  std::function<void()> on_battery_exhausted_;
 
   std::deque<DataPayload> queue_;              // sampled, not yet polled
   std::map<std::uint32_t, DataPayload> in_flight_;  // polled this cycle

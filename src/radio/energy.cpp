@@ -74,6 +74,43 @@ void RadioTracker::set_state(Time now, RadioState next) {
   state_ = next;
 }
 
+void RadioTracker::begin_tx(Time now) {
+  transmitting_ = true;
+  set_state(now, RadioState::kTx);
+}
+
+void RadioTracker::end_tx(Time now) {
+  transmitting_ = false;
+  if (!asleep_)
+    set_state(now, rx_depth_ > 0 ? RadioState::kRx : RadioState::kIdle);
+}
+
+void RadioTracker::sleep(Time now) {
+  asleep_ = true;
+  rx_depth_ = 0;
+  set_state(now, RadioState::kSleep);
+}
+
+void RadioTracker::wake(Time now) {
+  if (dead_ || !asleep_) return;
+  asleep_ = false;
+  set_state(now, RadioState::kIdle);
+}
+
+void RadioTracker::kill(Time now) {
+  if (dead_) return;
+  dead_ = true;
+  transmitting_ = false;
+  sleep(now);
+}
+
+void RadioTracker::set_battery(double budget_j,
+                               std::function<void()> on_exhausted) {
+  MHP_REQUIRE(budget_j > 0.0, "battery budget must be positive");
+  battery_j_ = budget_j;
+  on_battery_exhausted_ = std::move(on_exhausted);
+}
+
 void RadioTracker::settle(Time now) {
   MHP_REQUIRE(now >= last_, "time went backwards");
   meter_.accumulate(state_, now - last_);

@@ -9,6 +9,8 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <utility>
 
 #include "sim/time.hpp"
 
@@ -60,8 +62,12 @@ class EnergyMeter {
   std::array<Time, kNumRadioStates> time_{};
 };
 
-/// Tracks the radio's current state against a simulation clock and feeds
-/// the meter on every transition.
+/// One node's half-duplex radio: its state, the meter each dwell is
+/// charged to, and the battery those charges drain.  Methods take the
+/// simulation time; the radio schedules nothing.  A frame start moves an
+/// awake, non-transmitting radio to rx until the last overlapping frame
+/// ends; frames that start or end during a transmission go unheard; sleep
+/// and death forget the frames in progress, and death is final.
 class RadioTracker {
  public:
   RadioTracker(EnergyModel model, Time start = Time::zero(),
@@ -69,9 +75,47 @@ class RadioTracker {
       : meter_(model), last_(start), state_(initial) {}
 
   RadioState state() const { return state_; }
+  bool asleep() const { return asleep_; }  // a dead radio is asleep too
+  bool transmitting() const { return transmitting_; }
+  bool dead() const { return dead_; }
 
-  /// Transition to `next` at time `now` (accumulates the elapsed dwell).
+  /// Transition to `next` at time `now` (accumulates the elapsed dwell),
+  /// bypassing the state rule.
   void set_state(Time now, RadioState next);
+
+  // Called by every audible receiver on every frame: kept inline.
+  void frame_begin(Time now) {
+    if (asleep_ || transmitting_) return;
+    if (rx_depth_++ == 0) set_state(now, RadioState::kRx);
+  }
+  void frame_end(Time now) {
+    if (asleep_ || transmitting_ || rx_depth_ == 0) return;
+    if (--rx_depth_ == 0) set_state(now, RadioState::kIdle);
+  }
+
+  void begin_tx(Time now);
+  /// Back to rx while a heard frame is still arriving, else idle.
+  void end_tx(Time now);
+  void sleep(Time now);
+  /// No-op unless asleep and alive.
+  void wake(Time now);
+  /// Radio off for good.  Idempotent.
+  void kill(Time now);
+
+  /// A finite budget for lifetime_energy_j(); unlimited by default.
+  void set_battery(double budget_j, std::function<void()> on_exhausted);
+  /// If the battery is spent at `now` and the radio lives: run `die` (the
+  /// owner's cleanup, which kills this radio), then the exhausted
+  /// callback, and return true.
+  template <class Die>
+  bool check_battery(Time now, Die&& die) {
+    if (dead_ || battery_j_ <= 0.0) return false;
+    settle(now);
+    if (lifetime_energy_j() < battery_j_) return false;
+    std::forward<Die>(die)();
+    if (on_battery_exhausted_) on_battery_exhausted_();
+    return true;
+  }
 
   /// Account time up to `now` without changing state.
   void settle(Time now);
@@ -97,6 +141,12 @@ class RadioTracker {
   double before_reset_j_ = 0.0;
   Time last_;
   RadioState state_;
+  bool asleep_ = state_ == RadioState::kSleep;
+  bool transmitting_ = false;
+  bool dead_ = false;
+  int rx_depth_ = 0;
+  double battery_j_ = 0.0;  // 0 = unlimited
+  std::function<void()> on_battery_exhausted_;
 };
 
 }  // namespace mhp

@@ -221,6 +221,25 @@ TEST(FaultRecovery, BatteryExhaustionKillsTheSensor) {
   EXPECT_TRUE(sim.sensor(0).dead());
 }
 
+TEST(FaultRecovery, BatteryDeathCountsWarmupEnergy) {
+  // The battery drains over the sensor's whole life.  The budget exceeds
+  // what sensor 0 spends in the measured window of a fault-free run, so
+  // it is reached only because the warm-up's energy counts too.
+  const Deployment dep = exp::eval_deployment(14, kSeed);
+  ProtocolConfig cfg = exp::eval_protocol_config(kSeed);
+  PollingSimulation clean(dep, cfg, 20.0);
+  clean.run(Time::sec(40), Time::sec(10));
+  const double window_j = clean.sensor(0).meter().total_energy_j();
+
+  cfg.faults.kill_on_battery(0, 1.1 * window_j);
+  PollingSimulation sim(dep, cfg, 20.0);
+  const SimulationReport r = sim.run(Time::sec(40), Time::sec(10));
+  ASSERT_TRUE(r.degradation.has_value());
+  EXPECT_EQ(r.degradation->deaths, 1u);
+  EXPECT_EQ(r.degradation->dead_nodes, std::vector<NodeId>{0});
+  EXPECT_TRUE(sim.sensor(0).dead());
+}
+
 TEST(FaultRecovery, LinkDegradationWindowDropsFrames) {
   const Deployment dep = exp::eval_deployment(14, kSeed);
   PollingSimulation clean(dep, exp::eval_protocol_config(kSeed), 20.0);

@@ -130,6 +130,141 @@ TEST(RadioTracker, ResetClearsMeter) {
                    5.0 * EnergyModel::typical_sensor().idle_w);
 }
 
+// The half-duplex state rule (sleep/idle/rx/tx) every agent's radio obeys.
+RadioTracker awake_radio() {
+  return RadioTracker(EnergyModel{2.0, 1.0, 0.5, 0.1}, Time::zero(),
+                      RadioState::kIdle);
+}
+
+TEST(RadioTracker, OverlappingFramesStayInRxUntilTheLastEnds) {
+  RadioTracker r = awake_radio();
+  r.frame_begin(Time::sec(1));
+  r.frame_begin(Time::sec(2));
+  EXPECT_EQ(r.state(), RadioState::kRx);
+  r.frame_end(Time::sec(3));
+  EXPECT_EQ(r.state(), RadioState::kRx);
+  r.frame_end(Time::sec(4));
+  EXPECT_EQ(r.state(), RadioState::kIdle);
+  r.frame_end(Time::sec(5));  // unmatched: the depth does not go negative
+  r.frame_begin(Time::sec(6));
+  EXPECT_EQ(r.state(), RadioState::kRx);
+  r.settle(Time::sec(7));
+  EXPECT_EQ(r.meter().time_in(RadioState::kRx), Time::sec(4));
+  EXPECT_EQ(r.meter().time_in(RadioState::kIdle), Time::sec(3));
+}
+
+TEST(RadioTracker, FramesWhileAsleepDeadOrTransmittingDoNotCount) {
+  RadioTracker r(EnergyModel::typical_sensor());  // boots asleep
+  EXPECT_TRUE(r.asleep());
+  r.frame_begin(Time::sec(1));
+  EXPECT_EQ(r.state(), RadioState::kSleep);
+  r.wake(Time::sec(2));
+  r.frame_end(Time::sec(3));  // the frame that began in sleep
+  EXPECT_EQ(r.state(), RadioState::kIdle);
+
+  r.begin_tx(Time::sec(4));
+  r.frame_begin(Time::sec(5));
+  EXPECT_EQ(r.state(), RadioState::kTx);
+  r.end_tx(Time::sec(6));
+  EXPECT_EQ(r.state(), RadioState::kIdle);
+  r.frame_end(Time::sec(7));  // the frame that began during the tx
+  EXPECT_EQ(r.state(), RadioState::kIdle);
+
+  // A frame heard before the tx whose end falls inside it: the end goes
+  // unheard too, so the radio stays in rx until it sleeps.
+  r.frame_begin(Time::sec(8));
+  r.begin_tx(Time::sec(9));
+  r.frame_end(Time::sec(10));
+  r.end_tx(Time::sec(11));
+  EXPECT_EQ(r.state(), RadioState::kRx);
+
+  r.kill(Time::sec(12));
+  r.frame_begin(Time::sec(13));
+  r.frame_end(Time::sec(14));
+  EXPECT_EQ(r.state(), RadioState::kSleep);
+}
+
+TEST(RadioTracker, EndOfTxReturnsToRxWhileAFrameIsArriving) {
+  RadioTracker r = awake_radio();
+  r.frame_begin(Time::sec(1));
+  r.begin_tx(Time::sec(2));
+  EXPECT_TRUE(r.transmitting());
+  EXPECT_EQ(r.state(), RadioState::kTx);
+  r.end_tx(Time::sec(3));
+  EXPECT_FALSE(r.transmitting());
+  EXPECT_EQ(r.state(), RadioState::kRx);
+  r.frame_end(Time::sec(4));
+  EXPECT_EQ(r.state(), RadioState::kIdle);
+  r.settle(Time::sec(4));
+  EXPECT_EQ(r.meter().time_in(RadioState::kRx), Time::sec(2));
+  EXPECT_EQ(r.meter().time_in(RadioState::kTx), Time::sec(1));
+}
+
+TEST(RadioTracker, SleepZeroesTheRxDepth) {
+  RadioTracker r = awake_radio();
+  r.frame_begin(Time::sec(1));
+  r.frame_begin(Time::sec(1));
+  r.sleep(Time::sec(2));
+  EXPECT_TRUE(r.asleep());
+  EXPECT_EQ(r.state(), RadioState::kSleep);
+  r.wake(Time::sec(3));
+  EXPECT_EQ(r.state(), RadioState::kIdle);
+  r.frame_end(Time::sec(4));  // ends of frames the sleep forgot
+  r.frame_end(Time::sec(4));
+  r.frame_begin(Time::sec(5));
+  EXPECT_EQ(r.state(), RadioState::kRx);
+  r.frame_end(Time::sec(6));  // one frame in progress, not three
+  EXPECT_EQ(r.state(), RadioState::kIdle);
+}
+
+TEST(RadioTracker, KillIsFinalAndIdempotent) {
+  RadioTracker r = awake_radio();
+  r.begin_tx(Time::sec(1));
+  r.kill(Time::sec(2));
+  EXPECT_TRUE(r.dead());
+  EXPECT_TRUE(r.asleep());
+  EXPECT_FALSE(r.transmitting());
+  EXPECT_EQ(r.state(), RadioState::kSleep);
+  r.kill(Time::sec(3));
+  r.wake(Time::sec(4));
+  r.end_tx(Time::sec(5));  // the tx the death cut short
+  EXPECT_TRUE(r.dead());
+  EXPECT_EQ(r.state(), RadioState::kSleep);
+  r.settle(Time::sec(6));
+  EXPECT_EQ(r.meter().time_in(RadioState::kTx), Time::sec(1));
+  EXPECT_EQ(r.meter().time_in(RadioState::kSleep), Time::sec(4));
+}
+
+TEST(RadioTracker, BatteryCountsEnergyFromBeforeReset) {
+  RadioTracker r(EnergyModel{2.0, 1.0, 1.0, 0.0}, Time::zero(),
+                 RadioState::kIdle);  // 1 W while idle
+  const auto never = [] { ADD_FAILURE() << "died early"; };
+  EXPECT_FALSE(r.check_battery(Time::sec(100), never));  // unlimited
+  EXPECT_THROW(r.set_battery(0.0, nullptr), ContractViolation);
+
+  RadioTracker b(EnergyModel{2.0, 1.0, 1.0, 0.0}, Time::zero(),
+                 RadioState::kIdle);
+  int died = 0;
+  int exhausted = 0;
+  b.set_battery(5.0, [&] {
+    EXPECT_EQ(died, 1);  // the owner's cleanup runs first
+    ++exhausted;
+  });
+  b.reset(Time::sec(3));  // 3 J spent in warm-up
+  EXPECT_FALSE(b.check_battery(Time::sec(4), never));
+  const auto die = [&] {
+    ++died;
+    b.kill(Time::sec(5));
+  };
+  // 5 J over the radio's life, though the meter holds only 2 J.
+  EXPECT_TRUE(b.check_battery(Time::sec(5), die));
+  EXPECT_DOUBLE_EQ(b.meter().total_energy_j(), 2.0);
+  EXPECT_EQ(died, 1);
+  EXPECT_EQ(exhausted, 1);
+  EXPECT_FALSE(b.check_battery(Time::sec(9), die));  // dead: fires once
+  EXPECT_EQ(exhausted, 1);
+}
+
 // ---------- Channel ----------
 
 class ChannelTest : public ::testing::Test {
