@@ -47,6 +47,38 @@ void BM_SimulatorSelfScheduling(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorSelfScheduling);
 
+// The S-MAC contention shape: a few hundred live timers, each of which
+// re-arms itself when it fires (a DIFS or a backoff slot later), so nearly
+// every event schedules exactly one successor from inside its callback.
+struct RearmingTimer {
+  Simulator* sim;
+  Rng* rng;
+  std::uint64_t* budget;
+  void operator()() const {
+    if (*budget == 0) return;
+    --*budget;
+    sim->after(rng->below(2) ? Time::us(400) : Time::us(200), *this);
+  }
+};
+
+void BM_TimerRearm(benchmark::State& state) {
+  const auto timers = static_cast<std::size_t>(state.range(0));
+  constexpr std::uint64_t kRearms = 100'000;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    Simulator sim;
+    Rng rng(3);
+    std::uint64_t budget = kRearms;
+    for (std::size_t i = 0; i < timers; ++i)
+      sim.after(Time::us(static_cast<std::int64_t>(rng.below(400))),
+                RearmingTimer{&sim, &rng, &budget});
+    sim.run();
+    events += sim.events_executed();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_TimerRearm)->Arg(300);
+
 void BM_ConcurrentOutcome(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Simulator sim;

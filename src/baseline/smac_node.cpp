@@ -143,11 +143,6 @@ void SmacNode::cancel_timer() {
   }
 }
 
-void SmacNode::arm_timer(Time delay, EventFn fn) {
-  cancel_timer();
-  timer_ = sim_.after(delay, std::move(fn));
-}
-
 void SmacNode::try_send() {
   if (radio_.asleep() || radio_.transmitting() || op_ != Op::kNone ||
       contending_)

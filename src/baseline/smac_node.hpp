@@ -27,6 +27,7 @@
 #include <functional>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "baseline/aodv.hpp"
 #include "baseline/smac_config.hpp"
@@ -127,7 +128,12 @@ class SmacNode : public ChannelListener {
   void mac_success();
   void mac_failure();
   void cancel_timer();
-  void arm_timer(Time delay, EventFn fn);
+  // Replace the pending MAC timer; `fn` is built once, in the event queue.
+  template <typename F>
+  void arm_timer(Time delay, F&& fn) {
+    cancel_timer();
+    timer_ = sim_.after(delay, std::forward<F>(fn));
+  }
 
   // Routing.
   void dispatch_data(BaselineData data);  // route or buffer + discover

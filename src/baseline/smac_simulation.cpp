@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "fault/fault_injector.hpp"
+#include "obs/profiler.hpp"
 #include "util/assertx.hpp"
 
 namespace mhp {
@@ -97,11 +98,23 @@ SmacSimulation::SmacSimulation(const Deployment& deployment, SmacConfig cfg,
 SmacReport SmacSimulation::run(Time duration, Time warmup) {
   MHP_REQUIRE(duration > warmup, "duration must exceed warmup");
   Simulator& sim = rt_.sim();
-  sim.run_until(warmup);
+  {
+    MHP_SPAN("smac/warmup");
+    sim.run_until(warmup);
+  }
   for (auto& node : nodes_) node->reset_stats(sim.now());
   rt_.begin_measurement();
 
-  sim.run_until(duration);
+  {
+    MHP_SPAN("smac/measured");
+    const std::uint64_t events_before = sim.events_executed();
+    const std::uint64_t handoffs_before = sim.root_handoffs();
+    const ChannelStats channel_before = rt_.channel_stats();
+    sim.run_until(duration);
+    MHP_SPAN_COUNTER("events", sim.events_executed() - events_before);
+    MHP_SPAN_COUNTER("root_handoffs", sim.root_handoffs() - handoffs_before);
+    span_channel_counters(rt_.channel_stats() - channel_before);
+  }
 
   SmacReport rep;
   const auto& sink = *nodes_.back();

@@ -1,30 +1,13 @@
 #include "sim/simulator.hpp"
 
-#include "util/assertx.hpp"
-
 namespace mhp {
-
-EventId Simulator::at(Time when, EventFn fn) {
-  MHP_REQUIRE(when >= now_, "scheduling into the past");
-  return queue_.push(when, std::move(fn));
-}
-
-EventId Simulator::after(Time delay, EventFn fn) {
-  MHP_REQUIRE(delay >= Time::zero(), "negative delay");
-  return queue_.push(now_ + delay, std::move(fn));
-}
 
 std::uint64_t Simulator::run() { return run_until(Time::max()); }
 
 std::uint64_t Simulator::run_until(Time deadline) {
   stopped_ = false;
   std::uint64_t ran = 0;
-  while (!stopped_) {
-    auto next_time = queue_.peek_time();
-    if (!next_time || *next_time > deadline) break;
-    auto ev = queue_.pop();
-    now_ = ev->when;
-    ev->fn();
+  while (!stopped_ && queue_.fire_next(deadline, now_)) {
     ++ran;
     ++executed_;
   }
@@ -34,10 +17,7 @@ std::uint64_t Simulator::run_until(Time deadline) {
 }
 
 bool Simulator::step() {
-  auto ev = queue_.pop();
-  if (!ev) return false;
-  now_ = ev->when;
-  ev->fn();
+  if (!queue_.fire_next(Time::max(), now_)) return false;
   ++executed_;
   return true;
 }

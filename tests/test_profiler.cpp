@@ -385,6 +385,44 @@ TEST(ScenarioProfile, ProfileEmbedsSummaryWithoutPerturbingReport) {
   }
 }
 
+/// The S-MAC facade, profiled: its warm-up and measured spans run once
+/// each, the measured window counts the report's events and the re-armed
+/// timers that took over their firing event's heap root, and the rest of
+/// the envelope is exactly the unprofiled document.
+TEST(ScenarioProfile, SmacSpansCountEventsAndRootHandoffs) {
+  scenario::Scenario s =
+      scenario::default_scenario(scenario::StackKind::kSmac);
+  s.deployment.kind = scenario::DeploymentSpec::Kind::kRings;
+  s.deployment.rings = 2;
+  s.deployment.per_ring = 4;
+  s.run.duration = Time::sec(15);
+  s.run.warmup = Time::sec(5);
+  s.run.record_perf = false;
+  const std::string plain = scenario::run_scenario(s).dump();
+
+  s.profile = true;
+  const obs::Json doc = scenario::run_scenario(s);
+  const obs::Json* profile = doc.find("profile");
+  ASSERT_NE(profile, nullptr);
+  const obs::Json& spans = profile->at("spans");
+  for (const char* path : {"smac/warmup", "smac/measured"}) {
+    const obs::Json* span = spans.find(path);
+    ASSERT_NE(span, nullptr) << path;
+    EXPECT_EQ(span->at("count").as_uint(), 1u) << path;
+  }
+  const obs::Json& measured = spans.at("smac/measured").at("counters");
+  const std::uint64_t events = measured.at("events").as_uint();
+  EXPECT_EQ(events,
+            doc.at("report").at("run").at("events_processed").as_uint());
+  const std::uint64_t handoffs = measured.at("root_handoffs").as_uint();
+  EXPECT_GT(handoffs, 0u);
+  EXPECT_LE(handoffs, events);
+
+  obs::Json expected = obs::parse_json(plain);
+  expected.set("profile", *profile);
+  EXPECT_EQ(doc.dump(), expected.dump());
+}
+
 TEST_F(ProfilerTest, OracleProbeSpanCountsUniverseAndGroups) {
   const Deployment dep = deploy_rings(2, 4, 40.0);
   Profiler::instance().enable();

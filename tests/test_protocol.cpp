@@ -190,7 +190,7 @@ TEST(Protocol, PathRotationBalancesRelays) {
       << "rotation should even out relay transmissions";
 }
 
-TEST(Protocol, TraceRecordsCycleTransitions) {
+TEST(Protocol, CountsCompletedCyclesAndDutyTimeSamples) {
   ProtocolConfig cfg;
   PollingSimulation sim(small_cluster(13), cfg, 20.0);
   sim.run(Time::sec(12), Time::sec(2));

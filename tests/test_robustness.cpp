@@ -62,6 +62,96 @@ TEST_P(EventQueueFuzz, MatchesReferenceModel) {
   }
 }
 
+/// The reference model of one fuzz run whose callbacks act on the queue
+/// from inside the fire: push (often at the firing time), cancel any handle
+/// seen so far (their own included), and check size() after every step.
+struct FiringModel {
+  using Key = std::pair<std::int64_t, std::uint64_t>;  // (time, seq)
+
+  explicit FiringModel(std::uint64_t seed) : rng(seed) {}
+
+  EventId push(std::int64_t t) {
+    const Key key{t, seq++};
+    const EventId id = q.push(Time::ns(t), [this, key] { fire(key); });
+    pending[key] = id;
+    seen[id] = key;
+    return id;
+  }
+
+  void cancel(EventId id) {
+    const Key key = seen.at(id);
+    EXPECT_EQ(q.cancel(id), pending.contains(key));
+    pending.erase(key);
+  }
+
+  void cancel_random() {
+    if (seen.empty()) return;
+    auto it = seen.begin();
+    std::advance(it, static_cast<long>(rng.below(seen.size())));
+    cancel(it->first);
+  }
+
+  void fire(Key key) {
+    ASSERT_FALSE(pending.empty());
+    EXPECT_EQ(pending.begin()->first, key);
+    EXPECT_EQ(now.nanos(), key.first);
+    const EventId own = pending.begin()->second;
+    pending.erase(pending.begin());
+    ++fired;
+    const auto actions = rng.below(4);
+    for (std::uint64_t a = 0; a < actions; ++a) {
+      const double dice = rng.uniform();
+      if (dice < 0.3 && pending.size() < 300)
+        push(key.first);  // same timestamp: fires after every earlier push
+      else if (dice < 0.6 && pending.size() < 300)
+        push(key.first + static_cast<std::int64_t>(rng.below(50)));
+      else if (dice < 0.85)
+        cancel_random();
+      else
+        cancel(own);  // stale: the firing event is no longer pending
+      EXPECT_EQ(q.size(), pending.size());
+      EXPECT_FALSE(q.empty() && !pending.empty());
+    }
+  }
+
+  EventQueue q;
+  Rng rng;
+  Time now;
+  std::map<Key, EventId> pending;
+  std::map<EventId, Key> seen;  // every handle handed out
+  std::uint64_t seq = 0;
+  std::uint64_t fired = 0;
+};
+
+TEST_P(EventQueueFuzz, CallbacksThatPushAndCancelMatchReferenceModel) {
+  FiringModel m(9300 + static_cast<std::uint64_t>(GetParam()));
+  std::int64_t horizon = 0;
+  for (int step = 0; step < 2000; ++step) {
+    const double dice = m.rng.uniform();
+    if (dice < 0.4) {
+      m.push(horizon + static_cast<std::int64_t>(m.rng.below(200)));
+    } else if (dice < 0.5) {
+      m.cancel_random();
+    } else {
+      horizon += static_cast<std::int64_t>(m.rng.below(20));
+      const bool due = !m.pending.empty() &&
+                       m.pending.begin()->first.first <= horizon;
+      EXPECT_EQ(m.q.fire_next(Time::ns(horizon), m.now), due);
+    }
+    ASSERT_EQ(m.q.size(), m.pending.size());
+    const auto peek = m.q.peek_time();
+    ASSERT_EQ(peek.has_value(), !m.pending.empty());
+    if (peek) {
+      EXPECT_EQ(peek->nanos(), m.pending.begin()->first.first);
+    }
+  }
+  while (m.q.fire_next(Time::max(), m.now)) {
+  }
+  EXPECT_TRUE(m.pending.empty());
+  EXPECT_GT(m.q.root_handoffs(), 0u);
+  EXPECT_LE(m.q.root_handoffs(), m.fired);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFuzz, ::testing::Range(0, 8));
 
 // The poll-timeout retry pattern: arm a timer, cancel it when the reply

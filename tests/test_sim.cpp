@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -149,6 +151,115 @@ TEST(EventFnStorage, MoveTransfersTarget) {
   EXPECT_EQ(hits, 2);
 }
 
+// ---------- Firing in place ----------
+
+TEST(EventQueue, FiringEventIsNotPendingAndItsHandleIsStale) {
+  EventQueue q;
+  Time now;
+  EventId self = 0;
+  std::size_t size_inside = 99;
+  bool empty_inside = false;
+  bool cancelled_self = true;
+  std::optional<Time> peek_inside;
+  self = q.push(Time::ms(1), [&] {
+    size_inside = q.size();
+    peek_inside = q.peek_time();
+    cancelled_self = q.cancel(self);
+    q.push(Time::ms(1), [&] { empty_inside = q.empty(); });
+  });
+  q.push(Time::ms(4), [] {});
+  ASSERT_TRUE(q.fire_next(Time::max(), now));
+  EXPECT_EQ(now, Time::ms(1));
+  EXPECT_EQ(size_inside, 1u);
+  ASSERT_TRUE(peek_inside.has_value());
+  EXPECT_EQ(*peek_inside, Time::ms(4));
+  EXPECT_FALSE(cancelled_self);
+  EXPECT_EQ(q.size(), 2u);
+  ASSERT_TRUE(q.fire_next(Time::ms(1), now));  // the same-time push
+  EXPECT_FALSE(empty_inside);                   // the 4 ms event remains
+  EXPECT_FALSE(q.fire_next(Time::ms(3), now));  // not due yet
+  EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(EventQueue, FirstPushFromACallbackTakesTheRoot) {
+  EventQueue q;
+  Time now;
+  std::vector<int> order;
+  q.push(Time::ms(1), [&] {
+    order.push_back(1);
+    q.push(Time::ms(5), [&] { order.push_back(5); });  // takes the root
+    q.push(Time::ms(2), [&] { order.push_back(2); });  // an ordinary push
+  });
+  q.push(Time::ms(3), [&] { order.push_back(3); });
+  while (q.fire_next(Time::max(), now)) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 5}));
+  EXPECT_EQ(q.root_handoffs(), 1u);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, ThrowingCallbackLeavesSizeOrderAndSlotReuseIntact) {
+  EventQueue q;
+  Time now;
+  std::vector<int> order;
+  // One callback throws after its push took the root, one before any push.
+  q.push(Time::ms(1), [&] {
+    q.push(Time::ms(6), [&] { order.push_back(6); });
+    throw std::runtime_error("after a push");
+  });
+  q.push(Time::ms(2), [] { throw std::runtime_error("before a push"); });
+  q.push(Time::ms(3), [&] { order.push_back(3); });
+  EXPECT_EQ(q.arena_slots(), 3u);
+  EXPECT_THROW(q.fire_next(Time::max(), now), std::runtime_error);
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_THROW(q.fire_next(Time::max(), now), std::runtime_error);
+  EXPECT_EQ(q.size(), 2u);
+  ASSERT_TRUE(q.peek_time().has_value());
+  EXPECT_EQ(*q.peek_time(), Time::ms(3));
+  // Both thrown events' slots are free again: two pushes need no new slot.
+  q.push(Time::ms(4), [&] { order.push_back(4); });
+  q.push(Time::ms(5), [&] { order.push_back(5); });
+  EXPECT_EQ(q.arena_slots(), 4u);
+  while (q.fire_next(Time::max(), now)) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{3, 4, 5, 6}));
+}
+
+TEST(EventQueue, CallbackRunsInPlaceWhileItsPushesGrowTheArena) {
+  EventQueue q;
+  Time now;
+  std::array<std::uint64_t, 4> seen{};
+  const std::array<std::uint64_t, 4> payload{11, 22, 33, 44};
+  q.push(Time::ms(1), [&q, &seen, payload] {
+    for (int i = 0; i < 1000; ++i) q.push(Time::ms(2), [] {});
+    seen = payload;  // still readable after the arena grew new chunks
+  });
+  ASSERT_TRUE(q.fire_next(Time::max(), now));
+  EXPECT_EQ(seen, payload);
+  EXPECT_EQ(q.size(), 1000u);
+}
+
+TEST(EventQueue, PushTakesAnEventFnAsItIsAndRejectsANullOne) {
+  EventQueue q;
+  Time now;
+  int hits = 0;
+  q.push(Time::ms(1), EventFn([&hits] { ++hits; }));
+  EXPECT_THROW(q.push(Time::ms(2), EventFn()), ContractViolation);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.arena_slots(), 1u);
+  ASSERT_TRUE(q.fire_next(Time::max(), now));
+  EXPECT_EQ(hits, 1);
+}
+
+TEST(EventQueue, PopFromACallbackThrows) {
+  EventQueue q;
+  Time now;
+  q.push(Time::ms(1), [&q] { q.pop(); });
+  q.push(Time::ms(2), [] {});
+  EXPECT_THROW(q.fire_next(Time::max(), now), ContractViolation);
+  EXPECT_EQ(q.size(), 1u);
+}
+
 // ---------- Simulator ----------
 
 TEST(Simulator, AdvancesClockToEventTimes) {
@@ -225,6 +336,50 @@ TEST(Simulator, StepExecutesOneEvent) {
   EXPECT_TRUE(sim.step());
   EXPECT_FALSE(sim.step());
   EXPECT_EQ(sim.events_executed(), 2u);
+}
+
+TEST(Simulator, NestedRunOrStepFromACallbackThrows) {
+  Simulator sim;
+  int ran = 0;
+  sim.at(Time::ms(1), [&] { sim.run_until(Time::ms(5)); });
+  sim.at(Time::ms(2), [&] { ++ran; });
+  EXPECT_THROW(sim.run(), ContractViolation);
+  EXPECT_EQ(ran, 0);
+  EXPECT_TRUE(sim.pending());
+  sim.at(Time::ms(3), [&] { sim.step(); });
+  EXPECT_THROW(sim.run(), ContractViolation);  // after the 2 ms event
+  EXPECT_EQ(ran, 1);
+  EXPECT_FALSE(sim.pending());
+  EXPECT_EQ(sim.now(), Time::ms(3));
+}
+
+/// Counts the moves and copies of one callable on its way into the queue.
+struct MoveCounter {
+  int* moves;
+  int* copies;
+  int* calls;
+  MoveCounter(int* m, int* c, int* k) : moves(m), copies(c), calls(k) {}
+  MoveCounter(const MoveCounter& o)
+      : moves(o.moves), copies(o.copies), calls(o.calls) {
+    ++*copies;
+  }
+  MoveCounter(MoveCounter&& o) noexcept
+      : moves(o.moves), copies(o.copies), calls(o.calls) {
+    ++*moves;
+  }
+  void operator()() { ++*calls; }
+};
+
+TEST(Simulator, CallbackIsMovedAtMostOnceBeforeItRuns) {
+  Simulator sim;
+  int moves = 0, copies = 0, calls = 0;
+  sim.after(Time::ms(1), MoveCounter(&moves, &copies, &calls));
+  // Many more events around it, so the heap reorders while it waits.
+  for (int i = 0; i < 100; ++i) sim.after(Time::us(10 * i), [] {});
+  sim.run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_LE(moves, 1);
+  EXPECT_EQ(copies, 0);
 }
 
 TEST(Simulator, EventsCanScheduleMoreEvents) {
